@@ -7,8 +7,9 @@
 //
 // The plan JSON goes to stdout and is byte-deterministic for a given
 // corpus and policy version, so runs can be diffed or golden-tested.
-// Build statistics — including how many emulator runs the verdict
-// matrix cost, which a warm -cache-dir drops to zero — go to stderr.
+// Build statistics — including how many emulator runs and executed
+// emulator instructions the verdict matrix cost, both of which a warm
+// -cache-dir drops to zero — go to stderr.
 //
 // Usage:
 //
@@ -73,8 +74,8 @@ func main() {
 	}
 
 	m := stubplan.BuildMatrix(study.Core(), stubplan.Options{Cache: cache})
-	fmt.Fprintf(os.Stderr, "apiplan: matrix policy=%d binaries=%d emulations=%d cache_hits=%d cache_misses=%d inconclusive=%d\n",
-		m.PolicyVersion, m.Stats.Binaries, m.Stats.Emulations,
+	fmt.Fprintf(os.Stderr, "apiplan: matrix policy=%d binaries=%d emulations=%d steps=%d cache_hits=%d cache_misses=%d inconclusive=%d\n",
+		m.PolicyVersion, m.Stats.Binaries, m.Stats.Emulations, m.Stats.Steps,
 		m.Stats.CacheHits, m.Stats.CacheMisses, m.Stats.Inconclusive)
 
 	path := study.GreedyPath()

@@ -2,8 +2,9 @@
 // records store what a binary's code *contains* (the static footprint
 // summary), verdict records store what fault-injection emulation proved
 // about how the binary *behaves* — per-API stub/fake tolerance. They are
-// far more expensive to recompute (three emulator runs per API per
-// binary), so caching them is what makes warm plan builds emulation-free.
+// far more expensive to recompute (one baseline emulator run per binary
+// plus up to two fault-injection replays per API it issues), so caching
+// them is what makes warm plan builds emulation-free.
 //
 // The envelope discipline matches the primary records: a hit requires
 // the caller's tag (analysis version + emulation policy version +

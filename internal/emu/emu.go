@@ -14,12 +14,20 @@
 // instructions). Real-world binaries use a far larger repertoire; for
 // those, emulation stops at the first unmodeled instruction and reports how
 // far it got.
+//
+// Fault injection runs one program many times under policies that depart
+// from the recording-only default at a few system calls. Record runs it
+// once and keeps the machine state at its syscall instructions; Replay
+// then returns exactly the trace Run would, executing instructions only
+// where the policy's results make the run differ from the recording.
 package emu
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/callgraph"
+	"repro/internal/elfx"
 	"repro/internal/footprint"
 	"repro/internal/linuxapi"
 	"repro/internal/x86"
@@ -141,7 +149,7 @@ type SyscallResult struct {
 type SyscallPolicy func(SyscallContext) SyscallResult
 
 // Machine emulates one program against a resolver holding its shared
-// libraries.
+// libraries. A machine is not safe for concurrent use.
 type Machine struct {
 	resolver *footprint.Resolver
 	// MaxSteps bounds execution (default 1 << 20).
@@ -149,46 +157,93 @@ type Machine struct {
 	// MaxDepth bounds the call stack (default 256).
 	MaxDepth int
 	// Policy, when non-nil, decides every system call's return value
-	// (and may abort the run). Nil preserves the recording-only
-	// behavior: every call "succeeds" with RAX=0.
+	// (and may abort the run) in Run and RunExport. Nil preserves the
+	// recording-only behavior: every call "succeeds" with RAX=0. Record
+	// and Replay ignore it.
 	Policy SyscallPolicy
 
 	// dcache memoizes decoded instructions per analysis as dense
 	// per-section arrays indexed by code offset. Code bytes are immutable
-	// for the life of an Analysis, so the cache is exact; it is what
-	// makes fault-injection affordable — verdict measurement re-runs the
-	// same entry path once per (API, treatment) pair, and only the first
-	// run pays for decoding. Frames carry their binary's arrays, so the
-	// per-step fast path is a bounds check and a slice index.
+	// for the life of an Analysis, so the cache is exact. A recording and
+	// all its replays decode each instruction once, and the libraries every
+	// executable calls into stay decoded from one executable to the next;
+	// Forget drops an analysis nothing will run again. The step loop
+	// keeps the current frame's arrays at hand, so its per-step fast path
+	// is a pointer compare, a bounds check and a slice index.
 	dcache map[*footprint.Analysis]*decoded
+
+	// executed counts the instructions the step loop has executed.
+	executed uint64
 }
 
-// decoded holds one binary's decode arrays: slot i caches the
-// instruction starting at byte i of the section (valid when ok[i]).
-type decoded struct {
-	textAddr, pltAddr uint64
-	text, plt         []x86.Inst
-	textOK, pltOK     []bool
+// decoded holds one binary's decode arrays, for .text and .plt.
+type decoded [2]section
+
+// section caches decoded instructions: insts[i] is the instruction
+// starting at byte i (valid when ok[i]).
+type section struct {
+	addr  uint64
+	data  []byte
+	insts []x86.Inst
+	ok    []bool
+}
+
+func newSection(sec elfx.Section) section {
+	return section{
+		addr:  sec.Addr,
+		data:  sec.Data,
+		insts: make([]x86.Inst, len(sec.Data)),
+		ok:    make([]bool, len(sec.Data)),
+	}
 }
 
 func (m *Machine) decodedFor(a *footprint.Analysis) *decoded {
 	if dc, ok := m.dcache[a]; ok {
 		return dc
 	}
-	bin := a.Bin
-	dc := &decoded{
-		textAddr: bin.Text.Addr,
-		text:     make([]x86.Inst, len(bin.Text.Data)),
-		textOK:   make([]bool, len(bin.Text.Data)),
-		pltAddr:  bin.Plt.Addr,
-		plt:      make([]x86.Inst, len(bin.Plt.Data)),
-		pltOK:    make([]bool, len(bin.Plt.Data)),
-	}
+	dc := &decoded{newSection(a.Bin.Text), newSection(a.Bin.Plt)}
 	if m.dcache == nil {
 		m.dcache = make(map[*footprint.Analysis]*decoded)
 	}
 	m.dcache[a] = dc
 	return dc
+}
+
+// Forget drops a's decode arrays. Callers done with an analysis call it
+// so a long-lived machine holds only what later runs share; running a
+// again just decodes it again.
+func (m *Machine) Forget(a *footprint.Analysis) { delete(m.dcache, a) }
+
+// Decoded lists the analyses whose decode arrays the machine holds, in
+// no particular order.
+func (m *Machine) Decoded() []*footprint.Analysis {
+	out := make([]*footprint.Analysis, 0, len(m.dcache))
+	for a := range m.dcache {
+		out = append(out, a)
+	}
+	return out
+}
+
+// Executed reports how many instructions the machine has executed over
+// its lifetime, across Run, RunExport, Record and Replay. A replay adds
+// only the instructions it actually stepped, not its trace's Steps.
+func (m *Machine) Executed() uint64 { return m.executed }
+
+// fetch returns the instruction at pc, decoding it on first use, or nil
+// when pc is outside both sections. It points into the arrays, so a step
+// copies no instruction.
+func (dc *decoded) fetch(pc uint64) *x86.Inst {
+	for i := range dc {
+		s := &dc[i]
+		if off := pc - s.addr; off < uint64(len(s.insts)) {
+			if !s.ok[off] {
+				s.insts[off] = x86.Decode(s.data[off:], pc)
+				s.ok[off] = true
+			}
+			return &s.insts[off]
+		}
+	}
+	return nil
 }
 
 // New returns a machine resolving imports through r.
@@ -205,6 +260,9 @@ type frame struct {
 	sym string
 }
 
+// regs holds the tracked registers. An unknown register's value is
+// always zero, so two register files are equivalent exactly when they
+// are ==.
 type regs struct {
 	val   [16]int64
 	known [16]bool
@@ -219,6 +277,7 @@ func (r *regs) set(reg x86.Reg, v int64) {
 
 func (r *regs) clobber(reg x86.Reg) {
 	if reg < 16 {
+		r.val[reg] = 0
 		r.known[reg] = false
 	}
 }
@@ -230,13 +289,40 @@ func (r *regs) get(reg x86.Reg) (int64, bool) {
 	return 0, false
 }
 
+// state is everything the step loop reads and writes besides the decode
+// cache. Record keeps copies of it, and a replay rejoins its recording
+// when its own state equals the recorded copy at the same event index.
+// That is exact only while every field the loop depends on lives here
+// and is compared by equal: a field left out would let a replay rejoin
+// from a state that merely looks like the recorded one.
+type state struct {
+	r     regs
+	cur   frame
+	stack []frame
+	steps int
+}
+
+func (s *state) equal(o *state) bool {
+	return s.r == o.r && s.cur == o.cur && s.steps == o.steps && slices.Equal(s.stack, o.stack)
+}
+
+// event reads the system call issued by the instruction s stands on.
+func (s *state) event() SyscallEvent {
+	ev := SyscallEvent{Binary: s.cur.a.Bin.Path}
+	ev.Num, ev.KnownNum = s.r.get(x86.RAX)
+	ev.Args[0], ev.ArgsKnown[0] = s.r.get(x86.RDI)
+	ev.Args[1], ev.ArgsKnown[1] = s.r.get(x86.RSI)
+	ev.Args[2], ev.ArgsKnown[2] = s.r.get(x86.RDX)
+	return ev
+}
+
 // Run emulates from the binary's entry point.
 func (m *Machine) Run(a *footprint.Analysis) (*Trace, error) {
 	bin := a.Bin
 	if bin.Entry == 0 {
 		return nil, fmt.Errorf("emu: %s has no entry point", bin.Path)
 	}
-	return m.run(a, bin.Entry, "")
+	return m.run(a, bin.Entry, ""), nil
 }
 
 // RunExport emulates one exported function of a library.
@@ -245,56 +331,82 @@ func (m *Machine) RunExport(a *footprint.Analysis, export string) (*Trace, error
 	if sym == nil {
 		return nil, fmt.Errorf("emu: %s does not define %s", a.Bin.Path, export)
 	}
-	return m.run(a, sym.Addr, export)
+	return m.run(a, sym.Addr, export), nil
 }
 
-func (m *Machine) run(a *footprint.Analysis, entry uint64, sym string) (*Trace, error) {
+func (m *Machine) run(a *footprint.Analysis, entry uint64, sym string) *Trace {
 	tr := &Trace{}
-	var r regs
-	var stack []frame
-	cur := frame{a: a, pc: entry, sym: sym}
+	st := state{cur: frame{a: a, pc: entry, sym: sym}}
+	m.drive(&st, tr, m.Policy, nil)
+	return tr
+}
 
-	// One-entry memo over the decode cache: the frame's binary changes
-	// only at cross-binary calls and returns, so the per-step cost is a
-	// pointer compare plus a slice index.
+// drive runs st to the end of the run one system call at a time,
+// appending each event to tr and taking its result from policy (nil:
+// the recording-only default). At each syscall instruction, before
+// anything is recorded, at (when non-nil) may take st back: drive then
+// returns true with st standing on that instruction. Otherwise it
+// returns false once the run has ended, with tr.Steps and tr.Stopped
+// set.
+func (m *Machine) drive(st *state, tr *Trace, policy SyscallPolicy, at func(st *state, idx int) bool) bool {
+	for {
+		if stop := m.next(st); stop != "" {
+			tr.Steps, tr.Stopped = st.steps, stop
+			return false
+		}
+		idx := len(tr.Events)
+		if at != nil && at(st, idx) {
+			return true
+		}
+		ev := st.event()
+		tr.Events = append(tr.Events, ev)
+		var res SyscallResult
+		if policy != nil {
+			res = policy(SyscallContext{Event: ev, Sym: st.cur.sym, Index: idx})
+			if res.Stop != "" {
+				tr.Steps, tr.Stopped = st.steps, res.Stop
+				return false
+			}
+		}
+		m.sysret(st, res.Ret)
+	}
+}
+
+// sysret executes the syscall instruction st stands on, with ret as the
+// value the program sees in RAX.
+func (m *Machine) sysret(st *state, ret int64) {
+	inst := m.decodedFor(st.cur.a).fetch(st.cur.pc)
+	st.r.set(x86.RAX, ret)
+	st.r.clobber(x86.RCX)
+	st.r.clobber(x86.R11)
+	st.cur.pc += uint64(inst.Len)
+	st.steps++
+	m.executed++
+}
+
+// next is the machine's one interpreter loop: it steps st until st
+// stands on a system-call instruction, which it leaves unexecuted and
+// returns "", or until the run ends, returning why.
+func (m *Machine) next(st *state) string {
+	r, cur, stack, steps := st.r, st.cur, st.stack, st.steps
+	maxSteps, maxDepth := m.MaxSteps, m.MaxDepth
 	var dcFor *footprint.Analysis
 	var dc *decoded
-	fetch := func(f frame) (x86.Inst, bool) {
-		if f.a != dcFor {
-			dc = m.decodedFor(f.a)
-			dcFor = f.a
+	stop := "step budget"
+loop:
+	for ; steps < maxSteps; steps++ {
+		if cur.a != dcFor {
+			dc, dcFor = m.decodedFor(cur.a), cur.a
 		}
-		var sec []byte
-		var insts []x86.Inst
-		var ok []bool
-		var off uint64
-		switch {
-		case f.pc >= dc.textAddr && f.pc-dc.textAddr < uint64(len(dc.text)):
-			off = f.pc - dc.textAddr
-			sec, insts, ok = f.a.Bin.Text.Data, dc.text, dc.textOK
-		case f.pc >= dc.pltAddr && f.pc-dc.pltAddr < uint64(len(dc.plt)):
-			off = f.pc - dc.pltAddr
-			sec, insts, ok = f.a.Bin.Plt.Data, dc.plt, dc.pltOK
-		default:
-			return x86.Inst{}, false
-		}
-		if !ok[off] {
-			insts[off] = x86.Decode(sec[off:], f.pc)
-			ok[off] = true
-		}
-		return insts[off], true
-	}
-
-	for tr.Steps = 0; tr.Steps < m.MaxSteps; tr.Steps++ {
-		inst, ok := fetch(cur)
-		if !ok {
-			tr.Stopped = fmt.Sprintf("pc %#x outside code in %s", cur.pc, cur.a.Bin.Path)
-			return tr, nil
+		inst := dc.fetch(cur.pc)
+		if inst == nil {
+			stop = fmt.Sprintf("pc %#x outside code in %s", cur.pc, cur.a.Bin.Path)
+			break
 		}
 		switch inst.Op {
 		case x86.OpBad:
-			tr.Stopped = fmt.Sprintf("undecodable byte in %s", locate(cur))
-			return tr, nil
+			stop = fmt.Sprintf("undecodable byte in %s", locate(cur))
+			break loop
 		case x86.OpMovImm:
 			r.set(inst.Dst, inst.Imm)
 		case x86.OpZeroReg:
@@ -308,66 +420,49 @@ func (m *Machine) run(a *footprint.Analysis, entry uint64, sym string) (*Trace, 
 		case x86.OpLeaRIP:
 			r.set(inst.Dst, int64(inst.Target))
 		case x86.OpSyscall, x86.OpInt80, x86.OpSysenter:
-			ev := SyscallEvent{Binary: cur.a.Bin.Path}
-			ev.Num, ev.KnownNum = r.get(x86.RAX)
-			ev.Args[0], ev.ArgsKnown[0] = r.get(x86.RDI)
-			ev.Args[1], ev.ArgsKnown[1] = r.get(x86.RSI)
-			ev.Args[2], ev.ArgsKnown[2] = r.get(x86.RDX)
-			idx := len(tr.Events)
-			tr.Events = append(tr.Events, ev)
-			ret := int64(0) // recording-only default: "success"
-			if m.Policy != nil {
-				res := m.Policy(SyscallContext{Event: ev, Sym: cur.sym, Index: idx})
-				if res.Stop != "" {
-					tr.Stopped = res.Stop
-					return tr, nil
-				}
-				ret = res.Ret
-			}
-			r.set(x86.RAX, ret)
-			r.clobber(x86.RCX)
-			r.clobber(x86.R11)
+			stop = ""
+			break loop
 		case x86.OpCallRel:
 			if !inst.HasTarget {
-				tr.Stopped = "call without target"
-				return tr, nil
+				stop = "call without target"
+				break loop
 			}
-			if len(stack) >= m.MaxDepth {
-				tr.Stopped = "call depth exceeded"
-				return tr, nil
+			if len(stack) >= maxDepth {
+				stop = "call depth exceeded"
+				break loop
 			}
 			ret := frame{a: cur.a, pc: cur.pc + uint64(inst.Len), sym: cur.sym}
 			next, ok := m.enter(cur, inst.Target)
 			if !ok {
-				tr.Stopped = fmt.Sprintf("unresolved call target %#x in %s", inst.Target, cur.a.Bin.Path)
-				return tr, nil
+				stop = fmt.Sprintf("unresolved call target %#x in %s", inst.Target, cur.a.Bin.Path)
+				break loop
 			}
 			stack = append(stack, ret)
 			cur = next
 			continue
 		case x86.OpJmpRel:
 			if !inst.HasTarget {
-				tr.Stopped = "jump without target"
-				return tr, nil
+				stop = "jump without target"
+				break loop
 			}
 			next, ok := m.enter(cur, inst.Target)
 			if !ok {
-				tr.Stopped = fmt.Sprintf("unresolved jump target %#x in %s", inst.Target, cur.a.Bin.Path)
-				return tr, nil
+				stop = fmt.Sprintf("unresolved jump target %#x in %s", inst.Target, cur.a.Bin.Path)
+				break loop
 			}
 			cur = next
 			continue
 		case x86.OpRet:
 			if len(stack) == 0 {
-				tr.Stopped = "ret from entry"
-				return tr, nil
+				stop = "ret from entry"
+				break loop
 			}
 			cur = stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			continue
 		case x86.OpHalt:
-			tr.Stopped = "halt"
-			return tr, nil
+			stop = "halt"
+			break loop
 		case x86.OpJcc, x86.OpCallIndirect, x86.OpJmpIndirect:
 			// Conditional and register-indirect flow is not modeled; the
 			// corpus generator only emits RIP-relative indirect jumps
@@ -376,15 +471,16 @@ func (m *Machine) run(a *footprint.Analysis, entry uint64, sym string) (*Trace, 
 			// reason names the binary and section offset: a stop three
 			// libraries deep is otherwise unattributable, and replay
 			// diagnostics (fault-injection re-runs) key on it.
-			tr.Stopped = fmt.Sprintf("unmodeled control flow in %s (%v)", locate(cur), inst.Op)
-			return tr, nil
+			stop = fmt.Sprintf("unmodeled control flow in %s (%v)", locate(cur), inst.Op)
+			break loop
 		case x86.OpOther:
 			// Fine: nops and arithmetic without modeled effects.
 		}
 		cur.pc += uint64(inst.Len)
 	}
-	tr.Stopped = "step budget"
-	return tr, nil
+	m.executed += uint64(steps - st.steps)
+	st.r, st.cur, st.stack, st.steps = r, cur, stack, steps
+	return stop
 }
 
 // enter resolves a control transfer target: straight into this binary's

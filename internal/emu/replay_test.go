@@ -1,0 +1,374 @@
+package emu
+
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/elfx"
+	"repro/internal/footprint"
+	"repro/internal/x86"
+)
+
+// buildExec assembles a dependency-free executable whose entry is main.
+func buildExec(t *testing.T, main func(a *x86.Asm)) *footprint.Analysis {
+	t.Helper()
+	b := elfx.NewExec()
+	b.Func("main", true, main)
+	b.Entry("main")
+	data, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin, err := elfx.Open("app", data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m2a(bin)
+}
+
+// checkReplay runs a from its entry point under a fresh policy from
+// newPolicy, replays rec under another fresh one, and requires the two
+// traces and the two sequences of policy calls to be deep-equal. It
+// returns Run's trace and the instructions the replay executed.
+func checkReplay(t *testing.T, m *Machine, a *footprint.Analysis, rec *Recording, newPolicy func() SyscallPolicy) (*Trace, uint64) {
+	t.Helper()
+	watch := func(seen *[]SyscallContext) SyscallPolicy {
+		if newPolicy == nil {
+			return nil
+		}
+		p := newPolicy()
+		return func(ctx SyscallContext) SyscallResult {
+			*seen = append(*seen, ctx)
+			return p(ctx)
+		}
+	}
+	var runSeen, replaySeen []SyscallContext
+	m.Policy = watch(&runSeen)
+	want, err := m.Run(a)
+	m.Policy = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := m.Executed()
+	got, err := m.Replay(rec, watch(&replaySeen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	executed := m.Executed() - before
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("replay differs from run:\nreplay: stopped=%q steps=%d events=%d\nrun:    stopped=%q steps=%d events=%d",
+			got.Stopped, got.Steps, len(got.Events), want.Stopped, want.Steps, len(want.Events))
+	}
+	if !reflect.DeepEqual(replaySeen, runSeen) {
+		t.Errorf("policy saw %d calls in the replay, %d in the run; sequences differ", len(replaySeen), len(runSeen))
+	}
+	return want, executed
+}
+
+func record(t *testing.T, m *Machine, a *footprint.Analysis) *Recording {
+	t.Helper()
+	rec, err := m.Record(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+// at answers ret at event index idx and the default elsewhere.
+func at(idx int, ret int64) func() SyscallPolicy {
+	return func() SyscallPolicy {
+		return func(ctx SyscallContext) SyscallResult {
+			if ctx.Index == idx {
+				return SyscallResult{Ret: ret}
+			}
+			return SyscallResult{}
+		}
+	}
+}
+
+func stopAt(idx int) func() SyscallPolicy {
+	return func() SyscallPolicy {
+		return func(ctx SyscallContext) SyscallResult {
+			if ctx.Index == idx {
+				return SyscallResult{Stop: "fault: stopped"}
+			}
+			return SyscallResult{}
+		}
+	}
+}
+
+func TestRecordMatchesRun(t *testing.T) {
+	r, app := buildPair(t)
+	m := New(r)
+	want, err := m.Run(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := record(t, m, app)
+	if !reflect.DeepEqual(rec.Trace, want) {
+		t.Errorf("recording trace %+v, run %+v", rec.Trace, want)
+	}
+	if len(rec.cps) != len(want.Events) {
+		t.Errorf("%d checkpoints for %d events", len(rec.cps), len(want.Events))
+	}
+	checkReplay(t, m, app, rec, nil)
+}
+
+// An injected return value that flows into a later syscall's number: the
+// replay must stay diverged past the next event (rdi still holds the
+// injected value there) and rejoin only once rdi is overwritten.
+func TestReplayInjectedReturnReachesLaterNumber(t *testing.T) {
+	app := buildExec(t, func(a *x86.Asm) {
+		a.MovRegImm32(x86.RAX, 2) // open
+		a.Syscall()
+		a.MovRegReg(x86.RDI, x86.RAX) // fd := return value
+		a.MovRegImm32(x86.RAX, 3)     // close(fd)
+		a.Syscall()
+		a.MovRegReg(x86.RAX, x86.RDI) // syscall number := fd
+		a.Syscall()
+		a.MovRegImm32(x86.RAX, 60) // exit(0)
+		a.XorReg(x86.RDI)
+		a.Syscall()
+		a.Ret()
+	})
+	m := New(footprint.NewResolver())
+	rec := record(t, m, app)
+
+	want, executed := checkReplay(t, m, app, rec, at(0, 39))
+	if ev := want.Events[2]; !ev.KnownNum || ev.Num != 39 {
+		t.Fatalf("event 2 = %+v, want the injected 39 as its number", ev)
+	}
+	if executed == 0 || executed >= uint64(want.Steps) {
+		t.Errorf("replay executed %d instructions of %d; want a rejoin after the divergence", executed, want.Steps)
+	}
+
+	// The policy sees the diverged number and answers it.
+	checkReplay(t, m, app, rec, func() SyscallPolicy {
+		return func(ctx SyscallContext) SyscallResult {
+			switch ctx.Event.Num {
+			case 2:
+				return SyscallResult{Ret: 39}
+			case 39:
+				return SyscallResult{Ret: -38}
+			}
+			return SyscallResult{}
+		}
+	})
+	checkReplay(t, m, app, rec, func() SyscallPolicy {
+		return func(ctx SyscallContext) SyscallResult {
+			if ctx.Event.Num == 39 {
+				return SyscallResult{Stop: "fault: 39"}
+			}
+			return SyscallResult{Ret: 39}
+		}
+	})
+	for i := range want.Events {
+		checkReplay(t, m, app, rec, at(i, int64(100+i)))
+		checkReplay(t, m, app, rec, stopAt(i))
+	}
+}
+
+// A Stop at a later occurrence of a call, both while in step with the
+// recording and after an earlier injection diverged the replay.
+func TestReplayStopAtLaterOccurrence(t *testing.T) {
+	r, _ := buildPair(t)
+	b := elfx.NewExec()
+	b.Needed("libc.so.6")
+	writePLT := b.Import("write")
+	b.Func("main", true, func(a *x86.Asm) {
+		a.CallLabel(writePLT)
+		a.MovRegReg(x86.RDX, x86.RAX) // carry write's return into the next call
+		a.CallLabel(writePLT)
+		a.CallLabel(writePLT)
+		a.MovRegImm32(x86.RAX, 60)
+		a.Syscall()
+		a.Ret()
+	})
+	b.Entry("main")
+	data, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin, err := elfx.Open("app", data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := m2a(bin)
+	m := New(r)
+	rec := record(t, m, app)
+
+	stopSecondWrite := func(inject int64) func() SyscallPolicy {
+		return func() SyscallPolicy {
+			writes := 0
+			return func(ctx SyscallContext) SyscallResult {
+				if ctx.Event.Num != 1 {
+					return SyscallResult{}
+				}
+				writes++
+				if writes == 2 {
+					return SyscallResult{Stop: "fault: second write"}
+				}
+				return SyscallResult{Ret: inject}
+			}
+		}
+	}
+	for _, inject := range []int64{0, -38} {
+		want, _ := checkReplay(t, m, app, rec, stopSecondWrite(inject))
+		if want.Stopped != "fault: second write" || len(want.Events) != 2 {
+			t.Errorf("inject %d: trace %+v, want a stop at the second write", inject, want)
+		}
+	}
+}
+
+func TestReplayStepBudgetAndCallDepth(t *testing.T) {
+	// The loop reloads rax every iteration, so an injection rejoins at
+	// the next event.
+	loop := buildExec(t, func(a *x86.Asm) {
+		a.Label("main.spin")
+		a.MovRegImm32(x86.RAX, 39)
+		a.Syscall()
+		a.JmpLabel("main.spin")
+	})
+	// This one keeps every return in rdi, so an injection never rejoins
+	// and the replay steps to the budget.
+	sticky := buildExec(t, func(a *x86.Asm) {
+		a.Label("main.spin")
+		a.MovRegImm32(x86.RAX, 39)
+		a.Syscall()
+		a.MovRegReg(x86.RDI, x86.RAX)
+		a.JmpLabel("main.spin")
+	})
+	recurse := buildExec(t, func(a *x86.Asm) {
+		a.MovRegImm32(x86.RAX, 39)
+		a.Syscall()
+		a.CallLabel("fn.main")
+		a.Ret()
+	})
+
+	m := New(footprint.NewResolver())
+	m.MaxSteps = 1000
+	m.MaxDepth = 16
+	for _, tc := range []struct {
+		name    string
+		a       *footprint.Analysis
+		stopped string
+	}{
+		{"loop", loop, "step budget"},
+		{"sticky", sticky, "step budget"},
+		{"recurse", recurse, "call depth exceeded"},
+	} {
+		rec := record(t, m, tc.a)
+		if rec.Trace.Stopped != tc.stopped {
+			t.Fatalf("%s: recording stopped %q, want %q", tc.name, rec.Trace.Stopped, tc.stopped)
+		}
+		n := len(rec.Trace.Events)
+		for _, i := range []int{0, 1, n / 2, n - 1} {
+			checkReplay(t, m, tc.a, rec, at(i, 7))
+			checkReplay(t, m, tc.a, rec, stopAt(i))
+		}
+		checkReplay(t, m, tc.a, rec, func() SyscallPolicy {
+			return func(ctx SyscallContext) SyscallResult { return SyscallResult{Ret: int64(ctx.Index + 1)} }
+		})
+	}
+}
+
+// A stateful policy must be called exactly as often, and in the same
+// order, as a run from entry calls it.
+func TestReplayStatefulPolicy(t *testing.T) {
+	r, app := buildPair(t)
+	m := New(r)
+	rec := record(t, m, app)
+	calls := 0
+	counting := func() SyscallPolicy {
+		n := 0
+		return func(ctx SyscallContext) SyscallResult {
+			n++
+			calls++
+			if n%2 == 1 {
+				return SyscallResult{Ret: int64(n)}
+			}
+			return SyscallResult{}
+		}
+	}
+	want, _ := checkReplay(t, m, app, rec, counting)
+	if calls != 2*len(want.Events) {
+		t.Errorf("policy called %d times across run and replay, want %d", calls, 2*len(want.Events))
+	}
+}
+
+// A syscall in the step-budget loop issues far more events than a
+// recording may checkpoint. The count must stay within the cap, and
+// replays must stay exact whichever events kept a checkpoint.
+func TestRecordingCheckpointCap(t *testing.T) {
+	app := buildExec(t, func(a *x86.Asm) {
+		a.Label("main.spin")
+		a.Nop()
+		a.MovRegImm32(x86.RAX, 39)
+		a.Syscall()
+		a.JmpLabel("main.spin")
+	})
+	m := New(footprint.NewResolver())
+	rec := record(t, m, app)
+	n := len(rec.Trace.Events)
+	if rec.Trace.Stopped != "step budget" || n <= maxCheckpoints {
+		t.Fatalf("recording stopped %q after %d events; the fixture must outrun the cap", rec.Trace.Stopped, n)
+	}
+	if len(rec.cps) > maxCheckpoints {
+		t.Errorf("recording kept %d checkpoints, cap %d", len(rec.cps), maxCheckpoints)
+	}
+	for k, cp := range rec.cps {
+		if want := rec.at[k*rec.stride].steps; cp.steps != want {
+			t.Fatalf("checkpoint %d is at step %d, event %d at step %d", k, cp.steps, k*rec.stride, want)
+		}
+	}
+
+	late := n - rec.stride/2 - 1 // between two checkpoints
+	want, executed := checkReplay(t, m, app, rec, at(late, -38))
+	if executed > uint64(want.Steps)/10 {
+		t.Errorf("one late injection executed %d of %d instructions", executed, want.Steps)
+	}
+	checkReplay(t, m, app, rec, stopAt(late))
+	checkReplay(t, m, app, rec, at(n-1, 5))
+
+	// With only event 0 checkpointed, every departure steps from there
+	// and never rejoins.
+	sparse := *rec
+	sparse.cps = rec.cps[:1]
+	sparse.stride = 1 << 30
+	checkReplay(t, m, app, &sparse, at(late, -38))
+	checkReplay(t, m, app, &sparse, at(3, -38))
+}
+
+func TestReplayRejectsOtherLimits(t *testing.T) {
+	r, app := buildPair(t)
+	m := New(r)
+	rec := record(t, m, app)
+	m.MaxSteps = 10
+	if _, err := m.Replay(rec, nil); err == nil {
+		t.Error("replay under other limits must error")
+	}
+	if _, err := New(footprint.NewResolver()).Replay(rec, nil); err == nil {
+		t.Error("replay under another resolver must error")
+	}
+}
+
+func TestForgetDropsDecodeArrays(t *testing.T) {
+	r, app := buildPair(t)
+	m := New(r)
+	if _, err := m.Run(app); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Decoded()) != 2 {
+		t.Fatalf("decoded %d analyses, want the app and libc", len(m.Decoded()))
+	}
+	m.Forget(app)
+	for _, a := range m.Decoded() {
+		if a == app {
+			t.Fatal("forgotten analysis still decoded")
+		}
+	}
+	again, err := m.Run(app)
+	if err != nil || again.Stopped != "ret from entry" {
+		t.Fatalf("run after Forget: %v, %+v", err, again)
+	}
+}

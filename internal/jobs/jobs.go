@@ -580,7 +580,11 @@ func (m *Manager) dispatch() {
 			m.mu.Unlock()
 			return
 		}
+		// Close waits for executions too: an interrupted job's refund
+		// must be on disk before Close returns.
+		m.done.Add(1)
 		go func(id string) {
+			defer m.done.Done()
 			defer release()
 			m.run(id)
 		}(j.ID)

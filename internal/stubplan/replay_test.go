@@ -1,0 +1,149 @@
+package stubplan
+
+import (
+	"reflect"
+	"sync"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/elfx"
+	"repro/internal/emu"
+	"repro/internal/footprint"
+)
+
+func analyses(t *testing.T, s *core.Study) []*footprint.Analysis {
+	t.Helper()
+	var out []*footprint.Analysis
+	for _, j := range executables(s) {
+		bin, err := elfx.Open(j.path, j.data)
+		if err != nil {
+			t.Fatalf("%s: %v", j.path, err)
+		}
+		out = append(out, footprint.Analyze(bin, s.Opts))
+	}
+	if len(out) == 0 {
+		t.Fatal("no executables in the fixture")
+	}
+	return out
+}
+
+// watched wraps a policy so every context it is called with is kept.
+func watched(p emu.SyscallPolicy, seen *[]emu.SyscallContext) emu.SyscallPolicy {
+	return func(ctx emu.SyscallContext) emu.SyscallResult {
+		*seen = append(*seen, ctx)
+		return p(ctx)
+	}
+}
+
+// Replaying a recording must give exactly what a run from the entry
+// point gives, for every executable of the fixture, every syscall its
+// baseline observed, and every treatment: the stub and fake policies the
+// matrix uses, and a non-zero return that flows on into later registers.
+func TestReplayMatchesRun(t *testing.T) {
+	s, _ := fixture(t)
+	execs := analyses(t, s)
+	never := func(emu.SyscallContext, string) bool { return false }
+	treatments := []struct {
+		name   string
+		policy func(name string) emu.SyscallPolicy
+	}{
+		{"stub", stubPolicy},
+		{"fake", fakePolicy},
+		{"ret", func(name string) emu.SyscallPolicy { return inject(name, 1<<20, never, "") }},
+	}
+
+	const workers = 2
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var replays int
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			m := emu.New(s.Resolver)
+			n := 0
+			for i := w; i < len(execs); i += workers {
+				a := execs[i]
+				rec, err := m.Record(a)
+				if err != nil {
+					t.Errorf("%s: %v", a.Bin.Path, err)
+					continue
+				}
+				for _, name := range faultTargets(rec.Trace) {
+					for _, tc := range treatments {
+						var runSeen, replaySeen []emu.SyscallContext
+						m.Policy = watched(tc.policy(name), &runSeen)
+						want, err := m.Run(a)
+						m.Policy = nil
+						if err != nil {
+							t.Errorf("%s: %v", a.Bin.Path, err)
+							continue
+						}
+						got, err := m.Replay(rec, watched(tc.policy(name), &replaySeen))
+						if err != nil {
+							t.Errorf("%s: %v", a.Bin.Path, err)
+							continue
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Errorf("%s %s %s: replay (stopped %q, %d steps, %d events) differs from run (stopped %q, %d steps, %d events)",
+								a.Bin.Path, tc.name, name, got.Stopped, got.Steps, len(got.Events), want.Stopped, want.Steps, len(want.Events))
+						}
+						if !reflect.DeepEqual(replaySeen, runSeen) {
+							t.Errorf("%s %s %s: policy saw %d contexts in the replay, %d in the run; sequences differ",
+								a.Bin.Path, tc.name, name, len(replaySeen), len(runSeen))
+						}
+						n++
+					}
+				}
+				m.Forget(a)
+			}
+			mu.Lock()
+			replays += n
+			mu.Unlock()
+		}(w)
+	}
+	wg.Wait()
+	t.Logf("%d replays over %d executables matched their runs", replays, len(execs))
+}
+
+// Replays must keep rejoining their baselines: the instructions a cold
+// matrix build executes stay within twice the baselines' own steps.
+// Outputs cannot catch a replay that stopped rejoining — it only gets
+// slower — so this bound is the regression gate. Recording every
+// baseline in full is the floor.
+func TestMatrixStepsNearBaseline(t *testing.T) {
+	s, m := fixture(t)
+	machine := emu.New(s.Resolver)
+	var baseline uint64
+	for _, a := range analyses(t, s) {
+		tr, err := machine.Run(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		baseline += uint64(tr.Steps)
+	}
+	if m.Stats.Steps < baseline || m.Stats.Steps > 2*baseline {
+		t.Errorf("matrix build executed %d instructions; baselines total %d (want 1x to 2x)", m.Stats.Steps, baseline)
+	}
+	t.Logf("matrix steps %d = %.2fx the baselines' %d", m.Stats.Steps, float64(m.Stats.Steps)/float64(baseline), baseline)
+}
+
+// A worker's machine outlives every executable it measures; after the
+// matrix's executables it must hold decode arrays for shared libraries
+// only.
+func TestWorkerMachineKeepsOnlyLibraries(t *testing.T) {
+	s, _ := fixture(t)
+	machine := emu.New(s.Resolver)
+	for _, j := range executables(s) {
+		emulateOne(machine, j.path, j.data, s.Opts)
+	}
+	decoded := machine.Decoded()
+	if len(decoded) == 0 {
+		t.Fatal("worker machine decoded nothing")
+	}
+	for _, a := range decoded {
+		if a.Bin.Class != elfx.ClassELFLib {
+			t.Errorf("worker machine still holds decode arrays for %s (class %v)", a.Bin.Path, a.Bin.Class)
+		}
+	}
+}

@@ -8,9 +8,16 @@
 // overstates the real engineering cost — many APIs can return -ENOSYS
 // (a stub) or fake success without effect (a fake) and the application
 // still makes progress. We measure that per binary instead of assuming
-// it: each executable is re-run under the emulator with a fault-
-// injection SyscallPolicy that makes one API misbehave per run and
-// observes whether the entry path still completes.
+// it: each executable's entry path runs under the emulator with a fault-
+// injection SyscallPolicy that makes one API misbehave per run, and we
+// observe whether the path still completes.
+//
+// A binary needs a few hundred such runs, but none re-executes from the
+// entry point: the baseline is recorded once (emu.Record) and every stub
+// or fake run is an emu.Replay of it, which executes instructions only
+// from an injected fault until its state rejoins the baseline's. All of
+// a binary's fault runs together cost about half a baseline run more
+// (Matrix.Stats.Steps counts every executed instruction).
 //
 // Like Loupe's hand-written per-syscall stub/fake tables, the policy
 // encodes failure semantics the binary alone cannot express: a fault is
@@ -143,30 +150,51 @@ func VerdictTag(opts footprint.Options) string {
 // EmulateVerdicts measures one executable's verdict set: a baseline run,
 // then per observed syscall a stub run (-ENOSYS injected for every
 // occurrence) and, only if the stub run dies, a fake run (success
-// injected). runs reports how many emulator executions that took.
+// injected). The baseline is an emu.Record and every stub and fake run
+// an emu.Replay of it. runs counts the baseline plus every stub and fake
+// run.
 func EmulateVerdicts(m *emu.Machine, a *footprint.Analysis) (*BinaryVerdicts, int) {
-	runs := 0
-	execute := func(policy emu.SyscallPolicy) *emu.Trace {
-		m.Policy = policy
+	rec, err := m.Record(a)
+	if err != nil {
+		return &BinaryVerdicts{Stopped: "run error: " + err.Error()}, 1
+	}
+	runs := 1
+	replay := func(policy emu.SyscallPolicy) *emu.Trace {
 		runs++
-		tr, err := m.Run(a)
-		m.Policy = nil
+		tr, err := m.Replay(rec, policy)
 		if err != nil {
 			return &emu.Trace{Stopped: "run error: " + err.Error()}
 		}
 		return tr
 	}
 
-	base := execute(nil)
+	base := rec.Trace
 	out := &BinaryVerdicts{Completed: base.Completed(), Stopped: base.Stopped}
 	if !out.Completed {
 		return out, runs
 	}
 	out.Stopped = ""
 
-	// The fault targets: every syscall the baseline observed with a
-	// known number. Unknown-number occurrences (untracked dispatch) are
-	// unattributable and never faulted.
+	targets := faultTargets(base)
+	out.Verdicts = make(map[string]Verdict, len(targets))
+	for _, name := range targets {
+		if replay(stubPolicy(name)).Completed() {
+			out.Verdicts[name] = VerdictStubbable
+			continue
+		}
+		if replay(fakePolicy(name)).Completed() {
+			out.Verdicts[name] = VerdictFakeable
+		} else {
+			out.Verdicts[name] = VerdictRequired
+		}
+	}
+	return out, runs
+}
+
+// faultTargets lists, sorted, every syscall the baseline observed with a
+// known number. Unknown-number occurrences (untracked dispatch) are
+// unattributable and never faulted.
+func faultTargets(base *emu.Trace) []string {
 	names := make(map[string]bool)
 	for _, ev := range base.Events {
 		if !ev.KnownNum {
@@ -181,42 +209,33 @@ func EmulateVerdicts(m *emu.Machine, a *footprint.Analysis) (*BinaryVerdicts, in
 		targets = append(targets, name)
 	}
 	sort.Strings(targets)
+	return targets
+}
 
-	out.Verdicts = make(map[string]Verdict, len(targets))
-	for _, name := range targets {
-		num := linuxapi.SyscallByName(name).Num
-		matches := func(ev emu.SyscallEvent) bool {
-			return ev.KnownNum && int(ev.Num) == num
+// stubPolicy injects -ENOSYS at every occurrence of syscall name.
+func stubPolicy(name string) emu.SyscallPolicy {
+	return inject(name, enosys, stubFatal, "-ENOSYS")
+}
+
+// fakePolicy fakes success at every occurrence of syscall name.
+func fakePolicy(name string) emu.SyscallPolicy {
+	return inject(name, 0, fakeFatal, "fake success")
+}
+
+// inject returns a policy answering ret at every occurrence of syscall
+// name, or stopping the run with a fault where fatal says the program
+// cannot absorb the injected result; every other call gets the default.
+func inject(name string, ret int64, fatal func(emu.SyscallContext, string) bool, what string) emu.SyscallPolicy {
+	num := linuxapi.SyscallByName(name).Num
+	return func(ctx emu.SyscallContext) emu.SyscallResult {
+		if !ctx.Event.KnownNum || int(ctx.Event.Num) != num {
+			return emu.SyscallResult{}
 		}
-		stub := execute(func(ctx emu.SyscallContext) emu.SyscallResult {
-			if !matches(ctx.Event) {
-				return emu.SyscallResult{}
-			}
-			if stubFatal(ctx, name) {
-				return emu.SyscallResult{Stop: "fault: -ENOSYS fatal for " + name + " (" + frameLabel(ctx) + ")"}
-			}
-			return emu.SyscallResult{Ret: enosys}
-		})
-		if stub.Completed() {
-			out.Verdicts[name] = VerdictStubbable
-			continue
+		if fatal(ctx, name) {
+			return emu.SyscallResult{Stop: "fault: " + what + " fatal for " + name + " (" + frameLabel(ctx) + ")"}
 		}
-		fake := execute(func(ctx emu.SyscallContext) emu.SyscallResult {
-			if !matches(ctx.Event) {
-				return emu.SyscallResult{}
-			}
-			if fakeFatal(ctx, name) {
-				return emu.SyscallResult{Stop: "fault: fake success fatal for " + name + " (" + frameLabel(ctx) + ")"}
-			}
-			return emu.SyscallResult{Ret: 0}
-		})
-		if fake.Completed() {
-			out.Verdicts[name] = VerdictFakeable
-		} else {
-			out.Verdicts[name] = VerdictRequired
-		}
+		return emu.SyscallResult{Ret: ret}
 	}
-	return out, runs
 }
 
 func frameLabel(ctx emu.SyscallContext) string {
@@ -232,8 +251,15 @@ type Stats struct {
 	// Binaries is the number of executables covered by the matrix.
 	Binaries uint64 `json:"binaries"`
 	// Emulations is the number of emulator runs performed (0 when every
-	// verdict came from the cache).
+	// verdict came from the cache): per emulated executable, one baseline
+	// plus each stub and fake run.
 	Emulations uint64 `json:"emulations"`
+	// Steps is the number of emulator instructions actually executed,
+	// baselines and replays together. A replay steps only where its
+	// injected results make it differ from the baseline, so Steps stays
+	// within a small multiple of the baselines' own steps; a replay that
+	// stopped rejoining its baseline would show up here and nowhere else.
+	Steps uint64 `json:"steps"`
 	// CacheHits / CacheMisses count verdict-cache lookups.
 	CacheHits   uint64 `json:"cache_hits"`
 	CacheMisses uint64 `json:"cache_misses"`
@@ -280,19 +306,7 @@ func BuildMatrix(s *core.Study, opts Options) *Matrix {
 	}
 	tag := VerdictTag(s.Opts)
 
-	type job struct {
-		pkg  string
-		path string
-		data []byte
-	}
-	var jobs []job
-	for _, pkg := range sortedNames(s) {
-		for _, f := range s.Corpus.Repo.Get(pkg).Files {
-			if class, _ := elfx.Classify(f.Data); class == elfx.ClassELFExec || class == elfx.ClassELFStatic {
-				jobs = append(jobs, job{pkg: pkg, path: f.Path, data: f.Data})
-			}
-		}
-	}
+	jobs := executables(s)
 
 	m := &Matrix{
 		PolicyVersion: PolicyVersion,
@@ -302,7 +316,7 @@ func BuildMatrix(s *core.Study, opts Options) *Matrix {
 	m.Stats.Binaries = uint64(len(jobs))
 
 	results := make([]*BinaryVerdicts, len(jobs))
-	var emulations, hits, misses atomic.Uint64
+	var emulations, steps, hits, misses atomic.Uint64
 
 	// Cache-resolved binaries never touch the emulator or the resolver;
 	// the lazy re-analysis of cache-hit libraries (EnsureEmulatable) is
@@ -337,7 +351,9 @@ func BuildMatrix(s *core.Study, opts Options) *Matrix {
 					misses.Add(1)
 				}
 				emuOnce.Do(prepare)
-				bv := emulateOne(machine, j.path, j.data, s.Opts, &emulations)
+				bv, runs, n := emulateOne(machine, j.path, j.data, s.Opts)
+				emulations.Add(uint64(runs))
+				steps.Add(n)
 				if cache != nil {
 					cache.PutVerdicts(key, tag, bv)
 				}
@@ -352,6 +368,7 @@ func BuildMatrix(s *core.Study, opts Options) *Matrix {
 	wg.Wait()
 
 	m.Stats.Emulations = emulations.Load()
+	m.Stats.Steps = steps.Load()
 	m.Stats.CacheHits = hits.Load()
 	m.Stats.CacheMisses = misses.Load()
 
@@ -407,14 +424,40 @@ func BuildMatrix(s *core.Study, opts Options) *Matrix {
 	return m
 }
 
-func emulateOne(m *emu.Machine, path string, data []byte, opts footprint.Options, emulations *atomic.Uint64) *BinaryVerdicts {
+// emulateOne measures one executable on a worker's machine and returns
+// its verdicts, emulator runs and executed instructions. The analysis is
+// built here and never run again, so its decode arrays are dropped; the
+// libraries' arrays stay for the worker's next executable.
+func emulateOne(m *emu.Machine, path string, data []byte, opts footprint.Options) (*BinaryVerdicts, int, uint64) {
 	bin, err := elfx.Open(path, data)
 	if err != nil {
-		return &BinaryVerdicts{Completed: false, Stopped: "unparseable: " + err.Error()}
+		return &BinaryVerdicts{Completed: false, Stopped: "unparseable: " + err.Error()}, 0, 0
 	}
-	bv, runs := EmulateVerdicts(m, footprint.Analyze(bin, opts))
-	emulations.Add(uint64(runs))
-	return bv
+	a := footprint.Analyze(bin, opts)
+	before := m.Executed()
+	bv, runs := EmulateVerdicts(m, a)
+	m.Forget(a)
+	return bv, runs, m.Executed() - before
+}
+
+// job is one executable of the corpus.
+type job struct {
+	pkg  string
+	path string
+	data []byte
+}
+
+// executables lists the corpus's executables in sorted package order.
+func executables(s *core.Study) []job {
+	var jobs []job
+	for _, pkg := range sortedNames(s) {
+		for _, f := range s.Corpus.Repo.Get(pkg).Files {
+			if class, _ := elfx.Classify(f.Data); class == elfx.ClassELFExec || class == elfx.ClassELFStatic {
+				jobs = append(jobs, job{pkg: pkg, path: f.Path, data: f.Data})
+			}
+		}
+	}
+	return jobs
 }
 
 func sortedNames(s *core.Study) []string {

@@ -3,9 +3,10 @@
 # the demo corpus twice through one shared verdict cache and proves the
 # emulator-driven fault-injection tier end to end:
 #
-#   1. the cold apiplan build emulates (emulations > 0 on stderr) and
-#      the warm rebuild replays every verdict from the cache
-#      (emulations=0) — and both emit byte-identical plan JSON;
+#   1. the cold apiplan build emulates (emulations > 0 and steps > 0
+#      executed emulator instructions on stderr) and the warm rebuild
+#      replays every verdict from the cache (emulations=0, steps=0) —
+#      and both emit byte-identical plan JSON;
 #   2. the plan's step ordering (api + action per step) matches the
 #      committed golden, so a policy or ordering change cannot land
 #      silently;
@@ -41,6 +42,10 @@ grep -q ' emulations=0 ' "$tmp/cold.log" && {
     echo "stubplan smoke: cold build performed no emulations" >&2
     exit 1
 }
+grep -q ' steps=[1-9][0-9]* ' "$tmp/cold.log" || {
+    echo "stubplan smoke: cold build executed no emulator instructions" >&2
+    exit 1
+}
 
 echo "== stubplan smoke: warm rebuild (shared cache, zero emulations)"
 "$tmp/apiplan" -packages $pkgs -seed $seed -cache-dir "$tmp/anacache" \
@@ -48,6 +53,11 @@ echo "== stubplan smoke: warm rebuild (shared cache, zero emulations)"
 cat "$tmp/warm.log"
 grep -q ' emulations=0 ' "$tmp/warm.log" || {
     echo "stubplan smoke: warm rebuild still emulated:" >&2
+    cat "$tmp/warm.log" >&2
+    exit 1
+}
+grep -q ' steps=0 ' "$tmp/warm.log" || {
+    echo "stubplan smoke: warm rebuild executed emulator instructions:" >&2
     cat "$tmp/warm.log" >&2
     exit 1
 }
