@@ -14,9 +14,11 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/apt"
 	"repro/internal/footprint"
 	"repro/internal/linuxapi"
 	"repro/internal/metrics"
+	"repro/internal/popcon"
 	"repro/internal/store"
 )
 
@@ -36,13 +38,9 @@ func BenchmarkAggregateMetrics(b *testing.B) {
 	}
 
 	b.Run("map", func(b *testing.B) {
+		ref := refInputOf(in)
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ref := &metrics.Input{
-				Repo:       in.Repo,
-				Survey:     in.Survey,
-				Footprints: in.Footprints,
-				Direct:     in.Direct,
-			}
 			hashes := make(map[string]int, len(ref.Footprints))
 			for _, fp := range ref.Footprints {
 				hashes[refFootprintHash(fp)]++
@@ -66,11 +64,9 @@ func BenchmarkAggregateMetrics(b *testing.B) {
 				Survey:     in.Survey,
 				Footprints: in.Footprints,
 				Direct:     in.Direct,
-				Bits:       in.Bits,
-				DirectBits: in.DirectBits,
 			}
-			hashes := make(map[string]int, len(live.Bits))
-			for _, fp := range live.Bits {
+			hashes := make(map[string]int, len(live.Footprints))
+			for _, fp := range live.Footprints {
 				hashes[fp.MaskedKey(sysMask)]++
 			}
 			path := metrics.GreedyPathAll(live)
@@ -108,8 +104,9 @@ func TestAggregateReferenceAgreement(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := s.Core().Input
+	ref := refInputOf(in)
 
-	refImp := refImportance(in)
+	refImp := refImportance(ref)
 	liveImp := metrics.Importance(in)
 	if len(refImp) != len(liveImp) {
 		t.Fatalf("importance universe: ref %d APIs, live %d", len(refImp), len(liveImp))
@@ -121,7 +118,7 @@ func TestAggregateReferenceAgreement(t *testing.T) {
 		}
 	}
 
-	refPath := refGreedyPathAll(in)
+	refPath := refGreedyPathAll(ref)
 	livePath := metrics.GreedyPathAll(in)
 	if len(refPath) != len(livePath) {
 		t.Fatalf("greedy path: ref %d points, live %d", len(refPath), len(livePath))
@@ -143,7 +140,7 @@ func TestAggregateReferenceAgreement(t *testing.T) {
 	for _, opts := range []metrics.CompletenessOptions{
 		{Kind: linuxapi.KindSyscall}, {AllKinds: true}, {Kind: linuxapi.KindIoctl},
 	} {
-		rv := refWeightedCompleteness(in, sup, opts)
+		rv := refWeightedCompleteness(ref, sup, opts)
 		lv := metrics.WeightedCompleteness(in, sup, opts)
 		if math.Abs(rv-lv) > 1e-9 {
 			t.Fatalf("weighted completeness %+v: ref %v, live %v", opts, rv, lv)
@@ -155,9 +152,9 @@ func TestAggregateReferenceAgreement(t *testing.T) {
 	sysMask := footprint.KindMask(linuxapi.KindSyscall)
 	byRef := make(map[string][]string)
 	byLive := make(map[string][]string)
-	for pkg, fp := range in.Footprints {
+	for pkg, fp := range ref.Footprints {
 		byRef[refFootprintHash(fp)] = append(byRef[refFootprintHash(fp)], pkg)
-		k := in.Bits[pkg].MaskedKey(sysMask)
+		k := in.Footprints[pkg].MaskedKey(sysMask)
 		byLive[k] = append(byLive[k], pkg)
 	}
 	if len(byRef) != len(byLive) {
@@ -182,7 +179,7 @@ func TestAggregateReferenceAgreement(t *testing.T) {
 		}
 	}
 
-	refT := refRecord(store.NewDB(), in)
+	refT := refRecord(store.NewDB(), ref)
 	liveT := metrics.Record(store.NewDB(), in)
 	if refT.PkgAPI.Len() != liveT.PkgAPI.Len() {
 		t.Fatalf("pkg_api rows: ref %d, live %d", refT.PkgAPI.Len(), liveT.PkgAPI.Len())
@@ -195,6 +192,31 @@ func TestAggregateReferenceAgreement(t *testing.T) {
 }
 
 // --- Reference (pre-rewrite) implementations --------------------------
+
+// refInput is the pre-rewrite map form of metrics.Input that the
+// reference implementations consume, derived from the live bitsets.
+type refInput struct {
+	Repo       *apt.Repository
+	Survey     *popcon.Survey
+	Footprints map[string]footprint.Set
+	Direct     map[string]footprint.Set
+}
+
+func refInputOf(in *metrics.Input) *refInput {
+	ref := &refInput{
+		Repo:       in.Repo,
+		Survey:     in.Survey,
+		Footprints: make(map[string]footprint.Set, len(in.Footprints)),
+		Direct:     make(map[string]footprint.Set, len(in.Direct)),
+	}
+	for pkg, fp := range in.Footprints {
+		ref.Footprints[pkg] = fp.ToSet()
+	}
+	for pkg, d := range in.Direct {
+		ref.Direct[pkg] = d.ToSet()
+	}
+	return ref
+}
 
 func refClampProb(p float64) float64 {
 	const eps = 1e-15
@@ -209,7 +231,7 @@ func refClampProb(p float64) float64 {
 
 func refQuantize(p float64) float64 { return math.Round(p*1e9) / 1e9 }
 
-func refImportance(in *metrics.Input) map[linuxapi.API]float64 {
+func refImportance(in *refInput) map[linuxapi.API]float64 {
 	out := make(map[linuxapi.API]float64)
 	for pkg, fp := range in.Footprints {
 		frac := in.Survey.Fraction(pkg)
@@ -235,7 +257,7 @@ func refImportance(in *metrics.Input) map[linuxapi.API]float64 {
 	return out
 }
 
-func refUnweighted(in *metrics.Input) map[linuxapi.API]float64 {
+func refUnweighted(in *refInput) map[linuxapi.API]float64 {
 	out := make(map[linuxapi.API]float64)
 	total := len(in.Footprints)
 	if total == 0 {
@@ -264,7 +286,7 @@ func refSubsetOK(fp, supported footprint.Set, opts metrics.CompletenessOptions) 
 	return true
 }
 
-func refWeightedCompleteness(in *metrics.Input, supported footprint.Set, opts metrics.CompletenessOptions) float64 {
+func refWeightedCompleteness(in *refInput, supported footprint.Set, opts metrics.CompletenessOptions) float64 {
 	okOwn := make(map[string]bool, len(in.Footprints))
 	for pkg, fp := range in.Footprints {
 		okOwn[pkg] = refSubsetOK(fp, supported, opts)
@@ -295,7 +317,7 @@ func refWeightedCompleteness(in *metrics.Input, supported footprint.Set, opts me
 	return num / den
 }
 
-func refGreedyPathAll(in *metrics.Input) []metrics.PathPoint {
+func refGreedyPathAll(in *refInput) []metrics.PathPoint {
 	imp := refImportance(in)
 	unw := refUnweighted(in)
 	var apis []linuxapi.API
@@ -377,7 +399,7 @@ func refFootprintHash(fp footprint.Set) string {
 	return string(h.Sum(nil))
 }
 
-func refRecord(db *store.DB, in *metrics.Input) *metrics.Tables {
+func refRecord(db *store.DB, in *refInput) *metrics.Tables {
 	t := &metrics.Tables{
 		PkgAPI:     store.NewTable[metrics.PkgAPIRow](db, "pkg_api"),
 		PkgInstall: store.NewTable[metrics.PkgInstallRow](db, "pkg_install"),

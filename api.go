@@ -291,12 +291,13 @@ func (s *Study) PackageFootprint(pkg string) []string {
 	if fp == nil {
 		return nil
 	}
+	apis := linuxapi.InternedAPIs()
 	var out []string
-	for api := range fp {
-		if api.Kind == linuxapi.KindSyscall {
+	fp.ForEach(func(id uint32) {
+		if api := apis[id]; api.Kind == linuxapi.KindSyscall {
 			out = append(out, api.Name)
 		}
-	}
+	})
 	sort.Strings(out)
 	return out
 }
@@ -311,7 +312,7 @@ func (s *Study) SeccompPolicy(pkg string, denyAction uint32) (*seccomp.Policy, s
 	if fp == nil {
 		return nil, nil, fmt.Errorf("repro: unknown package %q", pkg)
 	}
-	pol := seccomp.NewPolicy(fp, denyAction)
+	pol := seccomp.NewPolicy(fp.ToSet(), denyAction)
 	prog, err := pol.Compile()
 	if err != nil {
 		return nil, nil, err
@@ -372,7 +373,7 @@ func (s *Study) VectoredSeccompPolicy(pkg string, denyAction uint32) (*seccomp.V
 	if fp == nil {
 		return nil, nil, fmt.Errorf("repro: unknown package %q", pkg)
 	}
-	vp := seccomp.NewVectoredPolicy(fp, denyAction)
+	vp := seccomp.NewVectoredPolicy(fp.ToSet(), denyAction)
 	prog, err := vp.Compile()
 	if err != nil {
 		return nil, nil, err

@@ -8,16 +8,14 @@
 // server cannot hide behind coordinated omission) — plus a ramp mode
 // that steps the arrival rate until the p99 target breaks, and a
 // ceiling mode that walks a closed-loop worker ladder against an
-// in-process server for both read paths (legacy single-lock structs vs
-// the encoded hot path) and reports each path's max sustainable RPS
-// under the SLO.
+// in-process server and reports its max sustainable RPS under the SLO.
 //
 // Usage:
 //
 //	apiload -target http://127.0.0.1:8080 -mode open -rps 200 -duration 30s
 //	apiload -packages 300 -seed 17 -mode closed -workers 16    # in-process server
 //	apiload -target http://127.0.0.1:8080 -ramp 50:50:1000 -slo-p99 100
-//	apiload -ceiling 1,2,4,8 -packages 60 -slo-p99 200         # legacy vs hot ceilings
+//	apiload -ceiling 1,2,4,8 -packages 60 -slo-p99 200         # in-process throughput ceiling
 //
 // The JSON reports (-out) are what cmd/benchgate -serving gates in CI.
 package main
@@ -66,7 +64,7 @@ func main() {
 		ramp   = flag.String("ramp", "", "ramp profile start:step:max in RPS (runs open-loop stages until the SLO breaks)")
 		sloP99 = flag.Float64("slo-p99", 100, "ramp pass criterion: stage p99 <= this many ms")
 
-		ceiling = flag.String("ceiling", "", "comma-separated closed-loop worker counts, e.g. 1,2,4,8: measure the in-process max-throughput ceiling of the legacy read path vs the encoded hot path over one study and emit the comparison (ignores -target)")
+		ceiling = flag.String("ceiling", "", "comma-separated closed-loop worker counts, e.g. 1,2,4,8: measure the in-process max-throughput ceiling of the query read path over one study (ignores -target)")
 
 		outPath = flag.String("out", "", "write the JSON report here (empty: stdout)")
 		wait    = flag.Duration("wait-healthy", 10*time.Second, "poll -target /healthz up to this long before driving load")
@@ -106,8 +104,8 @@ func main() {
 	}
 
 	if *ceiling != "" {
-		cmp := runCeiling(ctx, *ceiling, *corpusD, *packages, *seed, *duration, *warmup, mix, *loadSeed, *sloP99)
-		writeResult(cmp, *outPath)
+		rep := runCeiling(ctx, *ceiling, *corpusD, *packages, *seed, *duration, *warmup, mix, *loadSeed, *sloP99)
+		writeResult(rep, *outPath)
 		return
 	}
 
@@ -193,13 +191,11 @@ func writeResult(result any, outPath string) {
 }
 
 // runCeiling measures the serving stack's maximum sustainable
-// throughput twice over the same resident study — once through the
-// legacy single-lock read path, once through the encoded hot path —
-// and reports the comparison benchgate holds to its speedup floor. The
-// drivers dispatch straight into each API's handler (no sockets), so
-// the measured difference is the read path itself.
+// throughput over one resident study. The driver dispatches straight
+// into the API's handler (no sockets), so the measurement is the read
+// path and its middleware, not kernel networking.
 func runCeiling(ctx context.Context, spec, corpusDir string, packages int, seed int64,
-	duration, warmup time.Duration, mix loadgen.Mix, loadSeed int64, sloP99 float64) *loadgen.CeilingComparison {
+	duration, warmup time.Duration, mix loadgen.Mix, loadSeed int64, sloP99 float64) *loadgen.CeilingReport {
 	var workersSeq []int
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
@@ -216,9 +212,8 @@ func runCeiling(ctx context.Context, spec, corpusDir string, packages int, seed 
 		log.Fatalf("bad -ceiling %q (want comma-separated worker counts)", spec)
 	}
 	if len(mix) == 0 {
-		// Read-only mix: the comparison is about the query read path, so
-		// keep upload analysis (identical in both configurations, and far
-		// more expensive) out of the stream.
+		// Read-only mix: the ceiling is about the query read path, so
+		// keep upload analysis (far more expensive) out of the stream.
 		mix = loadgen.Mix{
 			loadgen.EpImportance:   30,
 			loadgen.EpFootprint:    25,
@@ -233,32 +228,21 @@ func runCeiling(ctx context.Context, spec, corpusDir string, packages int, seed 
 	if err != nil {
 		log.Fatal(err)
 	}
-	measure := func(legacy bool) *loadgen.CeilingReport {
-		svc := service.New(study, "ceiling", service.Config{})
-		api := httpapi.New(svc, httpapi.Options{
-			RequestTimeout: time.Minute,
-			LegacyReadPath: legacy,
-		})
-		rep, err := loadgen.Ceiling(ctx, profile, loadgen.Options{
-			Handler:  api,
-			Duration: duration,
-			Warmup:   warmup,
-			Mix:      mix,
-			Seed:     loadSeed,
-		}, workersSeq, sloP99)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return rep
+	svc := service.New(study, "ceiling", service.Config{})
+	api := httpapi.New(svc, httpapi.Options{RequestTimeout: time.Minute})
+	log.Printf("ceiling: workers %v, %s + %s warmup per stage", workersSeq, duration, warmup)
+	rep, err := loadgen.Ceiling(ctx, profile, loadgen.Options{
+		Handler:  api,
+		Duration: duration,
+		Warmup:   warmup,
+		Mix:      mix,
+		Seed:     loadSeed,
+	}, workersSeq, sloP99)
+	if err != nil {
+		log.Fatal(err)
 	}
-	log.Printf("ceiling: legacy read path, workers %v, %s + %s warmup per stage", workersSeq, duration, warmup)
-	baseline := measure(true)
-	log.Printf("ceiling: encoded hot path, same stages")
-	hot := measure(false)
-	cmp := loadgen.CompareCeilings(baseline, hot)
-	log.Printf("max RPS under %.0fms p99: legacy %.0f, hot %.0f — speedup %.2fx",
-		sloP99, cmp.BaselineMaxRPS, cmp.MaxRPSUnderSLO, cmp.Speedup)
-	return cmp
+	log.Printf("max RPS under %.0fms p99: %.0f (workers %d)", sloP99, rep.MaxRPSUnderSLO, rep.BestWorkers)
+	return rep
 }
 
 // buildStudy loads or generates the study the in-process modes serve.

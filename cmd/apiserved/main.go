@@ -82,9 +82,7 @@ func main() {
 		corpus     = flag.String("corpus", "", "analyze an on-disk corpus directory instead of generating one")
 		packages   = flag.Int("packages", 3000, "generated corpus size (ignored with -corpus)")
 		seed       = flag.Int64("seed", 1504, "generated corpus seed (ignored with -corpus)")
-		cache      = flag.Int("cache", 512, "derived-query cache entries")
 		cacheBytes = flag.Int64("cache-bytes", 64<<20, "encoded-answer byte cache budget (resident bytes across shards)")
-		readPath   = flag.String("read-path", "hot", "query read path: hot (encoded byte cache + hotset) or legacy (struct cache, baseline)")
 		analyses   = flag.Int("max-analyses", 4, "max concurrent /v1/analyze requests")
 		bodyMax    = flag.Int64("max-upload", 32<<20, "max /v1/analyze body bytes")
 		timeout    = flag.Duration("timeout", 30*time.Second, "per-request timeout")
@@ -115,9 +113,6 @@ func main() {
 		asyncBytes = flag.Int64("async-analyze-bytes", 8<<20, "route /v1/analyze uploads at or above this size into the job tier (0: default, negative: never)")
 	)
 	flag.Parse()
-	if *readPath != "hot" && *readPath != "legacy" {
-		log.Fatalf("bad -read-path %q (want hot or legacy)", *readPath)
-	}
 
 	if *pprofAddr != "" {
 		// The profiler gets its own listener so it is never exposed on
@@ -204,7 +199,6 @@ func main() {
 	}
 
 	svc := service.New(study, source, service.Config{
-		CacheSize:   *cache,
 		CacheBytes:  *cacheBytes,
 		MaxAnalyses: *analyses,
 		Cache:       anaCache,
@@ -299,11 +293,7 @@ func main() {
 		AsyncAnalyzeBytes: *asyncBytes,
 		Snapshots:         snapMgr,
 		MaxSnapshotBytes:  *maxSnapBytes,
-		LegacyReadPath:    *readPath == "legacy",
 	})
-	if *readPath == "legacy" {
-		log.Printf("read path: legacy (struct cache baseline)")
-	}
 	if *inflight > 0 {
 		log.Printf("admission control: %d in flight, %d queued, %s max wait",
 			*inflight, *queue, *queueWait)

@@ -76,7 +76,7 @@ func main() {
 		final.Syscalls, final.Completeness*100, step/5+1,
 		time.Since(start).Round(time.Millisecond))
 
-	// The same questions again are answered from the LRU cache.
+	// The same questions again are answered from the byte cache.
 	postJSON(base+"/v1/completeness", map[string]any{"syscalls": supported}, &final)
 	fmt.Printf("asked again: cached=%v, service hit ratio %.0f%%\n",
 		final.Cached, svc.Stats().HitRatio()*100)

@@ -269,16 +269,18 @@ func EvaluateLibc(v LibcVariant, in *metrics.Input, imp map[linuxapi.API]float64
 	normIn := &metrics.Input{
 		Repo:       in.Repo,
 		Survey:     in.Survey,
-		Footprints: make(map[string]footprint.Set, len(in.Footprints)),
+		Footprints: make(map[string]*footprint.BitSet, len(in.Footprints)),
 	}
+	apis := linuxapi.InternedAPIs()
 	for pkg, fp := range in.Footprints {
-		nfp := make(footprint.Set, len(fp))
-		for api := range fp {
-			if api.Kind == linuxapi.KindLibcSym {
-				api = linuxapi.LibcSym(linuxapi.NormalizeLibcSymbol(api.Name))
+		nfp := footprint.NewBitSet()
+		fp.ForEach(func(id uint32) {
+			if api := apis[id]; api.Kind == linuxapi.KindLibcSym {
+				nfp.AddAPI(linuxapi.LibcSym(linuxapi.NormalizeLibcSymbol(api.Name)))
+			} else {
+				nfp.AddID(id)
 			}
-			nfp.Add(api)
-		}
+		})
 		normIn.Footprints[pkg] = nfp
 	}
 	opts := metrics.CompletenessOptions{Kind: linuxapi.KindLibcSym}

@@ -38,10 +38,10 @@ func sameFootprints(t *testing.T, want, got *Study) {
 		if g == nil {
 			t.Fatalf("%s: footprint missing from cached run", name)
 		}
-		if len(w) != len(g) {
-			t.Fatalf("%s: footprint size %d != %d", name, len(g), len(w))
+		if w.Count() != g.Count() {
+			t.Fatalf("%s: footprint size %d != %d", name, g.Count(), w.Count())
 		}
-		for api := range w {
+		for _, api := range w.SortedAPIs() {
 			if !g.Contains(api) {
 				t.Errorf("%s: %v lost by the cached run", name, api)
 			}

@@ -19,7 +19,6 @@ import (
 	"repro/internal/footprint"
 	"repro/internal/linuxapi"
 	"repro/internal/metrics"
-	"repro/internal/store"
 )
 
 // FileCensus aggregates Figure 1's classification counts.
@@ -84,8 +83,6 @@ type Study struct {
 	Corpus   *corpus.Corpus
 	Input    *metrics.Input
 	Resolver *footprint.Resolver
-	DB       *store.DB
-	Tables   *metrics.Tables
 	// BinaryDirect maps "package/path" to the APIs that binary's own code
 	// requests (for the attribution tables).
 	BinaryDirect map[string]footprint.Set
@@ -215,7 +212,6 @@ func RunWith(c *corpus.Corpus, opts footprint.Options, cache *anacache.Cache, an
 	s := &Study{
 		Corpus:       c,
 		Resolver:     footprint.NewResolver(),
-		DB:           store.NewDB(),
 		BinaryDirect: make(map[string]footprint.Set),
 		Opts:         opts,
 		Cache:        cache,
@@ -387,23 +383,12 @@ func RunWith(c *corpus.Corpus, opts footprint.Options, cache *anacache.Cache, an
 		}
 	}
 
-	// The map form stays the boundary type (JSON, service, compat); the
-	// bitset columns ride along so the metrics layer skips re-interning.
-	fps := make(map[string]footprint.Set, len(names))
-	dirs := make(map[string]footprint.Set, len(names))
-	for _, name := range names {
-		fps[name] = pkgFootprints[name].ToSet()
-		dirs[name] = pkgDirect[name].ToSet()
-	}
 	s.Input = &metrics.Input{
 		Repo:       c.Repo,
 		Survey:     c.Survey,
-		Footprints: fps,
-		Direct:     dirs,
-		Bits:       pkgFootprints,
-		DirectBits: pkgDirect,
+		Footprints: pkgFootprints,
+		Direct:     pkgDirect,
 	}
-	s.Tables = metrics.Record(s.DB, s.Input)
 	return s, nil
 }
 

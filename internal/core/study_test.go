@@ -55,7 +55,7 @@ func TestMeasuredFootprintsRecoverPlanted(t *testing.T) {
 				t.Errorf("%s: planted %v not measured", name, api)
 			}
 		}
-		for api := range measured {
+		for _, api := range measured.SortedAPIs() {
 			if !planted.Contains(api) {
 				t.Errorf("%s: measured %v was never planted", name, api)
 			}
@@ -212,7 +212,7 @@ func TestScriptOnlyPackagesInheritInterpreter(t *testing.T) {
 	if demo == nil || py == nil {
 		t.Fatal("missing footprints")
 	}
-	for api := range py {
+	for _, api := range py.SortedAPIs() {
 		if !demo.Contains(api) {
 			t.Errorf("python-app-demo missing interpreter API %v", api)
 		}
@@ -312,7 +312,7 @@ func TestAblationsChangeResults(t *testing.T) {
 	// Whole-binary scanning includes every libc export's code in each
 	// binary... at minimum it can never shrink a footprint.
 	for name, fp := range base.Input.Footprints {
-		for api := range fp {
+		for _, api := range fp.SortedAPIs() {
 			if !whole.Input.Footprints[name].Contains(api) {
 				t.Errorf("whole-binary lost %v from %s", api, name)
 			}
@@ -323,7 +323,7 @@ func TestAblationsChangeResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, fp := range noStrings.Input.Footprints {
-		for api := range fp {
+		for _, api := range fp.SortedAPIs() {
 			if api.Kind == linuxapi.KindPseudoFile {
 				t.Fatal("NoStrings still extracted pseudo files")
 			}

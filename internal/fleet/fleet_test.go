@@ -42,10 +42,10 @@ func sameStudy(t *testing.T, want, got *core.Study) {
 		if g == nil {
 			t.Fatalf("%s: footprint missing from fleet run", name)
 		}
-		if len(w) != len(g) {
-			t.Fatalf("%s: footprint size %d != %d", name, len(g), len(w))
+		if w.Count() != g.Count() {
+			t.Fatalf("%s: footprint size %d != %d", name, g.Count(), w.Count())
 		}
-		for api := range w {
+		for _, api := range w.SortedAPIs() {
 			if !g.Contains(api) {
 				t.Errorf("%s: %v lost by the fleet run", name, api)
 			}

@@ -1,13 +1,12 @@
 package httpapi
 
-// The encoded read path: query handlers that serve pre-encoded answer
-// bytes from the service's hotset / sharded byte cache instead of
-// decoding cached structs and re-encoding JSON per request. The bytes
-// are identical to what the legacy handlers write (pinned by
-// equivalence tests); what changes is the cost — a steady-state hit is
-// a map probe plus one Write, with no lock and no encoder. Every
-// answer carries a strong ETag derived from the study fingerprint, so
-// polling clients revalidate with If-None-Match and get 304s.
+// The query handlers: each serves pre-encoded answer bytes from the
+// service's hotset, sharded byte cache or singleflighted compute, so a
+// steady-state hit is a map probe plus one Write, with no lock and no
+// encoder. The bytes are pinned by the golden response files under
+// testdata/. Every answer carries a strong ETag derived from the study
+// fingerprint, so polling clients revalidate with If-None-Match and get
+// 304s.
 
 import (
 	"net/http"
@@ -48,7 +47,7 @@ func etagMatch(header, etag string) bool {
 	return false
 }
 
-func (a *API) handleImportanceBytes(w http.ResponseWriter, r *http.Request) {
+func (a *API) handleImportance(w http.ResponseWriter, r *http.Request) {
 	gen, err := genParam(r)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, "%v", err)
@@ -62,7 +61,7 @@ func (a *API) handleImportanceBytes(w http.ResponseWriter, r *http.Request) {
 	writeEncoded(w, r, enc)
 }
 
-func (a *API) handleCompletenessBytes(w http.ResponseWriter, r *http.Request) {
+func (a *API) handleCompleteness(w http.ResponseWriter, r *http.Request) {
 	gen, err := genParam(r)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, "%v", err)
@@ -81,7 +80,7 @@ func (a *API) handleCompletenessBytes(w http.ResponseWriter, r *http.Request) {
 	writeEncoded(w, r, enc)
 }
 
-func (a *API) handleSuggestBytes(w http.ResponseWriter, r *http.Request) {
+func (a *API) handleSuggest(w http.ResponseWriter, r *http.Request) {
 	gen, err := genParam(r)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, "%v", err)
@@ -100,7 +99,7 @@ func (a *API) handleSuggestBytes(w http.ResponseWriter, r *http.Request) {
 	writeEncoded(w, r, enc)
 }
 
-func (a *API) handlePathBytes(w http.ResponseWriter, r *http.Request) {
+func (a *API) handlePath(w http.ResponseWriter, r *http.Request) {
 	gen, err := genParam(r)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, "%v", err)
@@ -119,7 +118,7 @@ func (a *API) handlePathBytes(w http.ResponseWriter, r *http.Request) {
 	writeEncoded(w, r, enc)
 }
 
-func (a *API) handleFootprintBytes(w http.ResponseWriter, r *http.Request) {
+func (a *API) handleFootprint(w http.ResponseWriter, r *http.Request) {
 	gen, err := genParam(r)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, "%v", err)
@@ -133,7 +132,7 @@ func (a *API) handleFootprintBytes(w http.ResponseWriter, r *http.Request) {
 	writeEncoded(w, r, enc)
 }
 
-func (a *API) handleSeccompBytes(w http.ResponseWriter, r *http.Request) {
+func (a *API) handleSeccomp(w http.ResponseWriter, r *http.Request) {
 	enc, err := a.svc.SeccompBytes(r.PathValue("pkg"), r.URL.Query().Get("deny"))
 	if err != nil {
 		writeServiceError(w, r, err)
@@ -142,7 +141,7 @@ func (a *API) handleSeccompBytes(w http.ResponseWriter, r *http.Request) {
 	writeEncoded(w, r, enc)
 }
 
-func (a *API) handlePlanBytes(w http.ResponseWriter, r *http.Request) {
+func (a *API) handlePlan(w http.ResponseWriter, r *http.Request) {
 	system := r.URL.Query().Get("system")
 	if system == "" {
 		writeError(w, r, http.StatusBadRequest, "missing system parameter")
@@ -156,7 +155,7 @@ func (a *API) handlePlanBytes(w http.ResponseWriter, r *http.Request) {
 	writeEncoded(w, r, enc)
 }
 
-func (a *API) handleCompatSystemsBytes(w http.ResponseWriter, r *http.Request) {
+func (a *API) handleCompatSystems(w http.ResponseWriter, r *http.Request) {
 	enc, err := a.svc.CompatSystemsBytes()
 	if err != nil {
 		writeServiceError(w, r, err)
@@ -165,7 +164,7 @@ func (a *API) handleCompatSystemsBytes(w http.ResponseWriter, r *http.Request) {
 	writeEncoded(w, r, enc)
 }
 
-func (a *API) handleTrendImportanceBytes(w http.ResponseWriter, r *http.Request) {
+func (a *API) handleTrendImportance(w http.ResponseWriter, r *http.Request) {
 	top, err := positiveParam(r, "top")
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, "%v", err)
@@ -179,7 +178,7 @@ func (a *API) handleTrendImportanceBytes(w http.ResponseWriter, r *http.Request)
 	writeEncoded(w, r, enc)
 }
 
-func (a *API) handleTrendCompletenessBytes(w http.ResponseWriter, r *http.Request) {
+func (a *API) handleTrendCompleteness(w http.ResponseWriter, r *http.Request) {
 	enc, err := a.svc.TrendCompletenessBytes(r.URL.Query().Get("target"))
 	if err != nil {
 		writeServiceError(w, r, err)
@@ -188,7 +187,7 @@ func (a *API) handleTrendCompletenessBytes(w http.ResponseWriter, r *http.Reques
 	writeEncoded(w, r, enc)
 }
 
-func (a *API) handleTrendPathBytes(w http.ResponseWriter, r *http.Request) {
+func (a *API) handleTrendPath(w http.ResponseWriter, r *http.Request) {
 	limit, err := positiveParam(r, "limit")
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, "%v", err)

@@ -2,9 +2,13 @@ package httpapi
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
@@ -15,16 +19,18 @@ import (
 	"repro/internal/service"
 )
 
+var update = flag.Bool("update", false, "rewrite the golden response files from current output")
+
 var (
 	eqOnce  sync.Once
 	eqStudy *repro.Study
 	eqErr   error
 )
 
-// eqServers builds a fresh legacy-path server and a fresh byte-path
-// server over the same study. Fresh services per call, so cache
-// temperature is controlled by the test, not by ordering.
-func eqServers(t *testing.T) (legacy, hot *httptest.Server) {
+// eqServer builds a fresh server over the shared study. A fresh service
+// per call, so cache temperature is controlled by the test, not by
+// ordering.
+func eqServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	eqOnce.Do(func() {
 		eqStudy, eqErr = repro.NewStudy(repro.Config{Packages: 100, Installations: 150000, Seed: 31})
@@ -32,23 +38,26 @@ func eqServers(t *testing.T) (legacy, hot *httptest.Server) {
 	if eqErr != nil {
 		t.Fatal(eqErr)
 	}
-	mk := func(legacyPath bool) *httptest.Server {
-		svc := service.New(eqStudy, "equivalence", service.Config{})
-		ts := httptest.NewServer(New(svc, Options{RequestTimeout: time.Minute, LegacyReadPath: legacyPath}))
-		t.Cleanup(ts.Close)
-		return ts
-	}
-	return mk(true), mk(false)
+	svc := service.New(eqStudy, "equivalence", service.Config{})
+	ts := httptest.NewServer(New(svc, Options{RequestTimeout: time.Minute}))
+	t.Cleanup(ts.Close)
+	return ts
 }
 
-// requestIDPattern matches the per-request nonce in error envelopes;
-// it is random on every request on both read paths, so equivalence
-// compares bodies with it normalized out.
+// requestIDPattern matches the per-request nonce in error envelopes; it
+// is random on every request, so recorded bodies normalize it out.
 var requestIDPattern = regexp.MustCompile(`"request_id": "r-[0-9a-f]+"`)
 
 // fetch performs one request and returns status plus body bytes, with
 // the error envelope's random request id normalized.
 func fetch(t *testing.T, ts *httptest.Server, method, path string, body string) (int, []byte) {
+	t.Helper()
+	code, _, raw := fetchETag(t, ts, method, path, body)
+	return code, raw
+}
+
+// fetchETag is fetch plus the response's ETag header.
+func fetchETag(t *testing.T, ts *httptest.Server, method, path, body string) (int, string, []byte) {
 	t.Helper()
 	var req *http.Request
 	var err error
@@ -70,20 +79,75 @@ func fetch(t *testing.T, ts *httptest.Server, method, path string, body string) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp.StatusCode, requestIDPattern.ReplaceAll(raw, []byte(`"request_id": "r-X"`))
+	return resp.StatusCode, resp.Header.Get("ETag"), requestIDPattern.ReplaceAll(raw, []byte(`"request_id": "r-X"`))
 }
 
-// TestByteHandlersMatchLegacy is the byte-identity contract: for every
-// query endpoint the byte path serves exactly the bytes the legacy
-// struct path would have written — cold against cold and warm against
-// warm. Hotset-precomputed answers (full path, compat table) are
-// warm-from-birth, so their first byte-path response equals the legacy
-// path's *second* response, the way any pre-warmed cache behaves.
-func TestByteHandlersMatchLegacy(t *testing.T) {
-	legacy, hot := eqServers(t)
+// transcript records a request sequence against one server: per
+// response a "=== label METHOD path" header, the request body, the
+// status, the ETag, then the body bytes.
+type transcript struct {
+	t   *testing.T
+	ts  *httptest.Server
+	buf bytes.Buffer
+}
 
-	// Endpoints with no cache temperature in the body: every pairing
-	// must be byte-identical, including error answers.
+func (tr *transcript) do(label, method, path, body string) {
+	tr.t.Helper()
+	code, etag, raw := fetchETag(tr.t, tr.ts, method, path, body)
+	fmt.Fprintf(&tr.buf, "=== %s %s %s\n", label, method, path)
+	if body != "" {
+		fmt.Fprintf(&tr.buf, "request: %s\n", body)
+	}
+	fmt.Fprintf(&tr.buf, "status: %d\netag: %s\n", code, etag)
+	tr.buf.Write(raw)
+}
+
+// checkGolden compares a transcript with testdata/name (rewritten first
+// under -update) and reports the first response that drifted.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	gr, wr := strings.Split(string(got), "\n=== "), strings.Split(string(want), "\n=== ")
+	for i := 0; i < len(gr) && i < len(wr); i++ {
+		if gr[i] != wr[i] {
+			t.Fatalf("%s: response %d drifted:\n--- got ---\n%s\n--- want ---\n%s", golden, i, gr[i], wr[i])
+		}
+	}
+	t.Fatalf("%s: %d responses, golden has %d", golden, len(gr), len(wr))
+}
+
+// The golden response files under testdata/ are the byte-identity
+// contract of every query route: status, ETag and body of each
+// response, cold and warm. They were recorded when a struct-cache read
+// path ("legacy") still served beside the encoded byte path, and
+// checked against both: bodies and statuses were identical (the legacy
+// path sent no ETag), with hotset answers — warm from birth on the byte
+// path — matching the legacy path's second, cached response. Matching
+// them is matching the legacy bytes.
+
+// TestByteHandlersMatchLegacy replays the query routes against the
+// golden responses: error answers, cold-then-warm pairs, hotset answers
+// and the suggest k-range the hotset precomputes (plus one past it).
+func TestByteHandlersMatchLegacy(t *testing.T) {
+	ts := eqServer(t)
+	tr := &transcript{t: t, ts: ts}
+
+	// No cache temperature in the body: both passes are identical.
 	stateless := []struct{ method, path, body string }{
 		{"GET", "/v1/importance/read", ""},
 		{"GET", "/v1/importance/lookup_dcookie", ""},
@@ -94,81 +158,46 @@ func TestByteHandlersMatchLegacy(t *testing.T) {
 		{"POST", "/v1/completeness", `{not json`},
 	}
 	for _, q := range stateless {
-		for i := 0; i < 2; i++ { // cold and repeat
-			lc, lb := fetch(t, legacy, q.method, q.path, q.body)
-			hc, hb := fetch(t, hot, q.method, q.path, q.body)
-			if lc != hc || !bytes.Equal(lb, hb) {
-				t.Errorf("%s %s (pass %d): legacy %d %q vs hot %d %q", q.method, q.path, i, lc, lb, hc, hb)
-			}
+		for pass := 0; pass < 2; pass++ {
+			tr.do(fmt.Sprintf("pass %d", pass), q.method, q.path, q.body)
 		}
 	}
 
-	// Endpoints whose body carries a "cached" flag: cold-vs-cold then
-	// warm-vs-warm.
+	// Bodies carrying a "cached" flag: cold, then warm.
+	pkg := eqStudy.Packages()[0]
 	cachedQueries := []struct{ method, path, body string }{
 		{"POST", "/v1/completeness", `{"syscalls":["read","write","openat"]}`},
 		{"POST", "/v1/suggest", `{"supported":["read","write"],"k":4}`},
 		{"GET", "/v1/path?n=7", ""},
-		{"GET", "/v1/seccomp/PKG?deny=kill", ""},
+		{"GET", "/v1/seccomp/" + pkg + "?deny=kill", ""},
 	}
-	var pkg string
 	for _, q := range cachedQueries {
-		path := q.path
-		if strings.Contains(path, "PKG") {
-			if pkg == "" {
-				pkg = eqStudy.Packages()[0]
-			}
-			path = strings.Replace(path, "PKG", pkg, 1)
-		}
-		lc0, lb0 := fetch(t, legacy, q.method, path, q.body)
-		hc0, hb0 := fetch(t, hot, q.method, path, q.body)
-		if lc0 != hc0 || !bytes.Equal(lb0, hb0) {
-			t.Errorf("%s %s cold: legacy %d %q vs hot %d %q", q.method, path, lc0, lb0, hc0, hb0)
-		}
-		lc1, lb1 := fetch(t, legacy, q.method, path, q.body)
-		hc1, hb1 := fetch(t, hot, q.method, path, q.body)
-		if lc1 != hc1 || !bytes.Equal(lb1, hb1) {
-			t.Errorf("%s %s warm: legacy %d %q vs hot %d %q", q.method, path, lc1, lb1, hc1, hb1)
-		}
+		tr.do("cold", q.method, q.path, q.body)
+		tr.do("warm", q.method, q.path, q.body)
 	}
 
-	// Hotset-precomputed answers: the byte path is warm from the first
-	// request, so hot(first) == legacy(second) == hot(second).
+	// Hotset-precomputed answers are warm from the first request.
 	for _, path := range []string{"/v1/path", "/v1/compat/systems"} {
-		_, _ = fetch(t, legacy, "GET", path, "") // warm the legacy cache
-		lc, lb := fetch(t, legacy, "GET", path, "")
-		hc0, hb0 := fetch(t, hot, "GET", path, "")
-		hc1, hb1 := fetch(t, hot, "GET", path, "")
-		if lc != hc0 || !bytes.Equal(lb, hb0) {
-			t.Errorf("GET %s: hot first response != legacy warm response", path)
-		}
-		if hc0 != hc1 || !bytes.Equal(hb0, hb1) {
-			t.Errorf("GET %s: hot responses differ between requests", path)
-		}
+		tr.do("first", "GET", path, "")
+		tr.do("second", "GET", path, "")
 	}
 
 	// Suggest k-range: every k the hotset precomputes and one past it.
 	for k := 1; k <= 9; k++ {
-		body := `{"supported":["read","write","openat","close"],"k":` + string(rune('0'+k)) + `}`
-		_, lb := fetch(t, legacy, "POST", "/v1/suggest", body)
-		_, hb := fetch(t, hot, "POST", "/v1/suggest", body)
-		_, lb2 := fetch(t, legacy, "POST", "/v1/suggest", body)
-		_, hb2 := fetch(t, hot, "POST", "/v1/suggest", body)
-		if !bytes.Equal(lb, hb) || !bytes.Equal(lb2, hb2) {
-			t.Errorf("suggest k=%d diverged between read paths", k)
-		}
+		body := fmt.Sprintf(`{"supported":["read","write","openat","close"],"k":%d}`, k)
+		tr.do("cold", "POST", "/v1/suggest", body)
+		tr.do("warm", "POST", "/v1/suggest", body)
 	}
+	checkGolden(t, "query_golden.txt", tr.buf.Bytes())
 }
 
-// TestByteHandlersMatchLegacyTrends repeats the equivalence check on
-// the trend and generation-selector routes, with the same release
-// series resident behind both read paths.
+// TestByteHandlersMatchLegacyTrends replays the trend and
+// generation-selector routes, with a release series resident, against
+// the golden responses.
 func TestByteHandlersMatchLegacyTrends(t *testing.T) {
-	legacySvc, hotSvc := freshTrendsService(t), freshTrendsService(t)
-	legacy := httptest.NewServer(New(legacySvc, Options{RequestTimeout: time.Minute, LegacyReadPath: true}))
-	defer legacy.Close()
-	hot := httptest.NewServer(New(hotSvc, Options{RequestTimeout: time.Minute}))
-	defer hot.Close()
+	ts := httptest.NewServer(New(freshTrendsService(t), Options{RequestTimeout: time.Minute}))
+	defer ts.Close()
+	tr := &transcript{t: t, ts: ts}
 
 	queries := []struct{ method, path, body string }{
 		{"GET", "/v1/trends/importance?top=5", ""},
@@ -177,7 +206,7 @@ func TestByteHandlersMatchLegacyTrends(t *testing.T) {
 		{"GET", "/v1/trends/completeness?target=graphene", ""},
 		{"GET", "/v1/trends/path", ""},
 		{"GET", "/v1/trends/path?direction=toward&limit=3", ""},
-		{"GET", "/v1/trends/path?direction=sideways", ""}, // 400, same both ways
+		{"GET", "/v1/trends/path?direction=sideways", ""}, // 400
 		{"GET", "/v1/importance/open?gen=1", ""},
 		{"GET", "/v1/importance/open?gen=99", ""}, // bad generation: 400
 		{"GET", "/v1/path?gen=0&n=5", ""},
@@ -185,14 +214,10 @@ func TestByteHandlersMatchLegacyTrends(t *testing.T) {
 		{"POST", "/v1/suggest?gen=0", `{"supported":["read","write"],"k":3}`},
 	}
 	for _, q := range queries {
-		for pass := 0; pass < 2; pass++ { // cold then warm
-			lc, lb := fetch(t, legacy, q.method, q.path, q.body)
-			hc, hb := fetch(t, hot, q.method, q.path, q.body)
-			if lc != hc || !bytes.Equal(lb, hb) {
-				t.Errorf("%s %s (pass %d): legacy %d %q vs hot %d %q", q.method, q.path, pass, lc, lb, hc, hb)
-			}
-		}
+		tr.do("cold", q.method, q.path, q.body)
+		tr.do("warm", q.method, q.path, q.body)
 	}
+	checkGolden(t, "trends_golden.txt", tr.buf.Bytes())
 }
 
 // freshTrendsService builds a new service over the shared test study
@@ -211,7 +236,7 @@ func freshTrendsService(t *testing.T) *service.Service {
 // If-None-Match yields 304 with an empty body; a different validator
 // yields the full answer again.
 func TestETagRoundTrip(t *testing.T) {
-	_, hot := eqServers(t)
+	hot := eqServer(t)
 
 	resp, err := hot.Client().Get(hot.URL + "/v1/importance/read")
 	if err != nil {
@@ -284,7 +309,7 @@ func TestETagRoundTrip(t *testing.T) {
 // path and checks /metrics exports the per-endpoint cache series, the
 // hotset gauges, and the singleflight counter.
 func TestPerEndpointCacheMetrics(t *testing.T) {
-	_, hot := eqServers(t)
+	hot := eqServer(t)
 
 	// importance: hotset hit. footprint: byte-cache miss then hit.
 	fetch(t, hot, "GET", "/v1/importance/read", "")

@@ -71,12 +71,6 @@ type Options struct {
 	Snapshots *service.SnapshotManager
 	// MaxSnapshotBytes caps /v1/snapshot request bodies (default 256 MiB).
 	MaxSnapshotBytes int64
-	// LegacyReadPath serves the query endpoints through the original
-	// struct-cache handlers (global LRU + per-request JSON encoder)
-	// instead of the encoded byte path. Kept as the benchmark baseline
-	// and as an operational escape hatch; responses are byte-identical
-	// either way.
-	LegacyReadPath bool
 }
 
 // API is the http.Handler serving the query service.
@@ -117,31 +111,17 @@ func New(svc *service.Service, opts Options) *API {
 	}
 	a.handle("GET /healthz", a.handleHealthz, bypassAdmission)
 	a.handle("GET /metrics", a.handleMetrics, bypassAdmission)
-	if opts.LegacyReadPath {
-		a.handle("GET /v1/importance/{syscall}", a.handleImportance)
-		a.handle("POST /v1/completeness", a.handleCompleteness)
-		a.handle("POST /v1/suggest", a.handleSuggest)
-		a.handle("GET /v1/path", a.handlePath)
-		a.handle("GET /v1/footprint/{pkg}", a.handleFootprint)
-		a.handle("GET /v1/seccomp/{pkg}", a.handleSeccomp)
-		a.handle("GET /v1/compat/systems", a.handleCompatSystems)
-		a.handle("GET /v1/compat/plan", a.handlePlan)
-		a.handle("GET /v1/trends/importance", a.handleTrendImportance)
-		a.handle("GET /v1/trends/completeness", a.handleTrendCompleteness)
-		a.handle("GET /v1/trends/path", a.handleTrendPath)
-	} else {
-		a.handle("GET /v1/importance/{syscall}", a.handleImportanceBytes)
-		a.handle("POST /v1/completeness", a.handleCompletenessBytes)
-		a.handle("POST /v1/suggest", a.handleSuggestBytes)
-		a.handle("GET /v1/path", a.handlePathBytes)
-		a.handle("GET /v1/footprint/{pkg}", a.handleFootprintBytes)
-		a.handle("GET /v1/seccomp/{pkg}", a.handleSeccompBytes)
-		a.handle("GET /v1/compat/systems", a.handleCompatSystemsBytes)
-		a.handle("GET /v1/compat/plan", a.handlePlanBytes)
-		a.handle("GET /v1/trends/importance", a.handleTrendImportanceBytes)
-		a.handle("GET /v1/trends/completeness", a.handleTrendCompletenessBytes)
-		a.handle("GET /v1/trends/path", a.handleTrendPathBytes)
-	}
+	a.handle("GET /v1/importance/{syscall}", a.handleImportance)
+	a.handle("POST /v1/completeness", a.handleCompleteness)
+	a.handle("POST /v1/suggest", a.handleSuggest)
+	a.handle("GET /v1/path", a.handlePath)
+	a.handle("GET /v1/footprint/{pkg}", a.handleFootprint)
+	a.handle("GET /v1/seccomp/{pkg}", a.handleSeccomp)
+	a.handle("GET /v1/compat/systems", a.handleCompatSystems)
+	a.handle("GET /v1/compat/plan", a.handlePlan)
+	a.handle("GET /v1/trends/importance", a.handleTrendImportance)
+	a.handle("GET /v1/trends/completeness", a.handleTrendCompleteness)
+	a.handle("GET /v1/trends/path", a.handleTrendPath)
 	a.handle("POST /v1/analyze", a.handleAnalyze)
 	if opts.Jobs != nil {
 		a.handle("POST /v1/jobs/{type}", a.handleJobSubmit, bypassAdmission)
@@ -337,115 +317,13 @@ func (a *API) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-func (a *API) handleImportance(w http.ResponseWriter, r *http.Request) {
-	gen, err := genParam(r)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	name := r.PathValue("syscall")
-	res, err := a.svc.ImportanceAt(gen, name)
-	if err != nil {
-		writeServiceError(w, r, err)
-		return
-	}
-	if !res.Known && res.Importance == 0 {
-		// Still a 200 for known-but-unused calls; 404 only for names
-		// outside the syscall table, so typos are distinguishable from
-		// Table 3's genuinely unused calls.
-		writeJSON(w, http.StatusNotFound, res)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
 type completenessRequest struct {
 	Syscalls []string `json:"syscalls"`
-}
-
-func (a *API) handleCompleteness(w http.ResponseWriter, r *http.Request) {
-	gen, err := genParam(r)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	var req completenessRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	res, err := a.svc.CompletenessAt(gen, req.Syscalls)
-	if err != nil {
-		writeServiceError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
 }
 
 type suggestRequest struct {
 	Supported []string `json:"supported"`
 	K         int      `json:"k"`
-}
-
-func (a *API) handleSuggest(w http.ResponseWriter, r *http.Request) {
-	gen, err := genParam(r)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	var req suggestRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	res, err := a.svc.SuggestAt(gen, req.Supported, req.K)
-	if err != nil {
-		writeServiceError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-func (a *API) handlePath(w http.ResponseWriter, r *http.Request) {
-	gen, err := genParam(r)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	n, err := positiveParam(r, "n")
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	res, err := a.svc.GreedyPrefixAt(gen, n)
-	if err != nil {
-		writeServiceError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-func (a *API) handleFootprint(w http.ResponseWriter, r *http.Request) {
-	gen, err := genParam(r)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	res, err := a.svc.FootprintAt(gen, r.PathValue("pkg"))
-	if err != nil {
-		writeServiceError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-func (a *API) handleSeccomp(w http.ResponseWriter, r *http.Request) {
-	res, err := a.svc.Seccomp(r.PathValue("pkg"), r.URL.Query().Get("deny"))
-	if err != nil {
-		writeServiceError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
 }
 
 func (a *API) handleAnalyze(w http.ResponseWriter, r *http.Request) {
@@ -475,29 +353,6 @@ func (a *API) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res, err := a.svc.Analyze(r.Context(), name, data)
-	if err != nil {
-		writeServiceError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-func (a *API) handleCompatSystems(w http.ResponseWriter, r *http.Request) {
-	res, err := a.svc.CompatSystems()
-	if err != nil {
-		writeServiceError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-func (a *API) handlePlan(w http.ResponseWriter, r *http.Request) {
-	system := r.URL.Query().Get("system")
-	if system == "" {
-		writeError(w, r, http.StatusBadRequest, "missing system parameter")
-		return
-	}
-	res, err := a.svc.Plan(system)
 	if err != nil {
 		writeServiceError(w, r, err)
 		return
@@ -659,13 +514,13 @@ func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "apiserved_admission_shed_total{reason=\"timeout\"} %d\n", adm.ShedTimeout)
 	fmt.Fprintf(&b, "apiserved_admission_shed_total{reason=\"cancelled\"} %d\n", adm.ShedCancelled)
 
-	fmt.Fprintf(&b, "# HELP apiserved_cache_hits_total Derived-query cache hits (aggregate; labeled series break out the encoded byte cache by endpoint).\n")
-	fmt.Fprintf(&b, "apiserved_cache_hits_total %d\n", st.CacheHits)
+	fmt.Fprintf(&b, "# HELP apiserved_cache_hits_total Encoded byte-cache hits (unlabeled: all endpoints; labeled: per endpoint). Hotset answers are counted by apiserved_hotset_hits_total.\n")
+	fmt.Fprintf(&b, "apiserved_cache_hits_total %d\n", st.ByteCacheHits)
 	for _, es := range st.Endpoints {
 		fmt.Fprintf(&b, "apiserved_cache_hits_total{endpoint=%q} %d\n", es.Endpoint, es.Hits)
 	}
-	fmt.Fprintf(&b, "# HELP apiserved_cache_misses_total Derived-query cache misses.\n")
-	fmt.Fprintf(&b, "apiserved_cache_misses_total %d\n", st.CacheMisses)
+	fmt.Fprintf(&b, "# HELP apiserved_cache_misses_total Encoded byte-cache misses (unlabeled: all endpoints; labeled: per endpoint).\n")
+	fmt.Fprintf(&b, "apiserved_cache_misses_total %d\n", st.ByteCacheMisses)
 	for _, es := range st.Endpoints {
 		fmt.Fprintf(&b, "apiserved_cache_misses_total{endpoint=%q} %d\n", es.Endpoint, es.Misses)
 	}
@@ -674,10 +529,8 @@ func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, es := range st.Endpoints {
 		fmt.Fprintf(&b, "apiserved_cache_evictions_total{endpoint=%q} %d\n", es.Endpoint, es.Evictions)
 	}
-	fmt.Fprintf(&b, "# HELP apiserved_cache_hit_ratio Hits over lookups since start.\n")
+	fmt.Fprintf(&b, "# HELP apiserved_cache_hit_ratio Encoded byte-cache hits over lookups since start.\n")
 	fmt.Fprintf(&b, "apiserved_cache_hit_ratio %g\n", st.HitRatio())
-	fmt.Fprintf(&b, "apiserved_cache_entries %d\n", st.CacheLen)
-	fmt.Fprintf(&b, "apiserved_cache_capacity %d\n", st.CacheCap)
 	fmt.Fprintf(&b, "# HELP apiserved_cache_bytes Resident bytes in the encoded byte cache.\n")
 	fmt.Fprintf(&b, "# TYPE apiserved_cache_bytes gauge\n")
 	fmt.Fprintf(&b, "apiserved_cache_bytes %d\n", st.ByteCacheBytes)

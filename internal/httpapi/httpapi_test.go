@@ -167,7 +167,12 @@ func TestPathFootprintSeccompEndpoints(t *testing.T) {
 
 	var pkg string
 	for _, p := range svc.Snapshot().Study.Packages() {
-		if fp, err := svc.Footprint(p); err == nil && len(fp.Syscalls) > 0 {
+		enc, err := svc.FootprintBytes(-1, p)
+		if err != nil {
+			continue
+		}
+		var fp service.FootprintResult
+		if err := json.Unmarshal(enc.Body, &fp); err == nil && len(fp.Syscalls) > 0 {
 			pkg = p
 			break
 		}

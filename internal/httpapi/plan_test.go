@@ -1,7 +1,6 @@
 package httpapi
 
 import (
-	"bytes"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -15,12 +14,12 @@ import (
 	"repro/internal/service"
 )
 
-// planServers builds a legacy-path and a byte-path server over the same
-// small study, sharing one persistent verdict cache: the legacy server
-// is queried first and pays the cold emulator-driven matrix build, the
-// byte-path server replays every verdict from the cache — which is
-// exactly the property the warm-path metrics assertions pin down.
-func planServers(t *testing.T) (legacy, hot *httptest.Server) {
+// planServers builds two fresh servers over the same small study,
+// sharing one persistent verdict cache: the server queried first pays
+// the cold emulator-driven matrix build, the other replays every
+// verdict from the cache — the property the warm-path metrics
+// assertions pin down.
+func planServers(t *testing.T) (cold, warm *httptest.Server) {
 	t.Helper()
 	cache, err := repro.OpenAnalysisCache(t.TempDir())
 	if err != nil {
@@ -30,78 +29,60 @@ func planServers(t *testing.T) (legacy, hot *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(legacyPath bool) *httptest.Server {
+	mk := func() *httptest.Server {
 		svc := service.New(study, "plan-equivalence", service.Config{Cache: cache})
-		ts := httptest.NewServer(New(svc, Options{RequestTimeout: time.Minute, LegacyReadPath: legacyPath}))
+		ts := httptest.NewServer(New(svc, Options{RequestTimeout: time.Minute}))
 		t.Cleanup(ts.Close)
 		return ts
 	}
-	return mk(true), mk(false)
+	return mk(), mk()
 }
 
-// TestPlanBytesMatchLegacy is the byte-identity contract for
-// /v1/compat/plan: the byte path serves exactly the bytes the legacy
-// struct path writes, for answers and for errors.
+// TestPlanBytesMatchLegacy replays /v1/compat/plan against its golden
+// responses (see TestByteHandlersMatchLegacy for their provenance):
+// errors, the cold and warm answer of the system whose query builds the
+// verdict matrix, and the other systems, which that build published to
+// the hotset — warm from their first request.
 func TestPlanBytesMatchLegacy(t *testing.T) {
-	legacy, hot := planServers(t)
-
-	// Error answers: byte-identical on every pass.
+	ts, _ := planServers(t)
+	tr := &transcript{t: t, ts: ts}
 	for _, path := range []string{
 		"/v1/compat/plan",                         // missing system: 400
 		"/v1/compat/plan?system=z-os",             // unknown system: 404
-		"/v1/compat/plan?system=graphene%2Bsched", // trailing probe below reuses this
+		"/v1/compat/plan?system=graphene%2Bsched", // builds the matrix
 	} {
-		lc, lb := fetch(t, legacy, "GET", path, "")
-		hc, hb := fetch(t, hot, "GET", path, "")
-		if lc != hc || !bytes.Equal(lb, hb) {
-			t.Errorf("GET %s cold: legacy %d %q vs hot %d %q", path, lc, lb, hc, hb)
-		}
-		lc2, lb2 := fetch(t, legacy, "GET", path, "")
-		hc2, hb2 := fetch(t, hot, "GET", path, "")
-		if lc2 != hc2 || !bytes.Equal(lb2, hb2) {
-			t.Errorf("GET %s warm: legacy %d %q vs hot %d %q", path, lc2, lb2, hc2, hb2)
-		}
+		tr.do("cold", "GET", path, "")
+		tr.do("warm", "GET", path, "")
 	}
-
-	// Systems not queried yet: the byte path's matrix build published
-	// every system's plan into the hotset, so its first response is warm
-	// from birth — it must equal the legacy path's *second* response.
 	for _, sys := range []string{"user-mode-linux", "l4linux", "freebsd-emu", "graphene"} {
 		path := "/v1/compat/plan?system=" + sys
-		_, _ = fetch(t, legacy, "GET", path, "") // warm the legacy cache
-		lc, lb := fetch(t, legacy, "GET", path, "")
-		hc0, hb0 := fetch(t, hot, "GET", path, "")
-		hc1, hb1 := fetch(t, hot, "GET", path, "")
-		if lc != hc0 || !bytes.Equal(lb, hb0) {
-			t.Errorf("GET %s: hot first response != legacy warm response", path)
-		}
-		if hc0 != hc1 || !bytes.Equal(hb0, hb1) {
-			t.Errorf("GET %s: hot responses differ between requests", path)
-		}
+		tr.do("first", "GET", path, "")
+		tr.do("second", "GET", path, "")
 	}
+	checkGolden(t, "plan_golden.txt", tr.buf.Bytes())
 }
 
 // TestPlanETagAndWarmMetrics pins the conditional-request behavior of
-// the plan route and the stubplan counters: the cold (legacy) server
-// reports emulator runs, the warm (byte-path) server reports zero —
-// every verdict came from the shared persistent cache.
+// the plan route and the stubplan counters: the server that builds the
+// matrix cold reports emulator runs, the warm one reports zero — every
+// verdict came from the shared persistent cache.
 func TestPlanETagAndWarmMetrics(t *testing.T) {
-	legacy, hot := planServers(t)
+	cold, warm := planServers(t)
 
-	// Cold build on the legacy server first.
-	if code, body := fetch(t, legacy, "GET", "/v1/compat/plan?system=graphene", ""); code != http.StatusOK {
-		t.Fatalf("legacy plan = %d %s", code, body)
+	// Cold build on the first server.
+	if code, body := fetch(t, cold, "GET", "/v1/compat/plan?system=graphene", ""); code != http.StatusOK {
+		t.Fatalf("cold plan = %d %s", code, body)
 	}
-	_, coldMetrics := fetch(t, legacy, "GET", "/metrics", "")
+	_, coldMetrics := fetch(t, cold, "GET", "/metrics", "")
 	emuLine := regexp.MustCompile(`apiserved_stubplan_emulations_total (\d+)`).FindStringSubmatch(string(coldMetrics))
 	if emuLine == nil {
-		t.Fatal("no apiserved_stubplan_emulations_total in legacy metrics")
+		t.Fatal("no apiserved_stubplan_emulations_total in cold metrics")
 	}
 	if n, _ := strconv.Atoi(emuLine[1]); n == 0 {
 		t.Error("cold matrix build reported zero emulations")
 	}
 
-	resp, err := hot.Client().Get(hot.URL + "/v1/compat/plan?system=graphene")
+	resp, err := warm.Client().Get(warm.URL + "/v1/compat/plan?system=graphene")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,9 +93,9 @@ func TestPlanETagAndWarmMetrics(t *testing.T) {
 		t.Fatalf("plan response = %d, ETag %q, %d bytes", resp.StatusCode, etag, len(body))
 	}
 
-	req, _ := http.NewRequest("GET", hot.URL+"/v1/compat/plan?system=graphene", nil)
+	req, _ := http.NewRequest("GET", warm.URL+"/v1/compat/plan?system=graphene", nil)
 	req.Header.Set("If-None-Match", etag)
-	resp, err = hot.Client().Do(req)
+	resp, err = warm.Client().Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +105,7 @@ func TestPlanETagAndWarmMetrics(t *testing.T) {
 		t.Errorf("If-None-Match replay = %d with %d bytes, want 304 empty", resp.StatusCode, len(raw))
 	}
 
-	_, warmMetrics := fetch(t, hot, "GET", "/metrics", "")
+	_, warmMetrics := fetch(t, warm, "GET", "/metrics", "")
 	text := string(warmMetrics)
 	for _, want := range []string{
 		"apiserved_stubplan_enabled 1",

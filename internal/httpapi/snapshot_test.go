@@ -105,7 +105,14 @@ func TestSnapshotPushLifecycle(t *testing.T) {
 	ref := service.New(a, "in-process", service.Config{})
 	var got service.ImportanceResult
 	getJSON(t, ts, "/v1/importance/read", http.StatusOK, &got)
-	want := ref.Importance("read")
+	enc, err := ref.ImportanceBytes(-1, "read")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want service.ImportanceResult
+	if err := json.Unmarshal(enc.Body, &want); err != nil {
+		t.Fatal(err)
+	}
 	if got.Importance != want.Importance || got.Unweighted != want.Unweighted {
 		t.Errorf("served importance %+v, want %+v", got, want)
 	}

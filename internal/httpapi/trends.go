@@ -45,40 +45,3 @@ type badParamError struct{ param, value string }
 func (e *badParamError) Error() string {
 	return "bad " + e.param + " " + strconv.Quote(e.value)
 }
-
-func (a *API) handleTrendImportance(w http.ResponseWriter, r *http.Request) {
-	top, err := positiveParam(r, "top")
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	res, err := a.svc.TrendImportance(r.URL.Query().Get("api"), top)
-	if err != nil {
-		writeServiceError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-func (a *API) handleTrendCompleteness(w http.ResponseWriter, r *http.Request) {
-	res, err := a.svc.TrendCompleteness(r.URL.Query().Get("target"))
-	if err != nil {
-		writeServiceError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-func (a *API) handleTrendPath(w http.ResponseWriter, r *http.Request) {
-	limit, err := positiveParam(r, "limit")
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	res, err := a.svc.TrendPath(r.URL.Query().Get("direction"), limit)
-	if err != nil {
-		writeServiceError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}

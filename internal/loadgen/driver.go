@@ -25,7 +25,7 @@ type Options struct {
 	// straight into the handler in-process instead of over a socket.
 	// This measures the serving stack itself — routing, caches,
 	// encoding — without kernel networking noise, which is what a
-	// read-path throughput comparison wants. BaseURL may be left empty.
+	// read-path throughput ceiling wants. BaseURL may be left empty.
 	Handler http.Handler
 
 	// Mode selects the driver: ModeClosed or ModeOpen.
@@ -564,34 +564,6 @@ func Ceiling(ctx context.Context, profile *Profile, opts Options, workersSeq []i
 		}
 	}
 	return out, nil
-}
-
-// CeilingComparison relates two ceiling searches over the same
-// workload — the single-lock legacy read path as baseline and the
-// encoded hot path — into the speedup figure the benchmark gate holds.
-type CeilingComparison struct {
-	SLOP99Ms       float64        `json:"slo_p99_ms"`
-	Baseline       *CeilingReport `json:"baseline"`
-	Hot            *CeilingReport `json:"hot"`
-	BaselineMaxRPS float64        `json:"baseline_max_rps"`
-	MaxRPSUnderSLO float64        `json:"max_rps_under_slo"`
-	Speedup        float64        `json:"serving_throughput_speedup"`
-}
-
-// CompareCeilings builds the comparison; Speedup is 0 when the
-// baseline never passed its SLO (nothing meaningful to divide by).
-func CompareCeilings(baseline, hot *CeilingReport) *CeilingComparison {
-	c := &CeilingComparison{
-		SLOP99Ms:       hot.SLOP99Ms,
-		Baseline:       baseline,
-		Hot:            hot,
-		BaselineMaxRPS: baseline.MaxRPSUnderSLO,
-		MaxRPSUnderSLO: hot.MaxRPSUnderSLO,
-	}
-	if baseline.MaxRPSUnderSLO > 0 {
-		c.Speedup = math.Round(hot.MaxRPSUnderSLO/baseline.MaxRPSUnderSLO*100) / 100
-	}
-	return c
 }
 
 // SortedEndpoints returns the report's endpoint names in stable order.

@@ -499,10 +499,10 @@ func TestHandlerTransport(t *testing.T) {
 	}
 }
 
-// TestCeilingAndComparison steps a fast in-process handler through a
-// worker ladder and checks the report shape, then pins the comparison
-// arithmetic including the baseline-never-passed guard.
-func TestCeilingAndComparison(t *testing.T) {
+// TestCeiling steps a fast in-process handler through a worker ladder
+// and checks the report shape, and that an always-5xx handler never
+// passes a stage.
+func TestCeiling(t *testing.T) {
 	p := testProfile(t)
 	ok := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte(`{}`))
@@ -543,17 +543,6 @@ func TestCeilingAndComparison(t *testing.T) {
 	}
 	if failed.MaxRPSUnderSLO != 0 || failed.BestWorkers != 0 {
 		t.Errorf("all-5xx ceiling = %+v, want no passing rate", failed)
-	}
-
-	cmp := CompareCeilings(&CeilingReport{MaxRPSUnderSLO: 100}, rep)
-	if cmp.BaselineMaxRPS != 100 || cmp.MaxRPSUnderSLO != rep.MaxRPSUnderSLO {
-		t.Errorf("comparison rates = %+v", cmp)
-	}
-	if want := cmp.MaxRPSUnderSLO / 100; cmp.Speedup < want*0.99 || cmp.Speedup > want*1.01 {
-		t.Errorf("speedup = %v, want ~%v", cmp.Speedup, want)
-	}
-	if zero := CompareCeilings(failed, rep); zero.Speedup != 0 {
-		t.Errorf("speedup over a never-passing baseline = %v, want 0", zero.Speedup)
 	}
 
 	if _, err := Ceiling(context.Background(), p, Options{Handler: ok}, nil, 1000); err == nil {

@@ -16,16 +16,16 @@ func ExampleImportance() {
 	sv.Set("alpha", 50)
 	sv.Set("beta", 50)
 
-	use := func(names ...string) footprint.Set {
+	use := func(names ...string) *footprint.BitSet {
 		fp := make(footprint.Set)
 		for _, n := range names {
 			fp.Add(linuxapi.Sys(n))
 		}
-		return fp
+		return footprint.SetBits(fp)
 	}
 	in := &metrics.Input{
 		Survey: sv,
-		Footprints: map[string]footprint.Set{
+		Footprints: map[string]*footprint.BitSet{
 			"alpha": use("mount", "read"),
 			"beta":  use("mount"),
 		},

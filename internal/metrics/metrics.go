@@ -23,31 +23,24 @@ import (
 )
 
 // Input bundles the measured corpus: package metadata, installation
-// statistics, and per-package API footprints.
+// statistics, and per-package API footprints as dense bitsets.
 type Input struct {
 	Repo   *apt.Repository
 	Survey *popcon.Survey
 	// Footprints maps package name to its aggregated API footprint (the
 	// union over the package's executables, §2).
-	Footprints map[string]footprint.Set
+	Footprints map[string]*footprint.BitSet
 	// Direct maps package name to the APIs its own binaries' code requests
 	// without going through a library — used for the library/package
 	// attribution tables (Tables 1, 2, 5).
-	Direct map[string]footprint.Set
-	// Bits and DirectBits optionally carry the dense bitset forms of
-	// Footprints and Direct (same keys, same members). The pipeline
-	// populates them; ad-hoc Inputs built from maps alone work
-	// identically — the columns below are derived from the maps on
-	// first use.
-	Bits       map[string]*footprint.BitSet
-	DirectBits map[string]*footprint.BitSet
+	Direct map[string]*footprint.BitSet
 
 	colsOnce sync.Once
 	cols     columns
 }
 
 // columns is the dense form every metric computes over: packages in
-// sorted order, footprints as bitsets. Derived once per Input.
+// sorted order with their footprints alongside. Derived once per Input.
 type columns struct {
 	pkgs   []string
 	bits   []*footprint.BitSet
@@ -68,19 +61,15 @@ func (in *Input) columns() *columns {
 		c.bits = make([]*footprint.BitSet, len(c.pkgs))
 		c.direct = make([]*footprint.BitSet, len(c.pkgs))
 		for i, pkg := range c.pkgs {
-			b := in.Bits[pkg]
+			b := in.Footprints[pkg]
 			if b == nil {
-				b = footprint.SetBits(in.Footprints[pkg])
+				b = footprint.NewBitSet()
 			}
 			c.bits[i] = b
 			if cap := b.Cap(); cap > c.cap {
 				c.cap = cap
 			}
-			if d := in.DirectBits[pkg]; d != nil {
-				c.direct[i] = d
-			} else if d, ok := in.Direct[pkg]; ok {
-				c.direct[i] = footprint.SetBits(d)
-			}
+			c.direct[i] = in.Direct[pkg]
 		}
 	})
 	return &in.cols
@@ -526,9 +515,9 @@ func CountAbove(imp []float64, threshold float64) int {
 	return n
 }
 
-// Record mirrors the measured relations into an embedded store DB so that
-// report generation can run index-backed queries, the way the paper's
-// pipeline queried PostgreSQL. It returns the populated tables.
+// Tables are the relations Record loads into an embedded store DB, the
+// way the paper's pipeline mirrored its measurements into PostgreSQL
+// (§7). The metrics themselves compute over the bitset columns.
 type Tables struct {
 	PkgAPI     *store.Table[PkgAPIRow]
 	PkgInstall *store.Table[PkgInstallRow]
@@ -597,4 +586,20 @@ func Record(db *store.DB, in *Input) *Tables {
 	t.PkgInstall.InsertBatch(installRows)
 	t.PkgDep.InsertBatch(depRows)
 	return t
+}
+
+// RecordStats counts what Record would load into a fresh DB — the
+// relations and their total rows (footprint members, packages and
+// dependency edges) — without building the tables. Table 12 reports it.
+func RecordStats(in *Input) (tables, rows int) {
+	c := in.columns()
+	for i, pkg := range c.pkgs {
+		rows += c.bits[i].Count() + 1
+		if in.Repo != nil {
+			if p := in.Repo.Get(pkg); p != nil {
+				rows += len(p.Depends)
+			}
+		}
+	}
+	return 3, rows
 }

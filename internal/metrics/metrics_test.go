@@ -20,6 +20,15 @@ func set(apis ...linuxapi.API) footprint.Set {
 	return s
 }
 
+// bitsOf converts map footprints to the Input's bitset form.
+func bitsOf(m map[string]footprint.Set) map[string]*footprint.BitSet {
+	out := make(map[string]*footprint.BitSet, len(m))
+	for pkg, s := range m {
+		out[pkg] = footprint.SetBits(s)
+	}
+	return out
+}
+
 // fixture: four packages with overlapping footprints.
 //
 //	libc6 (100%): read, write
@@ -40,16 +49,16 @@ func fixture() *Input {
 	return &Input{
 		Repo:   repo,
 		Survey: sv,
-		Footprints: map[string]footprint.Set{
+		Footprints: bitsOf(map[string]footprint.Set{
 			"libc6": set(linuxapi.Sys("read"), linuxapi.Sys("write")),
 			"tool":  set(linuxapi.Sys("read"), linuxapi.Sys("ioctl"), linuxapi.Ioctl("TCGETS")),
 			"rare":  set(linuxapi.Sys("reboot")),
 			"never": set(linuxapi.Sys("kexec_load")),
-		},
-		Direct: map[string]footprint.Set{
+		}),
+		Direct: bitsOf(map[string]footprint.Set{
 			"libc6": set(linuxapi.Sys("read"), linuxapi.Sys("write")),
 			"tool":  set(linuxapi.Ioctl("TCGETS")),
-		},
+		}),
 	}
 }
 
@@ -81,10 +90,10 @@ func TestImportanceIndependentCombination(t *testing.T) {
 	sv.Set("b", 50)
 	in := &Input{
 		Survey: sv,
-		Footprints: map[string]footprint.Set{
+		Footprints: bitsOf(map[string]footprint.Set{
 			"a": set(linuxapi.Sys("mount")),
 			"b": set(linuxapi.Sys("mount")),
-		},
+		}),
 	}
 	imp := Importance(in)
 	if v := imp[linuxapi.Sys("mount")]; !almost(v, 0.75) {
@@ -140,10 +149,10 @@ func TestWeightedCompletenessDependencyPropagation(t *testing.T) {
 	in := &Input{
 		Repo:   repo,
 		Survey: sv,
-		Footprints: map[string]footprint.Set{
+		Footprints: bitsOf(map[string]footprint.Set{
 			"base": set(linuxapi.Sys("reboot")), // unsupported below
 			"app":  set(linuxapi.Sys("read")),
-		},
+		}),
 	}
 	supported := set(linuxapi.Sys("read"))
 	opts := CompletenessOptions{Kind: linuxapi.KindSyscall}
@@ -207,10 +216,10 @@ func TestGreedyPathDependencyPropagation(t *testing.T) {
 	in := &Input{
 		Repo:   repo,
 		Survey: sv,
-		Footprints: map[string]footprint.Set{
+		Footprints: bitsOf(map[string]footprint.Set{
 			"base": set(linuxapi.Sys("reboot")),
 			"app":  set(linuxapi.Sys("read")),
-		},
+		}),
 	}
 	path := GreedyPath(in, linuxapi.KindSyscall)
 	// read ranks first (importance 1.0 vs reboot 0.1+) but app only
@@ -317,6 +326,41 @@ func TestRecord(t *testing.T) {
 	}
 }
 
+// TestRecordStatsMatchesStore pins Table 12's counts to the store: the
+// relations and rows RecordStats reports are what Record loads.
+func TestRecordStatsMatchesStore(t *testing.T) {
+	repo := apt.NewRepository()
+	repo.Add(&apt.Package{Name: "app", Depends: []string{"libc6", "not-in-corpus"}})
+	repo.Add(&apt.Package{Name: "libc6"})
+	sv := popcon.NewSurvey(10)
+	sv.Set("app", 5)
+	orphan := &Input{
+		Repo:   repo,
+		Survey: sv,
+		Footprints: bitsOf(map[string]footprint.Set{
+			"app":    set(linuxapi.Sys("read"), linuxapi.Pseudo("/proc/self/maps")),
+			"libc6":  set(linuxapi.Sys("read"), linuxapi.Sys("write")),
+			"no-pkg": set(linuxapi.Sys("reboot")),
+			"empty":  set(),
+		}),
+		Direct: bitsOf(map[string]footprint.Set{"app": set(linuxapi.Sys("read"))}),
+	}
+	for name, in := range map[string]*Input{
+		"fixture":  fixture(),
+		"orphans":  orphan,
+		"no-repo":  {Survey: sv, Footprints: bitsOf(map[string]footprint.Set{"x": set(linuxapi.Sys("read"))})},
+		"no-input": {Survey: sv},
+	} {
+		db := store.NewDB()
+		Record(db, in)
+		wantTables, wantRows := db.Stats()
+		if tables, rows := RecordStats(in); tables != wantTables || rows != wantRows {
+			t.Errorf("%s: RecordStats = %d tables %d rows, store has %d/%d",
+				name, tables, rows, wantTables, wantRows)
+		}
+	}
+}
+
 func TestImportanceBounds(t *testing.T) {
 	f := func(counts []uint16) bool {
 		sv := popcon.NewSurvey(1 << 16)
@@ -326,7 +370,7 @@ func TestImportanceBounds(t *testing.T) {
 			sv.Set(name, int64(c))
 			fps[name] = set(linuxapi.Sys("read"))
 		}
-		in := &Input{Survey: sv, Footprints: fps}
+		in := &Input{Survey: sv, Footprints: bitsOf(fps)}
 		for _, v := range Importance(in) {
 			if v < 0 || v > 1 || math.IsNaN(v) {
 				return false

@@ -33,14 +33,11 @@ func AblationSummary(c *corpus.Corpus) (string, error) {
 		return "", err
 	}
 
+	sysMask := footprint.KindMask(linuxapi.KindSyscall)
 	avgSyscalls := func(s *core.Study) float64 {
 		var total, n int
 		for _, fp := range s.Input.Footprints {
-			for api := range fp {
-				if api.Kind == linuxapi.KindSyscall {
-					total++
-				}
-			}
+			total += fp.CountMasked(sysMask)
 			n++
 		}
 		if n == 0 {

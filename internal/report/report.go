@@ -407,7 +407,7 @@ func (r *Report) Table11() string {
 
 // Table12 renders the framework's implementation statistics.
 func (r *Report) Table12() string {
-	tables, rows := r.Study.DB.Stats()
+	tables, rows := metrics.RecordStats(r.Study.Input)
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 12: analysis framework statistics\n")
 	fmt.Fprintf(&b, "  packages analyzed:        %d (paper: 30,976)\n", r.Study.Corpus.Repo.Len())

@@ -2,15 +2,15 @@ package service
 
 import (
 	"bytes"
-	"encoding/json"
 	"sync/atomic"
 	"testing"
 )
 
 // BenchmarkServiceCompletenessQuery is the serving-path baseline: the
 // same weighted-completeness question answered cold (straight through
-// the metrics machinery) and warm (through the service's LRU cache).
-// Future serving PRs should move the cached number, not the uncached one.
+// the metrics machinery), warm (a byte-cache hit) and through the
+// service with every query missing. Future serving PRs should move the
+// cached number, not the uncached one.
 func BenchmarkServiceCompletenessQuery(b *testing.B) {
 	svc := newTestService(b, Config{})
 	path := svc.Snapshot().Study.GreedyPath()
@@ -31,50 +31,66 @@ func BenchmarkServiceCompletenessQuery(b *testing.B) {
 	})
 
 	b.Run("cached", func(b *testing.B) {
-		if _, err := svc.Completeness(names); err != nil { // warm the entry
+		if _, err := svc.CompletenessBytes(-1, names); err != nil { // warm the entry
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := svc.Completeness(names)
+			enc, err := svc.CompletenessBytes(-1, names)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if !res.Cached {
+			if !bytes.Contains(enc.Body, []byte(`"cached": true`)) {
 				b.Fatal("cache miss on warm entry")
 			}
 		}
 	})
 
 	b.Run("uncached-through-service", func(b *testing.B) {
-		// A one-entry cache with two alternating sets: every query
-		// misses and pays the full metrics cost plus cache bookkeeping.
-		tiny := New(svc.Snapshot().Study, "bench", Config{CacheSize: 1})
-		sets := [2][]string{names, names[:len(names)-1]}
+		// The smallest byte cache holds about two completeness answers
+		// per shard; cycling through a thousand distinct supported sets
+		// makes every query miss and pay the full metrics cost plus
+		// encoding and cache bookkeeping.
+		tiny := New(svc.Snapshot().Study, "bench", Config{CacheBytes: 1})
+		var sets [][]string
+		for i := range names {
+			for j := 1; j <= 7; j++ {
+				drop := (i + j) % len(names)
+				var set []string
+				for k, n := range names {
+					if k != i && k != drop {
+						set = append(set, n)
+					}
+				}
+				sets = append(sets, set)
+			}
+		}
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := tiny.Completeness(sets[i%2])
+			enc, err := tiny.CompletenessBytes(-1, sets[i%len(sets)])
 			if err != nil {
 				b.Fatal(err)
 			}
-			if res.Cached {
+			if !bytes.Contains(enc.Body, []byte(`"cached": false`)) {
 				b.Fatal("unexpected cache hit")
 			}
 		}
 	})
 }
 
-// BenchmarkQueryHotPath is the read-path showdown the serving gate is
+// BenchmarkQueryHotPath is the read-path benchmark the serving gate is
 // built on: the same parallel mixed-read workload (importance-heavy
 // with completeness, suggest and path queries — the shape the load
-// generator drives) answered by the legacy struct path
-// (global-LRU structs re-encoded per request, what the handlers did)
-// and by the encoded byte path (hotset + sharded byte cache +
-// singleflight). Run with -benchmem; benchgate derives
-// hotpath_speedup = legacy/hot and gates it >= 2x.
+// generator drives) answered by "compute", the answer builders plus
+// encodeAnswer that every byte-cache miss runs, and by "hot", the
+// served path (hotset + sharded byte cache + singleflight). Run with
+// -benchmem; benchgate derives hotpath_speedup = compute/hot and gates
+// it >= 2x.
 func BenchmarkQueryHotPath(b *testing.B) {
 	svc := newTestService(b, Config{})
-	path := svc.Snapshot().Study.GreedyPath()
+	snap := svc.Snapshot()
+	path := snap.Study.GreedyPath()
 	var names []string
 	for _, pt := range path {
 		names = append(names, pt.API.Name)
@@ -84,62 +100,36 @@ func BenchmarkQueryHotPath(b *testing.B) {
 	}
 	sets := [][]string{names[:10], names[:25], names[:40]}
 
-	// encodeLegacy reproduces what the legacy handler did after the
-	// struct came back: encode indented JSON into a fresh buffer.
-	encodeLegacy := func(b *testing.B, v any) {
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(v); err != nil {
-			b.Fatal(err)
-		}
-		if buf.Len() == 0 {
-			b.Fatal("empty encoding")
-		}
-	}
-
 	// One mixed operation per iteration, spread deterministically by a
 	// shared counter: 4 importance : 2 completeness : 1 suggest : 1 path.
-	b.Run("legacy", func(b *testing.B) {
+	b.Run("compute", func(b *testing.B) {
 		var ctr atomic.Uint64
-		// Warm the struct LRU so steady state is measured, not fill.
-		for _, set := range sets {
-			if _, err := svc.Completeness(set); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := svc.Suggest(set, 3); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := svc.GreedyPrefix(0); err != nil {
-			b.Fatal(err)
-		}
+		study, gen := snap.Study, snap.Generation
 		b.ReportAllocs()
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
 				i := ctr.Add(1)
+				var v any
+				status := 200
 				switch i % 8 {
 				case 0, 1, 2, 3:
-					encodeLegacy(b, svc.Importance(names[i%40]))
+					v, status = buildImportance(study, gen, names[i%40])
 				case 4, 5:
-					res, err := svc.Completeness(sets[i%3])
-					if err != nil {
-						b.Fatal(err)
-					}
-					encodeLegacy(b, res)
+					known, unknown := normalizeSyscalls(sets[i%3])
+					v = buildCompleteness(study, gen, known, unknown, false)
 				case 6:
-					res, err := svc.Suggest(sets[i%3], 3)
-					if err != nil {
-						b.Fatal(err)
-					}
-					encodeLegacy(b, res)
+					known, unknown := normalizeSyscalls(sets[i%3])
+					v = buildSuggest(study, gen, known, unknown, 3, false)
 				default:
-					res, err := svc.GreedyPrefix(0)
-					if err != nil {
-						b.Fatal(err)
-					}
-					encodeLegacy(b, res)
+					v = buildGreedyPrefix(study.GreedyPath(), gen, 0, false)
+				}
+				enc, err := encodeAnswer(status, "", v)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(enc.Body) == 0 {
+					b.Fatal("empty answer")
 				}
 			}
 		})
@@ -147,16 +137,13 @@ func BenchmarkQueryHotPath(b *testing.B) {
 
 	b.Run("hot", func(b *testing.B) {
 		var ctr atomic.Uint64
-		for _, set := range sets { // warm the byte cache the same way
+		for _, set := range sets { // warm the byte cache
 			if _, err := svc.CompletenessBytes(-1, set); err != nil {
 				b.Fatal(err)
 			}
 			if _, err := svc.SuggestBytes(-1, set, 3); err != nil {
 				b.Fatal(err)
 			}
-		}
-		if _, err := svc.PathBytes(-1, 0); err != nil {
-			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -48,9 +48,8 @@ const byteCacheEntryOverhead = 160
 // byteCache is the sharded, byte-size-bounded encoded-answer cache:
 // hash(key) picks a shard, each shard is an independent LRU under its
 // own mutex, and the bound is resident bytes (keys + bodies +
-// per-entry overhead), not entry count — a handful of large footprint
-// or path answers can no longer blow the heap the way the old
-// struct-LRU's entry-count bound allowed. Values are immutable Encoded
+// per-entry overhead), not entry count, so a handful of large footprint
+// or path answers cannot blow the heap. Values are immutable Encoded
 // blobs; readers share the byte slices and must not mutate them.
 type byteCache struct {
 	shards   [byteCacheShards]byteCacheShard

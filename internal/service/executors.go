@@ -200,17 +200,7 @@ func (e compatMatrixExec) Execute(ctx context.Context, raw json.RawMessage) (any
 		}
 	}
 	snap := e.s.Snapshot()
-	out := CompatMatrixResult{Generation: snap.Generation}
-	for _, r := range snap.Study.EvaluateSystems() {
-		out.Systems = append(out.Systems, SystemRow{
-			Name:              r.System.Name,
-			Version:           r.System.Version,
-			Supported:         r.Supported,
-			Completeness:      r.Completeness,
-			PaperCompleteness: r.System.PaperCompleteness,
-			Suggested:         r.Suggested,
-		})
-	}
+	out := CompatMatrixResult{Systems: buildCompatRows(snap.Study), Generation: snap.Generation}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -391,20 +381,16 @@ func (e planBuildExec) Execute(ctx context.Context, raw json.RawMessage) (any, e
 		systems = append(systems, sys)
 	}
 	snap := e.s.Snapshot()
-	// One ensureMatrix pays (or replays) the verdict build; the per-system
-	// plans after it are cheap and land in the caches for the read path.
+	// One ensureMatrix pays (or replays) the verdict build and publishes
+	// every system's plan to the hotset; the per-system plans after it
+	// are cheap fresh builds (Cached false).
 	m := e.s.ensureMatrix(snap)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	out := PlanBuildResult{Stats: m.Stats, Generation: snap.Generation}
 	for _, sys := range systems {
-		res, err := e.s.planFor(snap, sys)
-		if err != nil {
-			return nil, jobs.Permanent(err)
-		}
-		res.Cached = false // job results are fresh builds, not cache reads
-		out.Plans = append(out.Plans, res)
+		out.Plans = append(out.Plans, buildPlan(snap, sys, m))
 	}
 	return out, nil
 }

@@ -1,18 +1,16 @@
 package service
 
-// The encoded-answer read path. Query handlers used to decode cached
-// structs and re-encode JSON per request behind one global LRU mutex;
-// under concurrency that is a lock convoy plus redundant marshaling.
-// The byte path keeps the response *bytes*: a request resolves, in
-// order, against (1) the per-generation hotset — precomputed answers
-// published atomically alongside the snapshot swap, a plain map lookup
-// with no lock at all — (2) the sharded byte-bounded cache, one
-// per-shard mutex around a map probe, and (3) a singleflighted
-// compute-and-encode that seeds the cache. Responses are byte-identical
-// to what the legacy struct path would have written (equivalence is
-// pinned by tests): a cold miss encodes the answer twice — the served
-// copy says "cached": false, the stored copy says "cached": true —
-// mirroring how first and repeat requests always differed.
+// The encoded-answer read path: every query keeps the response *bytes*,
+// so a repeat answer costs no lock convoy and no re-marshaling. A
+// request resolves, in order, against (1) the per-generation hotset —
+// precomputed answers published atomically alongside the snapshot
+// swap, a plain map lookup with no lock at all — (2) the sharded
+// byte-bounded cache, one per-shard mutex around a map probe, and (3) a
+// singleflighted compute-and-encode that seeds the cache. A cold miss
+// encodes the answer twice — the served copy says "cached": false, the
+// stored copy says "cached": true — so first and repeat requests differ
+// exactly there (the bytes are pinned by golden response files in
+// internal/httpapi).
 
 import (
 	"bytes"
@@ -71,9 +69,12 @@ func etagFor(base, key string) string {
 	return `"` + hex.EncodeToString(h[:8]) + `"`
 }
 
-// studyCtx resolves the study a byte query runs against, like studyFor,
-// plus the ETag base for the serving identity. The base is a func so
-// series-generation requests only pay the fingerprint on cache misses.
+// studyCtx resolves the study a query runs against — the resident
+// snapshot (gen < 0) or one generation of the resident series — with
+// the generation value to report, the cache-key prefix that makes
+// answers unique per serving identity, and the ETag base for that
+// identity. The base is a func so series-generation requests only pay
+// the fingerprint on cache misses.
 func (s *Service) studyCtx(gen int) (*repro.Study, uint64, string, func() string, error) {
 	if gen < 0 {
 		snap := s.Snapshot()
@@ -139,9 +140,9 @@ func (s *Service) fetchEncoded(ep *endpointCounters, key string, etagBase func()
 	return enc, nil
 }
 
-// Answer builders shared by the byte path and the hotset: each
-// assembles exactly the struct the legacy path serves, so the encoded
-// bytes cannot drift from the struct path's.
+// Answer builders shared by the compute path and the hotset: one
+// builder per answer, so a precomputed answer and a computed one are
+// the same bytes.
 
 func buildImportance(study *repro.Study, label uint64, name string) (ImportanceResult, int) {
 	res := ImportanceResult{
@@ -153,8 +154,9 @@ func buildImportance(study *repro.Study, label uint64, name string) (ImportanceR
 	}
 	status := 200
 	if !res.Known && res.Importance == 0 {
-		// Same verdict the legacy handler makes: 404 only for names
-		// outside the syscall table, 200 for known-but-unused calls.
+		// 404 only for names outside the syscall table, 200 for
+		// known-but-unused calls, so typos are distinguishable from
+		// Table 3's genuinely unused calls.
 		status = 404
 	}
 	return res, status
@@ -210,10 +212,9 @@ func buildCompatRows(study *repro.Study) []SystemRow {
 	return rows
 }
 
-// Canonical byte-path cache keys. Unlike the legacy struct cache they
-// embed *every* input that shapes the response — the completeness and
-// suggest keys include the unknown-name set because the stored bytes
-// carry the "unknown" field the old float-only cache did not.
+// Canonical cache keys. They embed *every* input that shapes the
+// response — the completeness and suggest keys include the unknown-name
+// set because the stored bytes carry the "unknown" field.
 
 func impKey(prefix, name string) string { return "imp|" + prefix + "|" + name }
 
@@ -229,8 +230,9 @@ func pathKey(prefix string, n int) string {
 	return "pathq|" + prefix + "|" + strconv.Itoa(n)
 }
 
-// ImportanceBytes is the byte-path Importance: on the resident snapshot
-// every table syscall is a hotset hit.
+// ImportanceBytes answers /v1/importance/{syscall}: the measured
+// importance of one system call. On the resident snapshot every table
+// syscall is a hotset hit.
 func (s *Service) ImportanceBytes(gen int, name string) (Encoded, error) {
 	study, label, prefix, base, err := s.studyCtx(gen)
 	if err != nil {
@@ -243,7 +245,8 @@ func (s *Service) ImportanceBytes(gen int, name string) (Encoded, error) {
 		})
 }
 
-// CompletenessBytes is the byte-path Completeness.
+// CompletenessBytes answers /v1/completeness: the weighted completeness
+// of a supported syscall set (§2.2), keyed by the normalized set.
 func (s *Service) CompletenessBytes(gen int, names []string) (Encoded, error) {
 	study, label, prefix, base, err := s.studyCtx(gen)
 	if err != nil {
@@ -257,7 +260,9 @@ func (s *Service) CompletenessBytes(gen int, names []string) (Encoded, error) {
 		})
 }
 
-// SuggestBytes is the byte-path Suggest.
+// SuggestBytes answers /v1/suggest: the k most valuable system calls
+// missing from the supported set, with the completeness reached after
+// each addition.
 func (s *Service) SuggestBytes(gen int, supported []string, k int) (Encoded, error) {
 	if k <= 0 {
 		k = 5
@@ -274,9 +279,9 @@ func (s *Service) SuggestBytes(gen int, supported []string, k int) (Encoded, err
 		})
 }
 
-// PathBytes is the byte-path GreedyPrefix. Full-path requests (n <= 0,
-// or n at least the path length) normalize onto the hotset's
-// precomputed full answer.
+// PathBytes answers /v1/path: the first n steps of the greedy syscall
+// path. Full-path requests (n <= 0, or n at least the path length)
+// normalize onto the hotset's precomputed full answer.
 func (s *Service) PathBytes(gen, n int) (Encoded, error) {
 	study, label, prefix, base, err := s.studyCtx(gen)
 	if err != nil {
@@ -296,7 +301,8 @@ func (s *Service) PathBytes(gen, n int) (Encoded, error) {
 		})
 }
 
-// FootprintBytes is the byte-path Footprint.
+// FootprintBytes answers /v1/footprint/{pkg}: a package's measured
+// syscall footprint.
 func (s *Service) FootprintBytes(gen int, pkg string) (Encoded, error) {
 	study, label, prefix, base, err := s.studyCtx(gen)
 	if err != nil {
@@ -315,7 +321,8 @@ func (s *Service) FootprintBytes(gen int, pkg string) (Encoded, error) {
 		})
 }
 
-// SeccompBytes is the byte-path Seccomp.
+// SeccompBytes answers /v1/seccomp/{pkg}: a compiled, verified sandbox
+// policy for the package's footprint.
 func (s *Service) SeccompBytes(pkg, denyName string) (Encoded, error) {
 	deny, denyLabel, err := ParseDenyAction(denyName)
 	if err != nil {
@@ -348,8 +355,9 @@ func (s *Service) SeccompBytes(pkg, denyName string) (Encoded, error) {
 		})
 }
 
-// CompatSystemsBytes is the byte-path CompatSystems: a hotset hit on
-// the resident snapshot.
+// CompatSystemsBytes answers /v1/compat/systems: every modeled
+// compatibility layer evaluated against the resident study (Table 6), a
+// hotset hit.
 func (s *Service) CompatSystemsBytes() (Encoded, error) {
 	study, label, prefix, base, err := s.studyCtx(-1)
 	if err != nil {
@@ -377,7 +385,10 @@ func (s *Service) trendCtx() (*seriesState, func() string, error) {
 	return ss, func() string { return base }, nil
 }
 
-// TrendImportanceBytes is the byte-path TrendImportance.
+// TrendImportanceBytes answers /v1/trends/importance: per-API importance
+// trajectories across the resident series — the trend for one named
+// API, or (api == "") the top APIs by absolute importance drift. Trends
+// encodes as [] when nothing matches: an empty filter is an answer.
 func (s *Service) TrendImportanceBytes(api string, top int) (Encoded, error) {
 	ss, base, err := s.trendCtx()
 	if err != nil {
@@ -427,7 +438,9 @@ func (s *Service) TrendImportanceBytes(api string, top int) (Encoded, error) {
 		})
 }
 
-// TrendCompletenessBytes is the byte-path TrendCompleteness.
+// TrendCompletenessBytes answers /v1/trends/completeness: the weighted
+// completeness trajectory of every compatibility target across the
+// series, or of those whose name contains target (case-insensitive).
 func (s *Service) TrendCompletenessBytes(target string) (Encoded, error) {
 	ss, base, err := s.trendCtx()
 	if err != nil {
@@ -450,7 +463,10 @@ func (s *Service) TrendCompletenessBytes(target string) (Encoded, error) {
 		})
 }
 
-// TrendPathBytes is the byte-path TrendPath.
+// TrendPathBytes answers /v1/trends/path: which system calls moved
+// toward or away from the head of the implementation path across the
+// series. direction filters to "toward", "away" or "stable" (empty:
+// all); limit caps the rows (0: all).
 func (s *Service) TrendPathBytes(direction string, limit int) (Encoded, error) {
 	switch direction {
 	case "", "toward", "away", "stable":

@@ -39,7 +39,7 @@ type hotset struct {
 // packages == 0 (the empty placeholder a replica serves while awaiting
 // a snapshot) builds only the importance table: derived metrics over an
 // empty corpus are not meaningful, and the compute path answers the
-// stray query identically to the legacy path.
+// stray query.
 func buildHotset(study *repro.Study, gen uint64, fingerprint string, packages int) *hotset {
 	prefix := strconv.FormatUint(gen, 10)
 	h := &hotset{entries: make(map[string]Encoded, 400), prefix: prefix}

@@ -1,12 +1,13 @@
 // Package service turns the batch reproduction into a resident query
 // system: one analyzed repro.Study is held behind an atomically-swappable
-// snapshot (load or generate once, serve forever), expensive derived
-// queries go through a bounded LRU cache, and ad-hoc analyses of uploaded
-// ELF binaries run in a concurrency-limited pool. The paper built its
-// framework as a reusable substrate (PostgreSQL plus recursive queries,
-// §7) precisely so footprint and completeness questions could be asked
-// repeatedly without re-analysis; this package is that substrate as a
-// long-running service.
+// snapshot (load or generate once, serve forever), every query is
+// answered as pre-encoded bytes (see hotpath.go: a per-generation
+// hotset, then a byte-bounded cache, then a singleflighted compute), and
+// ad-hoc analyses of uploaded ELF binaries run in a concurrency-limited
+// pool. The paper built its framework as a reusable substrate
+// (PostgreSQL plus recursive queries, §7) precisely so footprint and
+// completeness questions could be asked repeatedly without
+// re-analysis; this package is that substrate as a long-running service.
 //
 // Concurrency model: every query loads the current *Snapshot pointer once
 // and works against it, so a background Swap never tears a request —
@@ -25,7 +26,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -46,11 +46,9 @@ var ErrBusy = errors.New("service: analysis pool saturated")
 
 // Config sizes the service.
 type Config struct {
-	// CacheSize bounds the derived-query LRU cache (entries).
-	CacheSize int
 	// CacheBytes bounds the encoded-answer byte cache (resident bytes
-	// across all shards; default 64 MiB). Unlike CacheSize it bounds
-	// memory, not entry count — a few large answers cannot blow the heap.
+	// across all shards; default 64 MiB): it bounds memory, not entry
+	// count, so a few large answers cannot blow the heap.
 	CacheBytes int64
 	// MaxAnalyses bounds concurrently running ad-hoc ELF analyses.
 	MaxAnalyses int
@@ -67,7 +65,7 @@ type Config struct {
 
 // DefaultConfig returns serving defaults suitable for one resident study.
 func DefaultConfig() Config {
-	return Config{CacheSize: 512, CacheBytes: 64 << 20, MaxAnalyses: 4}
+	return Config{CacheBytes: 64 << 20, MaxAnalyses: 4}
 }
 
 // Snapshot is one published study plus its serving metadata. Snapshots
@@ -91,8 +89,6 @@ type Service struct {
 	cfg  Config
 	snap atomic.Pointer[Snapshot]
 	gen  atomic.Uint64
-
-	cache *lruCache
 
 	// The encoded-answer read path (see hotpath.go): per-generation
 	// precomputed answers behind an atomic pointer, a sharded
@@ -136,9 +132,6 @@ type Service struct {
 // New publishes study as generation 1 and returns the serving layer.
 func New(study *repro.Study, source string, cfg Config) *Service {
 	def := DefaultConfig()
-	if cfg.CacheSize <= 0 {
-		cfg.CacheSize = def.CacheSize
-	}
 	if cfg.CacheBytes <= 0 {
 		cfg.CacheBytes = def.CacheBytes
 	}
@@ -147,7 +140,6 @@ func New(study *repro.Study, source string, cfg Config) *Service {
 	}
 	s := &Service{
 		cfg:        cfg,
-		cache:      newLRU(cfg.CacheSize),
 		bcache:     newByteCache(cfg.CacheBytes),
 		analyzeSem: make(chan struct{}, cfg.MaxAnalyses),
 	}
@@ -228,10 +220,6 @@ type Stats struct {
 	Source           string
 	LoadedAt         time.Time
 	Meta             repro.Meta
-	CacheHits        uint64
-	CacheMisses      uint64
-	CacheLen         int
-	CacheCap         int
 	AnalysesActive   int64
 	AnalysesTotal    uint64
 	AnalysesRejected uint64
@@ -266,11 +254,10 @@ type Stats struct {
 	TrendPathQueries         uint64
 	GenerationQueries        uint64
 	SeriesBuildSeconds       float64
-	// Encoded read-path counters: CacheHits/CacheMisses above aggregate
-	// the legacy struct-LRU and the byte cache; the ByteCache* fields
-	// break out the byte cache itself (per-endpoint in Endpoints), and
-	// Hotset*/SingleflightShared cover the precomputed-answer table and
-	// the miss-collapsing group in front of it.
+	// Read-path counters: the ByteCache* fields cover the encoded-answer
+	// cache (per endpoint in Endpoints), and Hotset*/SingleflightShared
+	// cover the precomputed-answer table in front of it and the group
+	// collapsing concurrent misses behind it.
 	ByteCacheHits      uint64
 	ByteCacheMisses    uint64
 	ByteCacheEvictions uint64
@@ -298,19 +285,18 @@ type Stats struct {
 	StubInconclusive uint64
 }
 
-// HitRatio returns cache hits over lookups (0 when idle).
+// HitRatio returns byte-cache hits over lookups (0 when idle).
 func (st Stats) HitRatio() float64 {
-	total := st.CacheHits + st.CacheMisses
+	total := st.ByteCacheHits + st.ByteCacheMisses
 	if total == 0 {
 		return 0
 	}
-	return float64(st.CacheHits) / float64(total)
+	return float64(st.ByteCacheHits) / float64(total)
 }
 
 // Stats returns the current serving counters.
 func (s *Service) Stats() Stats {
 	snap := s.Snapshot()
-	hits, misses, length, capacity := s.cache.Stats()
 	bc := s.bcache.Stats()
 	var hotsetBytes int64
 	var hotsetEntries int
@@ -350,10 +336,6 @@ func (s *Service) Stats() Stats {
 		Source:             snap.Source,
 		LoadedAt:           snap.LoadedAt,
 		Meta:               snap.Meta,
-		CacheHits:          hits + bc.Hits,
-		CacheMisses:        misses + bc.Misses,
-		CacheLen:           length,
-		CacheCap:           capacity,
 		AnalysesActive:     s.analysesActive.Load(),
 		AnalysesTotal:      s.analysesTotal.Load(),
 		AnalysesRejected:   s.analysesRejected.Load(),
@@ -401,20 +383,6 @@ func (s *Service) Stats() Stats {
 	}
 }
 
-// cached runs compute through the LRU cache. The key must embed every
-// input that affects the result, including the snapshot generation.
-func (s *Service) cached(key string, compute func() (any, error)) (any, bool, error) {
-	if v, ok := s.cache.Get(key); ok {
-		return v, true, nil
-	}
-	v, err := compute()
-	if err != nil {
-		return nil, false, err
-	}
-	s.cache.Add(key, v)
-	return v, false, nil
-}
-
 // normalizeSyscalls dedups and sorts names, splitting off any not in the
 // x86-64 Linux 3.19 table.
 func normalizeSyscalls(names []string) (known, unknown []string) {
@@ -456,12 +424,6 @@ type ImportanceResult struct {
 	Generation uint64  `json:"generation"`
 }
 
-// Importance reports the measured importance of one system call.
-func (s *Service) Importance(name string) ImportanceResult {
-	res, _ := s.ImportanceAt(-1, name) // never errors for gen < 0
-	return res
-}
-
 // CompletenessResult answers /v1/completeness.
 type CompletenessResult struct {
 	// Syscalls is the number of distinct recognized calls evaluated.
@@ -474,12 +436,6 @@ type CompletenessResult struct {
 	Cached       bool     `json:"cached"`
 }
 
-// Completeness evaluates the weighted completeness of a supported
-// syscall set (§2.2), caching by normalized set and generation.
-func (s *Service) Completeness(names []string) (CompletenessResult, error) {
-	return s.CompletenessAt(-1, names)
-}
-
 // SuggestResult answers /v1/suggest: the paper's §1 question, "which APIs
 // would increase the range of supported applications?", asked iteratively
 // the way compatibility-layer developers do.
@@ -489,12 +445,6 @@ type SuggestResult struct {
 	Suggestions []repro.Suggestion `json:"suggestions"`
 	Generation  uint64             `json:"generation"`
 	Cached      bool               `json:"cached"`
-}
-
-// Suggest returns the k most valuable system calls missing from the
-// supported set, with the completeness reached after each addition.
-func (s *Service) Suggest(supported []string, k int) (SuggestResult, error) {
-	return s.SuggestAt(-1, supported, k)
 }
 
 // GreedyPrefixResult answers greedy-path prefix queries: the first N
@@ -515,21 +465,11 @@ type CurvePointJSON struct {
 	Completeness float64 `json:"completeness"`
 }
 
-// GreedyPrefix returns the first n steps of the greedy syscall path.
-func (s *Service) GreedyPrefix(n int) (GreedyPrefixResult, error) {
-	return s.GreedyPrefixAt(-1, n)
-}
-
 // FootprintResult answers /v1/footprint/{pkg}.
 type FootprintResult struct {
 	Package    string   `json:"package"`
 	Syscalls   []string `json:"syscalls"`
 	Generation uint64   `json:"generation"`
-}
-
-// Footprint returns a package's measured syscall footprint.
-func (s *Service) Footprint(pkg string) (FootprintResult, error) {
-	return s.FootprintAt(-1, pkg)
 }
 
 // SeccompResult answers /v1/seccomp/{pkg}: a compiled, verified
@@ -557,39 +497,6 @@ func ParseDenyAction(name string) (uint32, string, error) {
 	return 0, "", fmt.Errorf("service: unknown deny action %q (want errno or kill)", name)
 }
 
-// Seccomp compiles (and caches) a verified sandbox policy for a package.
-func (s *Service) Seccomp(pkg, denyName string) (SeccompResult, error) {
-	deny, denyLabel, err := ParseDenyAction(denyName)
-	if err != nil {
-		return SeccompResult{}, err
-	}
-	snap := s.Snapshot()
-	if snap.Study.Core().Input.Footprints[pkg] == nil {
-		return SeccompResult{}, fmt.Errorf("%w: %q", ErrUnknownPackage, pkg)
-	}
-	key := fmt.Sprintf("seccomp|%d|%s|%s", snap.Generation, denyLabel, pkg)
-	v, hit, err := s.cached(key, func() (any, error) {
-		_, prog, err := snap.Study.SeccompPolicy(pkg, deny)
-		if err != nil {
-			return nil, err
-		}
-		return SeccompResult{
-			Package:      pkg,
-			DenyAction:   denyLabel,
-			Syscalls:     len(snap.Study.PackageFootprint(pkg)),
-			Instructions: len(prog),
-			Listing:      prog.Disassemble(),
-			Generation:   snap.Generation,
-		}, nil
-	})
-	if err != nil {
-		return SeccompResult{}, err
-	}
-	res := v.(SeccompResult)
-	res.Cached = hit
-	return res, nil
-}
-
 // SystemRow is one evaluated compatibility layer (Table 6) in wire form.
 type SystemRow struct {
 	Name              string   `json:"name"`
@@ -605,36 +512,6 @@ type CompatSystemsResult struct {
 	Systems    []SystemRow `json:"systems"`
 	Generation uint64      `json:"generation"`
 	Cached     bool        `json:"cached"`
-}
-
-// CompatSystems evaluates every modeled Linux compatibility layer
-// against the resident study (Table 6); the result is cached because the
-// evaluation walks the full greedy path per system.
-func (s *Service) CompatSystems() (CompatSystemsResult, error) {
-	snap := s.Snapshot()
-	key := "compat|" + strconv.FormatUint(snap.Generation, 10)
-	v, hit, err := s.cached(key, func() (any, error) {
-		var rows []SystemRow
-		for _, r := range snap.Study.EvaluateSystems() {
-			rows = append(rows, SystemRow{
-				Name:              r.System.Name,
-				Version:           r.System.Version,
-				Supported:         r.Supported,
-				Completeness:      r.Completeness,
-				PaperCompleteness: r.System.PaperCompleteness,
-				Suggested:         r.Suggested,
-			})
-		}
-		return rows, nil
-	})
-	if err != nil {
-		return CompatSystemsResult{}, err
-	}
-	return CompatSystemsResult{
-		Systems:    v.([]SystemRow),
-		Generation: snap.Generation,
-		Cached:     hit,
-	}, nil
 }
 
 // AnalyzeResult answers /v1/analyze: the footprint of an uploaded ELF.

@@ -2,7 +2,9 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -42,6 +44,21 @@ func newTestService(tb testing.TB, cfg Config) *Service {
 	return New(a, "test", cfg)
 }
 
+// as decodes a byte-path answer into its wire struct, passing the
+// query's error through:
+//
+//	res, err := as[CompletenessResult](svc.CompletenessBytes(-1, names))
+func as[T any](enc Encoded, err error) (T, error) {
+	var v T
+	if err != nil {
+		return v, err
+	}
+	if err := json.Unmarshal(enc.Body, &v); err != nil {
+		return v, fmt.Errorf("decoding %q: %w", enc.Body, err)
+	}
+	return v, nil
+}
+
 func TestSnapshotBasics(t *testing.T) {
 	svc := newTestService(t, Config{})
 	snap := svc.Snapshot()
@@ -61,11 +78,17 @@ func TestSnapshotBasics(t *testing.T) {
 
 func TestImportanceQuery(t *testing.T) {
 	svc := newTestService(t, Config{})
-	res := svc.Importance("read")
+	res, err := as[ImportanceResult](svc.ImportanceBytes(-1, "read"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.Known || res.Importance < 0.999 {
 		t.Errorf("Importance(read) = %+v", res)
 	}
-	res = svc.Importance("not_a_syscall")
+	res, err = as[ImportanceResult](svc.ImportanceBytes(-1, "not_a_syscall"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Known || res.Importance != 0 {
 		t.Errorf("Importance(not_a_syscall) = %+v", res)
 	}
@@ -75,7 +98,7 @@ func TestCompletenessCacheAccounting(t *testing.T) {
 	svc := newTestService(t, Config{})
 	names := []string{"read", "write", "openat", "close", "mmap"}
 
-	first, err := svc.Completeness(names)
+	first, err := as[CompletenessResult](svc.CompletenessBytes(-1, names))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +110,7 @@ func TestCompletenessCacheAccounting(t *testing.T) {
 	}
 
 	// Same set in different order and with duplicates must hit the cache.
-	again, err := svc.Completeness([]string{"mmap", "close", "openat", "write", "read", "read"})
+	again, err := as[CompletenessResult](svc.CompletenessBytes(-1, []string{"mmap", "close", "openat", "write", "read", "read"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,15 +122,15 @@ func TestCompletenessCacheAccounting(t *testing.T) {
 	}
 
 	st := svc.Stats()
-	if st.CacheHits != 1 || st.CacheMisses != 1 {
-		t.Errorf("cache hits/misses = %d/%d, want 1/1", st.CacheHits, st.CacheMisses)
+	if st.ByteCacheHits != 1 || st.ByteCacheMisses != 1 {
+		t.Errorf("cache hits/misses = %d/%d, want 1/1", st.ByteCacheHits, st.ByteCacheMisses)
 	}
 	if got := st.HitRatio(); got != 0.5 {
 		t.Errorf("hit ratio = %v, want 0.5", got)
 	}
 
 	// Unknown names are split out, not silently counted.
-	res, err := svc.Completeness([]string{"read", "not_a_syscall"})
+	res, err := as[CompletenessResult](svc.CompletenessBytes(-1, []string{"read", "not_a_syscall"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,35 +139,9 @@ func TestCompletenessCacheAccounting(t *testing.T) {
 	}
 }
 
-func TestLRUEviction(t *testing.T) {
-	c := newLRU(2)
-	c.Add("a", 1)
-	c.Add("b", 2)
-	if _, ok := c.Get("a"); !ok {
-		t.Fatal("a missing before eviction")
-	}
-	c.Add("c", 3) // evicts b (least recently used)
-	if _, ok := c.Get("b"); ok {
-		t.Error("b survived eviction")
-	}
-	if _, ok := c.Get("a"); !ok {
-		t.Error("a evicted out of order")
-	}
-	if _, ok := c.Get("c"); !ok {
-		t.Error("c missing")
-	}
-	hits, misses, length, capacity := c.Stats()
-	if length != 2 || capacity != 2 {
-		t.Errorf("len/cap = %d/%d, want 2/2", length, capacity)
-	}
-	if hits != 3 || misses != 1 {
-		t.Errorf("hits/misses = %d/%d, want 3/1", hits, misses)
-	}
-}
-
 func TestSuggestQuery(t *testing.T) {
 	svc := newTestService(t, Config{})
-	res, err := svc.Suggest([]string{"read", "write"}, 3)
+	res, err := as[SuggestResult](svc.SuggestBytes(-1, []string{"read", "write"}, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +158,7 @@ func TestSuggestQuery(t *testing.T) {
 		}
 		prev = sg.CompletenessAfter
 	}
-	again, err := svc.Suggest([]string{"write", "read"}, 3)
+	again, err := as[SuggestResult](svc.SuggestBytes(-1, []string{"write", "read"}, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +169,7 @@ func TestSuggestQuery(t *testing.T) {
 
 func TestGreedyPrefix(t *testing.T) {
 	svc := newTestService(t, Config{})
-	res, err := svc.GreedyPrefix(10)
+	res, err := as[GreedyPrefixResult](svc.PathBytes(-1, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +188,7 @@ func TestFootprintAndSeccomp(t *testing.T) {
 	pkgs := svc.Snapshot().Study.Packages()
 	var pkg string
 	for _, p := range pkgs {
-		if fps, err := svc.Footprint(p); err == nil && len(fps.Syscalls) > 0 {
+		if fps, err := as[FootprintResult](svc.FootprintBytes(-1, p)); err == nil && len(fps.Syscalls) > 0 {
 			pkg = p
 			break
 		}
@@ -200,11 +197,11 @@ func TestFootprintAndSeccomp(t *testing.T) {
 		t.Fatal("no package with a syscall footprint")
 	}
 
-	if _, err := svc.Footprint("no-such-package"); !errors.Is(err, ErrUnknownPackage) {
+	if _, err := svc.FootprintBytes(-1, "no-such-package"); !errors.Is(err, ErrUnknownPackage) {
 		t.Errorf("Footprint(no-such-package) err = %v", err)
 	}
 
-	sec, err := svc.Seccomp(pkg, "errno")
+	sec, err := as[SeccompResult](svc.SeccompBytes(pkg, "errno"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,24 +211,24 @@ func TestFootprintAndSeccomp(t *testing.T) {
 	if sec.Cached {
 		t.Error("first seccomp query reported cached")
 	}
-	sec2, err := svc.Seccomp(pkg, "")
+	sec2, err := as[SeccompResult](svc.SeccompBytes(pkg, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sec2.Cached {
 		t.Error("default deny action did not reuse the errno cache entry")
 	}
-	if _, err := svc.Seccomp(pkg, "bogus"); err == nil {
+	if _, err := svc.SeccompBytes(pkg, "bogus"); err == nil {
 		t.Error("bogus deny action accepted")
 	}
-	if _, err := svc.Seccomp("no-such-package", "kill"); !errors.Is(err, ErrUnknownPackage) {
+	if _, err := svc.SeccompBytes("no-such-package", "kill"); !errors.Is(err, ErrUnknownPackage) {
 		t.Errorf("Seccomp(no-such-package) err = %v", err)
 	}
 }
 
 func TestCompatSystems(t *testing.T) {
 	svc := newTestService(t, Config{})
-	res, err := svc.CompatSystems()
+	res, err := as[CompatSystemsResult](svc.CompatSystemsBytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +240,7 @@ func TestCompatSystems(t *testing.T) {
 			t.Errorf("bad row: %+v", row)
 		}
 	}
-	again, err := svc.CompatSystems()
+	again, err := as[CompatSystemsResult](svc.CompatSystemsBytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +305,7 @@ func TestAnalyzePoolSaturation(t *testing.T) {
 // response is internally consistent with exactly one generation.
 func TestConcurrentQueriesDuringSwap(t *testing.T) {
 	a, b := testStudies(t)
-	svc := New(a, "gen-a", Config{CacheSize: 64})
+	svc := New(a, "gen-a", Config{})
 
 	const workers = 8
 	stop := make(chan struct{})
@@ -326,7 +323,7 @@ func TestConcurrentQueriesDuringSwap(t *testing.T) {
 					return
 				default:
 				}
-				res, err := svc.Completeness(names[:1+(i+w)%len(names)])
+				res, err := as[CompletenessResult](svc.CompletenessBytes(-1, names[:1+(i+w)%len(names)]))
 				if err != nil {
 					errc <- err
 					return
@@ -335,14 +332,18 @@ func TestConcurrentQueriesDuringSwap(t *testing.T) {
 					errc <- errors.New("zero generation in response")
 					return
 				}
-				if sg, err := svc.Suggest(names[:2], 2); err != nil {
+				if sg, err := as[SuggestResult](svc.SuggestBytes(-1, names[:2], 2)); err != nil {
 					errc <- err
 					return
 				} else if sg.Generation == 0 {
 					errc <- errors.New("zero generation in suggestion")
 					return
 				}
-				imp := svc.Importance("read")
+				imp, err := as[ImportanceResult](svc.ImportanceBytes(-1, "read"))
+				if err != nil {
+					errc <- err
+					return
+				}
 				if imp.Importance < 0.999 {
 					errc <- errors.New("importance torn during swap")
 					return
@@ -372,7 +373,7 @@ func TestConcurrentQueriesDuringSwap(t *testing.T) {
 		t.Errorf("final generation = %d, want %d", got, len(studies)+1)
 	}
 	// After the swaps, fresh queries serve the latest snapshot.
-	res, err := svc.Completeness(names)
+	res, err := as[CompletenessResult](svc.CompletenessBytes(-1, names))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +420,7 @@ func TestConcurrentReloadAndQuery(t *testing.T) {
 					return
 				default:
 				}
-				res, err := svc.Completeness([]string{"read", "write"})
+				res, err := as[CompletenessResult](svc.CompletenessBytes(-1, []string{"read", "write"}))
 				if err != nil {
 					errc <- err
 					return

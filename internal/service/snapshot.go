@@ -12,16 +12,15 @@ import (
 // publisher-assigned generation of a pushed snapshot file — instead of
 // advancing the local counter. Unlike Swap, the generation may repeat or
 // move backwards (first push onto a fresh replica, rollback), so the
-// derived-query cache is cleared: generation-embedded keys cannot be
-// trusted across an explicit swap. In-flight requests still finish on
+// byte cache is cleared: generation-embedded keys cannot be trusted
+// across an explicit swap. In-flight requests still finish on
 // the old snapshot untouched.
 func (s *Service) SwapAt(study *repro.Study, source string, gen uint64, file string) uint64 {
 	s.gen.Store(gen)
 	study.SetGeneration(gen)
 	// Explicit generations may repeat or move backwards (push, rollback),
 	// so generation-prefixed cache keys cannot be trusted across this
-	// swap: flush both caches, then publish the rebuilt hotset.
-	s.cache.Reset()
+	// swap: flush the byte cache, then publish the rebuilt hotset.
 	s.bcache.Reset()
 	meta := study.Meta()
 	hot := buildHotset(study, gen, meta.Fingerprint, meta.Packages)

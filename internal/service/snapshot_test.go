@@ -28,7 +28,7 @@ func TestLoadSnapshotFileSwapsAtFileGeneration(t *testing.T) {
 
 	// The empty gen-1 study is cached under generation-1 keys; the pushed
 	// snapshot reuses generation 1, so the swap must clear the cache.
-	before, err := svc.GreedyPrefix(5)
+	before, err := as[GreedyPrefixResult](svc.PathBytes(-1, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestLoadSnapshotFileSwapsAtFileGeneration(t *testing.T) {
 	if snap.Meta.Fingerprint != a.Fingerprint() {
 		t.Errorf("fingerprint = %q, want %q", snap.Meta.Fingerprint, a.Fingerprint())
 	}
-	after, err := svc.GreedyPrefix(5)
+	after, err := as[GreedyPrefixResult](svc.PathBytes(-1, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +73,11 @@ func TestSnapshotServedAnswersMatchInProcess(t *testing.T) {
 	}
 
 	names := []string{"read", "write", "open", "close", "mmap", "futex"}
-	got, err := svc.Completeness(names)
+	got, err := as[CompletenessResult](svc.CompletenessBytes(-1, names))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.Completeness(names)
+	want, err := as[CompletenessResult](ref.CompletenessBytes(-1, names))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,14 @@ func TestSnapshotServedAnswersMatchInProcess(t *testing.T) {
 		t.Errorf("completeness %v gen %d, want %v gen %d",
 			got.Completeness, got.Generation, want.Completeness, want.Generation)
 	}
-	gi, wi := svc.Importance("read"), ref.Importance("read")
+	gi, err := as[ImportanceResult](svc.ImportanceBytes(-1, "read"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wi, err := as[ImportanceResult](ref.ImportanceBytes(-1, "read"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if gi != wi {
 		t.Errorf("importance: got %+v want %+v", gi, wi)
 	}
@@ -286,12 +293,15 @@ func TestSnapshotInstallDuringQueries(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := svc.Completeness([]string{"read", "write", "openat"}); err != nil {
+				if _, err := as[CompletenessResult](svc.CompletenessBytes(-1, []string{"read", "write", "openat"})); err != nil {
 					t.Error(err)
 					return
 				}
-				svc.Importance("read")
-				if _, err := svc.GreedyPrefix(10); err != nil {
+				if _, err := as[ImportanceResult](svc.ImportanceBytes(-1, "read")); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := as[GreedyPrefixResult](svc.PathBytes(-1, 10)); err != nil {
 					t.Error(err)
 					return
 				}

@@ -78,15 +78,10 @@ func (s *Service) publishPlanHotset(snap *Snapshot, m *stubplan.Matrix) {
 	for k, v := range old.entries {
 		merged.entries[k] = v
 	}
-	in := snap.Study.Core().Input
-	path := snap.Study.GreedyPath()
 	targets := append(append([]compat.System(nil), compat.Systems...), compat.GrapheneFixed)
 	for _, sys := range targets {
-		res := PlanResult{
-			Plan:       stubplan.BuildPlan(in, path, sys, m),
-			Generation: snap.Generation,
-			Cached:     true,
-		}
+		res := buildPlan(snap, sys, m)
+		res.Cached = true
 		key := planKey(prefix, sys)
 		enc, err := encodeAnswer(200, etagFor(snap.Meta.Fingerprint, key), res)
 		if err != nil {
@@ -105,39 +100,21 @@ type PlanResult struct {
 	Cached     bool   `json:"cached"`
 }
 
-// Plan returns the ordered implement-vs-stub worklist for one modeled
-// compatibility layer, judged against measured stub/fake tolerance.
-// The first call of a generation pays the verdict-matrix build (or a
-// cache replay); later calls hit the derived-query cache.
-func (s *Service) Plan(system string) (PlanResult, error) {
-	sys, ok := compat.SystemByName(system)
-	if !ok {
-		return PlanResult{}, fmt.Errorf("%w: %q", ErrUnknownSystem, system)
-	}
-	s.planQueries.Add(1)
-	return s.planFor(s.Snapshot(), sys)
-}
-
-// planFor is the legacy-path plan build for an already-resolved system.
-func (s *Service) planFor(snap *Snapshot, sys compat.System) (PlanResult, error) {
-	key := planKey(strconv.FormatUint(snap.Generation, 10), sys)
-	v, hit, err := s.cached(key, func() (any, error) {
-		m := s.ensureMatrix(snap)
-		return stubplan.BuildPlan(snap.Study.Core().Input, snap.Study.GreedyPath(), sys, m), nil
-	})
-	if err != nil {
-		return PlanResult{}, err
-	}
+// buildPlan is the one plan-answer builder behind the hotset, the
+// byte path and the plan-build job: the ordered implement-vs-stub
+// worklist for one modeled compatibility layer, judged against the
+// matrix's measured stub/fake tolerance.
+func buildPlan(snap *Snapshot, sys compat.System, m *stubplan.Matrix) PlanResult {
 	return PlanResult{
-		Plan:       v.(*stubplan.Plan),
+		Plan:       stubplan.BuildPlan(snap.Study.Core().Input, snap.Study.GreedyPath(), sys, m),
 		Generation: snap.Generation,
-		Cached:     hit,
-	}, nil
+	}
 }
 
-// PlanBytes is the byte-path Plan: after the generation's first plan
-// query publishes the per-system answers, every modeled system is a
-// hotset hit.
+// PlanBytes answers /v1/compat/plan. The first plan query of a
+// generation pays the verdict-matrix build (or a cache replay) and
+// publishes every modeled system's answer, so later queries are hotset
+// hits.
 func (s *Service) PlanBytes(system string) (Encoded, error) {
 	sys, ok := compat.SystemByName(system)
 	if !ok {
@@ -149,11 +126,7 @@ func (s *Service) PlanBytes(system string) (Encoded, error) {
 	base := func() string { return snap.Meta.Fingerprint }
 	return s.fetchEncoded(s.bcache.ep(epPlan), planKey(prefix, sys), base,
 		func() (any, any, int, error) {
-			m := s.ensureMatrix(snap)
-			cold := PlanResult{
-				Plan:       stubplan.BuildPlan(snap.Study.Core().Input, snap.Study.GreedyPath(), sys, m),
-				Generation: snap.Generation,
-			}
+			cold := buildPlan(snap, sys, s.ensureMatrix(snap))
 			warm := cold
 			warm.Cached = true
 			return cold, warm, 200, nil

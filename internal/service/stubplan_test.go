@@ -42,14 +42,14 @@ func planTestService(tb testing.TB) *Service {
 	return New(study, "plan-test", Config{Cache: cache})
 }
 
-func TestPlanLegacyPath(t *testing.T) {
+func TestPlanQuery(t *testing.T) {
 	svc := planTestService(t)
 
-	if _, err := svc.Plan("no-such-layer"); !errors.Is(err, ErrUnknownSystem) {
+	if _, err := svc.PlanBytes("no-such-layer"); !errors.Is(err, ErrUnknownSystem) {
 		t.Fatalf("Plan(no-such-layer) err = %v, want ErrUnknownSystem", err)
 	}
 
-	res, err := svc.Plan("graphene+sched")
+	res, err := as[PlanResult](svc.PlanBytes("graphene+sched"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestPlanLegacyPath(t *testing.T) {
 			res.Implement, res.Fake, res.Stub, len(res.Steps))
 	}
 
-	again, err := svc.Plan("Graphene+sched") // case-insensitive lookup
+	again, err := as[PlanResult](svc.PlanBytes("Graphene+sched")) // case-insensitive lookup
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestPlanLegacyPath(t *testing.T) {
 	}
 
 	// A second system reuses the published matrix: no second build.
-	if _, err := svc.Plan("freebsd-emu"); err != nil {
+	if _, err := svc.PlanBytes("freebsd-emu"); err != nil {
 		t.Fatal(err)
 	}
 	st := svc.Stats()

@@ -11,16 +11,9 @@ package service
 
 import (
 	"errors"
-	"fmt"
-	"sort"
-	"strconv"
-	"strings"
 	"time"
 
-	"repro"
 	"repro/internal/evolution"
-	"repro/internal/linuxapi"
-	"repro/internal/metrics"
 )
 
 // ErrNoSeries reports a trend or generation query without a resident
@@ -61,193 +54,10 @@ func (s *Service) Series() *evolution.Series {
 	return nil
 }
 
-// studyFor resolves the study a query runs against: the resident
-// snapshot (gen < 0), or one generation of the resident series. It
-// returns the generation value to report and the cache-key prefix that
-// makes derived results unique per serving identity.
-func (s *Service) studyFor(gen int) (*repro.Study, uint64, string, error) {
-	if gen < 0 {
-		snap := s.Snapshot()
-		return snap.Study, snap.Generation, strconv.FormatUint(snap.Generation, 10), nil
-	}
-	ss := s.series.Load()
-	if ss == nil {
-		return nil, 0, "", ErrNoSeries
-	}
-	study := ss.series.Study(gen)
-	if study == nil {
-		return nil, 0, "", fmt.Errorf("%w: %d (series has %d generations)",
-			ErrBadGeneration, gen, ss.series.Generations())
-	}
-	s.generationQueries.Add(1)
-	return study, uint64(gen), fmt.Sprintf("s%d.%d", ss.id, gen), nil
-}
-
-// ImportanceAt is Importance against a selected generation (gen < 0:
-// the resident snapshot).
-func (s *Service) ImportanceAt(gen int, name string) (ImportanceResult, error) {
-	study, label, _, err := s.studyFor(gen)
-	if err != nil {
-		return ImportanceResult{}, err
-	}
-	return ImportanceResult{
-		Syscall:    name,
-		Known:      linuxapi.SyscallByName(name) != nil,
-		Importance: study.Importance(name),
-		Unweighted: study.UnweightedImportance(name),
-		Generation: label,
-	}, nil
-}
-
-// CompletenessAt is Completeness against a selected generation.
-func (s *Service) CompletenessAt(gen int, names []string) (CompletenessResult, error) {
-	study, label, prefix, err := s.studyFor(gen)
-	if err != nil {
-		return CompletenessResult{}, err
-	}
-	known, unknown := normalizeSyscalls(names)
-	key := fmt.Sprintf("wc|%s|%s", prefix, setKey(known))
-	v, hit, err := s.cached(key, func() (any, error) {
-		return study.WeightedCompleteness(known), nil
-	})
-	if err != nil {
-		return CompletenessResult{}, err
-	}
-	return CompletenessResult{
-		Syscalls:     len(known),
-		Unknown:      unknown,
-		Completeness: v.(float64),
-		Generation:   label,
-		Cached:       hit,
-	}, nil
-}
-
-// SuggestAt is Suggest against a selected generation.
-func (s *Service) SuggestAt(gen int, supported []string, k int) (SuggestResult, error) {
-	if k <= 0 {
-		k = 5
-	}
-	study, label, prefix, err := s.studyFor(gen)
-	if err != nil {
-		return SuggestResult{}, err
-	}
-	known, unknown := normalizeSyscalls(supported)
-	key := fmt.Sprintf("suggest|%s|%d|%s", prefix, k, setKey(known))
-	v, hit, err := s.cached(key, func() (any, error) {
-		return study.SuggestNext(known, k), nil
-	})
-	if err != nil {
-		return SuggestResult{}, err
-	}
-	return SuggestResult{
-		Supported:   len(known),
-		Unknown:     unknown,
-		Suggestions: v.([]repro.Suggestion),
-		Generation:  label,
-		Cached:      hit,
-	}, nil
-}
-
-// GreedyPrefixAt is GreedyPrefix against a selected generation.
-func (s *Service) GreedyPrefixAt(gen, n int) (GreedyPrefixResult, error) {
-	study, label, prefix, err := s.studyFor(gen)
-	if err != nil {
-		return GreedyPrefixResult{}, err
-	}
-	key := "path|" + prefix
-	v, hit, err := s.cached(key, func() (any, error) {
-		return study.GreedyPath(), nil
-	})
-	if err != nil {
-		return GreedyPrefixResult{}, err
-	}
-	path := v.([]metrics.PathPoint)
-	if n <= 0 || n > len(path) {
-		n = len(path)
-	}
-	out := GreedyPrefixResult{N: n, Generation: label, Cached: hit}
-	for _, pt := range path[:n] {
-		out.Syscalls = append(out.Syscalls, pt.API.Name)
-		out.Curve = append(out.Curve, CurvePointJSON{
-			N: pt.N, Syscall: pt.API.Name,
-			Importance: pt.Importance, Completeness: pt.Completeness,
-		})
-	}
-	return out, nil
-}
-
-// FootprintAt is Footprint against a selected generation.
-func (s *Service) FootprintAt(gen int, pkg string) (FootprintResult, error) {
-	study, label, _, err := s.studyFor(gen)
-	if err != nil {
-		return FootprintResult{}, err
-	}
-	if study.Core().Input.Footprints[pkg] == nil {
-		return FootprintResult{}, fmt.Errorf("%w: %q", ErrUnknownPackage, pkg)
-	}
-	return FootprintResult{
-		Package:    pkg,
-		Syscalls:   study.PackageFootprint(pkg),
-		Generation: label,
-	}, nil
-}
-
 // TrendImportanceResult answers /v1/trends/importance.
 type TrendImportanceResult struct {
 	Generations int                  `json:"generations"`
 	Trends      []evolution.APITrend `json:"trends"`
-}
-
-// TrendImportance returns per-API importance trajectories across the
-// resident series: the trend for one named API, or (api == "") the top
-// APIs by absolute importance drift.
-func (s *Service) TrendImportance(api string, top int) (TrendImportanceResult, error) {
-	ss := s.series.Load()
-	if ss == nil {
-		return TrendImportanceResult{}, ErrNoSeries
-	}
-	s.trendImportanceQueries.Add(1)
-	tr := ss.series.Trends
-	// Trends marshals as [] when nothing matches: a filter that matches
-	// nothing is an answer, not an absent field.
-	out := TrendImportanceResult{
-		Generations: len(tr.Generations),
-		Trends:      []evolution.APITrend{},
-	}
-	if api != "" {
-		for _, row := range tr.Importance {
-			if row.API == api {
-				out.Trends = append(out.Trends, row)
-			}
-		}
-		return out, nil
-	}
-	if top <= 0 {
-		top = 20
-	}
-	key := fmt.Sprintf("trend-imp|%d|%d", ss.id, top)
-	v, _, err := s.cached(key, func() (any, error) {
-		rows := append([]evolution.APITrend(nil), tr.Importance...)
-		sort.SliceStable(rows, func(i, j int) bool {
-			di, dj := abs(rows[i].Drift), abs(rows[j].Drift)
-			if di != dj {
-				return di > dj
-			}
-			if rows[i].Kind != rows[j].Kind {
-				return rows[i].Kind < rows[j].Kind
-			}
-			return rows[i].API < rows[j].API
-		})
-		if len(rows) > top {
-			rows = rows[:top]
-		}
-		return rows, nil
-	})
-	if err != nil {
-		return TrendImportanceResult{}, err
-	}
-	out.Trends = append(out.Trends, v.([]evolution.APITrend)...)
-	return out, nil
 }
 
 func abs(v float64) float64 {
@@ -263,63 +73,9 @@ type TrendCompletenessResult struct {
 	Targets     []evolution.TargetTrend `json:"targets"`
 }
 
-// TrendCompleteness returns the weighted-completeness trajectory of every
-// compatibility target across the series, or of the targets whose name
-// contains target (case-insensitive).
-func (s *Service) TrendCompleteness(target string) (TrendCompletenessResult, error) {
-	ss := s.series.Load()
-	if ss == nil {
-		return TrendCompletenessResult{}, ErrNoSeries
-	}
-	s.trendCompletenessQueries.Add(1)
-	tr := ss.series.Trends
-	out := TrendCompletenessResult{
-		Generations: len(tr.Generations),
-		Targets:     []evolution.TargetTrend{},
-	}
-	for _, row := range tr.Completeness {
-		if target == "" || strings.Contains(strings.ToLower(row.Name), strings.ToLower(target)) {
-			out.Targets = append(out.Targets, row)
-		}
-	}
-	return out, nil
-}
-
 // TrendPathResult answers /v1/trends/path.
 type TrendPathResult struct {
 	Generations int                   `json:"generations"`
 	PathHead    int                   `json:"path_head"`
 	Trends      []evolution.PathTrend `json:"trends"`
-}
-
-// TrendPath returns the greedy-path membership trends: which system calls
-// moved toward or away from the head of the implementation path across
-// the series. direction filters to "toward", "away", or "stable" (empty:
-// all); limit caps the rows (0: all).
-func (s *Service) TrendPath(direction string, limit int) (TrendPathResult, error) {
-	switch direction {
-	case "", "toward", "away", "stable":
-	default:
-		return TrendPathResult{}, fmt.Errorf("service: unknown path trend direction %q (want toward, away, or stable)", direction)
-	}
-	ss := s.series.Load()
-	if ss == nil {
-		return TrendPathResult{}, ErrNoSeries
-	}
-	s.trendPathQueries.Add(1)
-	tr := ss.series.Trends
-	out := TrendPathResult{
-		Generations: len(tr.Generations),
-		PathHead:    tr.PathHead,
-		Trends:      []evolution.PathTrend{},
-	}
-	for _, row := range tr.Path {
-		if direction == "" || row.Direction == direction {
-			out.Trends = append(out.Trends, row)
-		}
-		if limit > 0 && len(out.Trends) >= limit {
-			break
-		}
-	}
-	return out, nil
 }

@@ -57,17 +57,17 @@ func newSeriesService(t *testing.T) *Service {
 
 func TestTrendsRequireSeries(t *testing.T) {
 	svc := newTestService(t, Config{})
-	if _, err := svc.TrendImportance("", 0); !errors.Is(err, ErrNoSeries) {
+	if _, err := svc.TrendImportanceBytes("", 0); !errors.Is(err, ErrNoSeries) {
 		t.Errorf("TrendImportance without series: %v, want ErrNoSeries", err)
 	}
-	if _, err := svc.TrendCompleteness(""); !errors.Is(err, ErrNoSeries) {
+	if _, err := svc.TrendCompletenessBytes(""); !errors.Is(err, ErrNoSeries) {
 		t.Errorf("TrendCompleteness without series: %v, want ErrNoSeries", err)
 	}
-	if _, err := svc.TrendPath("", 0); !errors.Is(err, ErrNoSeries) {
+	if _, err := svc.TrendPathBytes("", 0); !errors.Is(err, ErrNoSeries) {
 		t.Errorf("TrendPath without series: %v, want ErrNoSeries", err)
 	}
-	if _, err := svc.ImportanceAt(0, "open"); !errors.Is(err, ErrNoSeries) {
-		t.Errorf("ImportanceAt without series: %v, want ErrNoSeries", err)
+	if _, err := svc.ImportanceBytes(0, "open"); !errors.Is(err, ErrNoSeries) {
+		t.Errorf("Importance at a generation without series: %v, want ErrNoSeries", err)
 	}
 }
 
@@ -76,7 +76,7 @@ func TestTrendQueries(t *testing.T) {
 	series := svc.Series()
 	n := series.Generations()
 
-	imp, err := svc.TrendImportance("open", 0)
+	imp, err := as[TrendImportanceResult](svc.TrendImportanceBytes("open", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestTrendQueries(t *testing.T) {
 		}
 	}
 
-	top, err := svc.TrendImportance("", 5)
+	top, err := as[TrendImportanceResult](svc.TrendImportanceBytes("", 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,14 +102,14 @@ func TestTrendQueries(t *testing.T) {
 		}
 	}
 
-	comp, err := svc.TrendCompleteness("")
+	comp, err := as[TrendCompletenessResult](svc.TrendCompletenessBytes(""))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(comp.Targets) != len(series.Trends.Completeness) {
 		t.Fatalf("completeness targets = %d, want %d", len(comp.Targets), len(series.Trends.Completeness))
 	}
-	one, err := svc.TrendCompleteness("graphene")
+	one, err := as[TrendCompletenessResult](svc.TrendCompletenessBytes("graphene"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,17 +117,17 @@ func TestTrendQueries(t *testing.T) {
 		t.Errorf("filtered completeness = %d targets (of %d)", len(one.Targets), len(comp.Targets))
 	}
 
-	path, err := svc.TrendPath("", 0)
+	path, err := as[TrendPathResult](svc.TrendPathBytes("", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(path.Trends) == 0 || path.PathHead != series.Trends.PathHead {
 		t.Fatalf("TrendPath = %+v", path)
 	}
-	if _, err := svc.TrendPath("sideways", 0); err == nil {
+	if _, err := svc.TrendPathBytes("sideways", 0); err == nil {
 		t.Error("TrendPath accepted bogus direction")
 	}
-	limited, err := svc.TrendPath("", 3)
+	limited, err := as[TrendPathResult](svc.TrendPathBytes("", 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestGenerationSelector(t *testing.T) {
 
 	for gen := 0; gen < series.Generations(); gen++ {
 		study := series.Study(gen)
-		res, err := svc.ImportanceAt(gen, "open")
+		res, err := as[ImportanceResult](svc.ImportanceBytes(gen, "open"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestGenerationSelector(t *testing.T) {
 			t.Errorf("gen %d importance = %+v, study says %v", gen, res, study.Importance("open"))
 		}
 
-		prefix, err := svc.GreedyPrefixAt(gen, 5)
+		prefix, err := as[GreedyPrefixResult](svc.PathBytes(gen, 5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +174,7 @@ func TestGenerationSelector(t *testing.T) {
 			t.Errorf("gen %d prefix = %v", gen, prefix.Syscalls)
 		}
 
-		comp, err := svc.CompletenessAt(gen, prefix.Syscalls)
+		comp, err := as[CompletenessResult](svc.CompletenessBytes(gen, prefix.Syscalls))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +182,7 @@ func TestGenerationSelector(t *testing.T) {
 			t.Errorf("gen %d completeness = %v, study says %v", gen, got, want)
 		}
 
-		sug, err := svc.SuggestAt(gen, prefix.Syscalls, 3)
+		sug, err := as[SuggestResult](svc.SuggestBytes(gen, prefix.Syscalls, 3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +191,7 @@ func TestGenerationSelector(t *testing.T) {
 		}
 
 		pkg := study.Packages()[0]
-		fp, err := svc.FootprintAt(gen, pkg)
+		fp, err := as[FootprintResult](svc.FootprintBytes(gen, pkg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,10 +200,10 @@ func TestGenerationSelector(t *testing.T) {
 		}
 	}
 
-	if _, err := svc.ImportanceAt(99, "open"); !errors.Is(err, ErrBadGeneration) {
+	if _, err := svc.ImportanceBytes(99, "open"); !errors.Is(err, ErrBadGeneration) {
 		t.Errorf("out-of-range generation: %v, want ErrBadGeneration", err)
 	}
-	if _, err := svc.FootprintAt(0, "no-such-package"); !errors.Is(err, ErrUnknownPackage) {
+	if _, err := svc.FootprintBytes(0, "no-such-package"); !errors.Is(err, ErrUnknownPackage) {
 		t.Errorf("unknown package at gen: %v, want ErrUnknownPackage", err)
 	}
 	if st := svc.Stats(); st.GenerationQueries == 0 {
@@ -211,7 +211,10 @@ func TestGenerationSelector(t *testing.T) {
 	}
 
 	// The default (-1) path still answers from the resident snapshot.
-	snapRes := svc.Importance("open")
+	snapRes, err := as[ImportanceResult](svc.ImportanceBytes(-1, "open"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if snapRes.Generation != svc.Snapshot().Generation {
 		t.Errorf("snapshot importance generation = %d", snapRes.Generation)
 	}
@@ -247,7 +250,7 @@ func TestTimelineBuildJob(t *testing.T) {
 	if svc.Series() == nil || svc.Series().Generations() != 2 {
 		t.Fatal("series not installed after timeline-build")
 	}
-	if _, err := svc.TrendPath("", 0); err != nil {
+	if _, err := svc.TrendPathBytes("", 0); err != nil {
 		t.Errorf("TrendPath after timeline-build: %v", err)
 	}
 

@@ -92,8 +92,11 @@ func BuildPlan(in *metrics.Input, path []metrics.PathPoint, sys compat.System, m
 			continue
 		}
 		users, waived, needFake, needImpl := 0, 0, false, false
+		// One intern lookup per step: HasID probes no lock, and an API
+		// that was never interned is in no footprint.
+		id, interned := linuxapi.InternedID(pt.API)
 		for pkg, fp := range in.Footprints {
-			if !fp.Contains(pt.API) {
+			if !interned || !fp.HasID(id) {
 				continue
 			}
 			users++

@@ -102,7 +102,7 @@ func TestMatrixClassesNonEmpty(t *testing.T) {
 	for pkg := range m.Waivable {
 		fp := s.Input.Footprints[pkg]
 		w := m.Waivable[pkg]
-		for api := range fp {
+		for _, api := range fp.SortedAPIs() {
 			if api.Kind == linuxapi.KindSyscall && !w.Contains(api) {
 				// Either required or static-only; confirm at least one
 				// genuinely required call exists via a known base-band

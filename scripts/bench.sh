@@ -5,8 +5,8 @@
 # benchmark, the evolution series cold-vs-warm benchmark, the
 # stub-aware plan cold-vs-warm benchmark (emulator-driven verdict
 # matrix vs cached verdict replay), and the parallel query hot-path
-# benchmark (legacy struct reads vs the encoded byte cache + hotset,
-# with -benchmem), writes BENCH_pipeline.json (the committed artifact
+# benchmark (computing every answer vs the encoded byte cache + hotset
+# in the same run, with -benchmem), writes BENCH_pipeline.json (the committed artifact
 # documenting what the analysis cache buys, what fleet coordination
 # costs, what the dense bitset representation buys the aggregation
 # stage, what the columnar snapshot format buys a replica swap, what
@@ -14,7 +14,7 @@
 # verdict cache buys a stub-aware plan build, and what the encoded read
 # path buys steady-state queries), and fails when the warm-over-cold,
 # map-over-bitset, rebuild-over-open, evolution warm-over-cold,
-# stubplan cold-over-warm, or legacy-over-hot speedup drops below the
+# stubplan cold-over-warm, or compute-over-hot speedup drops below the
 # floors benchgate enforces (2x / 2x / 10x / 2x / 2x / 2x by default;
 # the fleet rows are informational). Run from the repository root; used by
 # the `bench` job in .github/workflows/ci.yml and fine to run locally.

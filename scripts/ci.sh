@@ -12,8 +12,8 @@
 # build in internal/stubplan), a two-worker end-to-end fleet smoke
 # test, a job-tier smoke test (spool persistence across kill -9), an
 # end-to-end load smoke test that gates the serving SLO, the ramp
-# (zero 5xx to the ceiling) and the hot-over-legacy read-path
-# throughput floor, a snapshot round-trip
+# (zero 5xx to the ceiling) and an in-process read-path throughput
+# ceiling that meets the SLO, a snapshot round-trip
 # equivalence smoke test, a replicated-serving smoke test (publish
 # to two replicas, kill one under load behind the proxy, zero 5xx),
 # a corpus-evolution smoke test (byte-stable 3-generation series

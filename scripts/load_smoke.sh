@@ -11,10 +11,9 @@
 #      breaks, with a CPU profile captured over the ramp window via the
 #      pprof listener — every stage must shed (429) rather than fail
 #      (5xx), and at least one stage must pass;
-#   3. an in-process max-throughput ceiling comparison of the legacy
-#      single-lock read path against the encoded hot path — the hot
-#      ceiling must be >= 2x the legacy ceiling (max_rps_under_slo and
-#      serving_throughput_speedup in the artifact).
+#   3. an in-process max-throughput ceiling search over the read path
+#      — at least one stage must meet the p99 SLO (max_rps_under_slo in
+#      the artifact, recorded, not compared with an earlier run).
 #
 # benchgate -serving folds all three into the committed artifact. This
 # is the serving path's integration gate above internal/loadgen's and
@@ -115,8 +114,8 @@ if [ -n "${PROFILE_OUT:-}" ]; then
     echo "load smoke: ramp CPU profile saved to $PROFILE_OUT"
 fi
 
-echo "== load smoke: read-path throughput ceilings (legacy vs hot, in-process)"
-# Explicit plan-free mix: the ceiling services are built in-process with
+echo "== load smoke: read-path throughput ceiling (in-process)"
+# Explicit plan-free mix: the ceiling service is built in-process with
 # no verdict cache, so a plan request would cold-build the matrix inside
 # a one-second measurement stage.
 "$tmp/apiload" -ceiling 1,2,4,8 -packages 60 -seed 17 \
@@ -131,7 +130,7 @@ echo "== load smoke: read-path throughput ceilings (legacy vs hot, in-process)"
 echo "== load smoke: benchgate -serving"
 "$tmp/benchgate" -serving "$tmp/report.json" -max-p99-ms 500 \
     -ramp "$tmp/ramp.json" \
-    -ceilings "$tmp/ceilings.json" -min-throughput-speedup 2 \
+    -ceilings "$tmp/ceilings.json" \
     -out "$out" || {
     echo "load smoke: serving gate failed; apiserved log:" >&2
     tail -5 "$tmp/apiserved.log" >&2
@@ -139,4 +138,4 @@ echo "== load smoke: benchgate -serving"
     exit 1
 }
 
-echo "load smoke OK: SLO held at 80 rps, ramp shed cleanly, hot read path >= 2x legacy ceiling"
+echo "load smoke OK: SLO held at 80 rps, ramp shed cleanly, read-path ceiling met the SLO"

@@ -12,7 +12,6 @@ import (
 	"repro/internal/popcon"
 	"repro/internal/report"
 	"repro/internal/snapshot"
-	"repro/internal/store"
 )
 
 // SnapshotData extracts the study's full serving state — packages,
@@ -29,13 +28,13 @@ func (s *Study) SnapshotData(generation uint64) (*snapshot.Data, error) {
 	pkgs := make([]snapshot.Package, 0, len(names))
 	for _, name := range names {
 		p := repo.Get(name)
-		fp := in.Bits[name]
+		fp := in.Footprints[name]
 		if fp == nil {
-			fp = footprint.SetBits(in.Footprints[name])
+			fp = footprint.NewBitSet()
 		}
-		dir := in.DirectBits[name]
+		dir := in.Direct[name]
 		if dir == nil {
-			dir = footprint.SetBits(in.Direct[name])
+			dir = footprint.NewBitSet()
 		}
 		pkgs = append(pkgs, snapshot.Package{
 			Name:      name,
@@ -120,10 +119,8 @@ func (s *Study) WriteSnapshot(path string, generation uint64) error {
 func StudyFromSnapshot(d *snapshot.Data) (*Study, error) {
 	repo := apt.NewRepository()
 	survey := popcon.NewSurvey(d.Installations)
-	fps := make(map[string]footprint.Set, len(d.Packages))
-	dirs := make(map[string]footprint.Set, len(d.Packages))
-	bits := make(map[string]*footprint.BitSet, len(d.Packages))
-	dirBits := make(map[string]*footprint.BitSet, len(d.Packages))
+	fps := make(map[string]*footprint.BitSet, len(d.Packages))
+	dirs := make(map[string]*footprint.BitSet, len(d.Packages))
 	for i := range d.Packages {
 		p := &d.Packages[i]
 		if err := repo.Add(&apt.Package{Name: p.Name, Version: p.Version, Depends: p.Depends}); err != nil {
@@ -134,21 +131,14 @@ func StudyFromSnapshot(d *snapshot.Data) (*Study, error) {
 		if fp == nil {
 			fp = footprint.NewBitSet()
 		}
-		bits[p.Name] = fp
-		fps[p.Name] = fp.ToSet()
+		fps[p.Name] = fp
 		dir := p.Direct
 		if dir == nil {
 			dir = footprint.NewBitSet()
 		}
-		dirBits[p.Name] = dir
-		dirs[p.Name] = dir.ToSet()
+		dirs[p.Name] = dir
 	}
-	in := &metrics.Input{
-		Repo: repo, Survey: survey,
-		Footprints: fps, Direct: dirs,
-		Bits: bits, DirectBits: dirBits,
-	}
-	db := store.NewDB()
+	in := &metrics.Input{Repo: repo, Survey: survey, Footprints: fps, Direct: dirs}
 	cs := &core.Study{
 		Corpus: &corpus.Corpus{
 			Cfg:            corpus.Config{Packages: len(d.Packages), Installations: d.Installations},
@@ -158,7 +148,6 @@ func StudyFromSnapshot(d *snapshot.Data) (*Study, error) {
 		},
 		Input:        in,
 		Resolver:     footprint.NewResolver(),
-		DB:           db,
 		BinaryDirect: map[string]footprint.Set{},
 		Stats: core.Stats{
 			Census: core.FileCensus{
@@ -179,7 +168,6 @@ func StudyFromSnapshot(d *snapshot.Data) (*Study, error) {
 			SkippedSamples:     skippedFromSamples(d.Meta.SkippedSamples),
 		},
 	}
-	cs.Tables = metrics.Record(db, in)
 	path := make([]metrics.PathPoint, 0, len(d.Path))
 	for i, pt := range d.Path {
 		path = append(path, metrics.PathPoint{
