@@ -93,6 +93,9 @@ type artifact struct {
 	StubPlanWarm       sample  `json:"stubplan_warm"`
 	StubPlanSpeedup    float64 `json:"stubplan_speedup"`
 	MinStubPlanSpeedup float64 `json:"min_stubplan_speedup"`
+	// StubPlanPlans is the five BuildPlan calls alone over the warm
+	// matrix; informational, not gated.
+	StubPlanPlans *sample `json:"stubplan_plans,omitempty"`
 	// Fleet rows (BenchmarkStudyFleetVsLocal) document the coordinator's
 	// loopback overhead; informational, not gated — on one machine the
 	// fleet can only ever cost, never win.
@@ -276,6 +279,7 @@ func main() {
 		a.SnapshotSpeedup >= *minSnap && a.EvolutionSpeedup >= *minEvo &&
 		a.HotpathSpeedup >= *minHot && a.StubPlanSpeedup >= *minStub
 
+	a.StubPlanPlans = samples["stubplan_plans"]
 	if fl, f := samples["fleet_local"], samples["fleet"]; fl != nil && f != nil {
 		a.FleetLocal, a.Fleet = fl, f
 		a.FleetOverhead = round2(f.BestNs / fl.BestNs)
@@ -307,6 +311,10 @@ func main() {
 	fmt.Printf("benchgate: stub-aware plan cold %.0fms vs warm %.0fms — %.2fx speedup (floor %.2fx)\n",
 		a.StubPlanCold.BestNs/1e6, a.StubPlanWarm.BestNs/1e6,
 		a.StubPlanSpeedup, *minStub)
+	if a.StubPlanPlans != nil {
+		fmt.Printf("benchgate: stub-aware plans for five systems over the warm matrix %.1fms (not gated)\n",
+			a.StubPlanPlans.BestNs/1e6)
+	}
 	if a.Fleet != nil {
 		fmt.Printf("benchgate: fleet %.0fms vs local %.0fms — %.2fx loopback coordination overhead (not gated)\n",
 			a.Fleet.BestNs/1e6, a.FleetLocal.BestNs/1e6, a.FleetOverhead)

@@ -12,6 +12,7 @@ package metrics
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -304,6 +305,124 @@ func subsetOK(fp, supported, mask *footprint.BitSet) bool {
 	return fp.SubsetOfMasked(supported, mask)
 }
 
+// CompletenessCurve is weighted completeness along a growing supported
+// set: point k equals WeightedCompleteness(in, supported ∪ order[:k],
+// opts) bit for bit, for k = 0..len(order).
+//
+// Rather than one full pass per point, each package gets a demand level
+// once: the point at which order lands its last missing API (after the
+// kind mask and its waivers), or never. Dependency propagation takes the
+// max over the package's closure. Each point then re-sums, in sorted
+// package order, the weights at or below it. It re-sums instead of
+// accumulating per-level mass because float addition is not
+// associative: only WeightedCompleteness's own summation order rounds
+// the same way.
+func CompletenessCurve(in *Input, supported footprint.Set, order []linuxapi.API, opts CompletenessOptions) []float64 {
+	c := in.columns()
+	never := len(order) + 1
+	// landing maps an intern ID to the 1-based position where order first
+	// adds it; 0 means order never does. An ID at or beyond c.cap is in
+	// no footprint, and neither is an API that was never interned.
+	landing := make([]int, c.cap)
+	for i, api := range order {
+		if id, ok := linuxapi.InternedID(api); ok && int(id) < len(landing) && landing[id] == 0 {
+			landing[id] = i + 1
+		}
+	}
+	sup := footprint.LookupBits(supported)
+	var mask *footprint.BitSet
+	if !opts.AllKinds {
+		mask = footprint.KindMask(opts.Kind)
+	}
+	level := make([]int, len(c.pkgs))
+	for i, pkg := range c.pkgs {
+		var waiver *footprint.BitSet
+		if w := opts.Waivable[pkg]; w != nil {
+			waiver = footprint.LookupBits(w)
+		}
+		level[i] = demandLevel(c.bits[i], sup, mask, waiver, landing, never)
+	}
+
+	var pos map[string]int // package -> column, for closure walks
+	if !opts.NoDependencyPropagation && in.Repo != nil {
+		pos = make(map[string]int, len(c.pkgs))
+		for i, pkg := range c.pkgs {
+			pos[pkg] = i
+		}
+	}
+	weight := make([]float64, len(c.pkgs))
+	effective := make([]int, len(c.pkgs))
+	var den float64
+	for i, pkg := range c.pkgs {
+		weight[i] = in.Survey.Fraction(pkg)
+		den += weight[i]
+		effective[i] = level[i]
+		// Propagation lifts a package to the latest level in its closure;
+		// one that weighs nothing or never lands needs no walk.
+		if pos == nil || weight[i] == 0 || level[i] == never {
+			continue
+		}
+		for _, dep := range in.Repo.DependencyClosure(pkg) {
+			if j, ok := pos[dep]; ok && level[j] > effective[i] {
+				effective[i] = level[j]
+			}
+		}
+	}
+
+	out := make([]float64, len(order)+1)
+	if den == 0 {
+		return out
+	}
+	for k := range out {
+		var num float64
+		for i, e := range effective {
+			if weight[i] != 0 && e <= k {
+				num += weight[i]
+			}
+		}
+		out[k] = num / den
+	}
+	return out
+}
+
+// demandLevel is the point at which a package's footprint stops missing
+// APIs: the latest landing among the bits of fp∧mask outside supported
+// and waiver (a nil mask filters nothing, a nil waiver waives nothing),
+// 0 when none is missing, never when one of them never lands.
+func demandLevel(fp, supported, mask, waiver *footprint.BitSet, landing []int, never int) int {
+	sw := supported.Words()
+	var mw, ww []uint64
+	if mask != nil {
+		mw = mask.Words()
+	}
+	if waiver != nil {
+		ww = waiver.Words()
+	}
+	d := 0
+	for i, w := range fp.Words() {
+		if mask != nil {
+			if i >= len(mw) {
+				break
+			}
+			w &= mw[i]
+		}
+		if i < len(sw) {
+			w &^= sw[i]
+		}
+		if i < len(ww) {
+			w &^= ww[i]
+		}
+		for ; w != 0; w &= w - 1 {
+			l := landing[i<<6+bits.TrailingZeros64(w)]
+			if l == 0 {
+				return never
+			}
+			d = max(d, l)
+		}
+	}
+	return d
+}
+
 // PathPoint is one step of the greedy API-addition path.
 type PathPoint struct {
 	// N is the number of APIs supported after this step (1-based).
@@ -322,7 +441,7 @@ type PathPoint struct {
 // Figure 3's curve. Ties break by unweighted importance then name, which
 // keeps the ordering stable and sensible for the 100%-importance plateau.
 func GreedyPath(in *Input, kind linuxapi.Kind) []PathPoint {
-	return greedyPath(in, func(api linuxapi.API) bool { return api.Kind == kind }, nil)
+	return greedyPath(in, func(api linuxapi.API) bool { return api.Kind == kind })
 }
 
 // GreedyPathAll ranks every measured API — system calls, vectored opcodes,
@@ -330,19 +449,10 @@ func GreedyPath(in *Input, kind linuxapi.Kind) []PathPoint {
 // "one can construct a similar path including other APIs, such as vectored
 // system calls, pseudo-files and library APIs".
 func GreedyPathAll(in *Input) []PathPoint {
-	return greedyPath(in, func(linuxapi.API) bool { return true }, nil)
+	return greedyPath(in, func(linuxapi.API) bool { return true })
 }
 
-// GreedyPathWaived is the stub-aware greedy path: the API ordering is
-// identical to GreedyPath (importance-ranked), but a package's demand
-// skips APIs waivable for it — a package whose tail API is stubbable
-// becomes supported as soon as its last *required* API lands, so every
-// point on the curve is ≥ the presence-only curve by construction.
-func GreedyPathWaived(in *Input, kind linuxapi.Kind, waivable map[string]footprint.Set) []PathPoint {
-	return greedyPath(in, func(api linuxapi.API) bool { return api.Kind == kind }, waivable)
-}
-
-func greedyPath(in *Input, include func(linuxapi.API) bool, waivable map[string]footprint.Set) []PathPoint {
+func greedyPath(in *Input, include func(linuxapi.API) bool) []PathPoint {
 	imp := Importance(in)
 	unw := Unweighted(in)
 	var apis []linuxapi.API
@@ -378,21 +488,12 @@ func greedyPath(in *Input, include func(linuxapi.API) bool, waivable map[string]
 		}
 	}
 
-	// A package's demand is the highest rank in its filtered footprint —
-	// skipping APIs waivable for the package, which a stub satisfies at
-	// every path point; with dependency propagation, the max over its
-	// closure.
+	// A package's demand is the highest rank in its filtered footprint;
+	// with dependency propagation, the max over its closure.
 	demand := make(map[string]int, len(c.pkgs))
 	for i, pkg := range c.pkgs {
-		var wb *footprint.BitSet
-		if w := waivable[pkg]; w != nil {
-			wb = footprint.LookupBits(w)
-		}
 		d := 0
 		c.bits[i].ForEach(func(id uint32) {
-			if wb != nil && wb.HasID(id) {
-				return
-			}
 			if r := rankByID[id]; r > d {
 				d = r
 			}

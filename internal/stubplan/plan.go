@@ -66,74 +66,119 @@ type Plan struct {
 // treatment and measures the stub-aware completeness of landing the
 // prefix. The walk is the greedy path's order, so the plan is the Figure
 // 3 curve restarted from the system's supported set — with waived
-// packages already counted as satisfied.
+// packages already counted as satisfied. The whole curve is one
+// metrics.CompletenessCurve call.
 func BuildPlan(in *metrics.Input, path []metrics.PathPoint, sys compat.System, m *Matrix) *Plan {
 	supported := compat.SupportedSet(sys, path)
-	opts := metrics.CompletenessOptions{Kind: linuxapi.KindSyscall}
-	waivedOpts := metrics.CompletenessOptions{Kind: linuxapi.KindSyscall, Waivable: m.Waivable}
+	var todo []metrics.PathPoint
+	order := make([]linuxapi.API, 0, len(path))
+	for _, pt := range path {
+		if !supported.Contains(pt.API) {
+			todo = append(todo, pt)
+			order = append(order, pt.API)
+		}
+	}
+	curve := metrics.CompletenessCurve(in, supported, order,
+		metrics.CompletenessOptions{Kind: linuxapi.KindSyscall, Waivable: m.Waivable})
+	tallies := tallySteps(in, order, m)
 
 	p := &Plan{
-		System:               sys.Name,
-		Version:              sys.Version,
-		PolicyVersion:        m.PolicyVersion,
-		SupportedCount:       len(supported),
-		PresenceCompleteness: metrics.WeightedCompleteness(in, supported, opts),
+		System:         sys.Name,
+		Version:        sys.Version,
+		PolicyVersion:  m.PolicyVersion,
+		SupportedCount: len(supported),
+		PresenceCompleteness: metrics.WeightedCompleteness(in, supported,
+			metrics.CompletenessOptions{Kind: linuxapi.KindSyscall}),
+		StubAwareCompleteness: curve[0],
+		FinalCompleteness:     curve[len(order)],
 	}
-	p.StubAwareCompleteness = metrics.WeightedCompleteness(in, supported, waivedOpts)
-	p.FinalCompleteness = p.StubAwareCompleteness
-
-	cur := make(footprint.Set, len(supported))
-	for api := range supported {
-		cur.Add(api)
-	}
-	prev := p.StubAwareCompleteness
-	for _, pt := range path {
-		if supported.Contains(pt.API) {
-			continue
-		}
-		users, waived, needFake, needImpl := 0, 0, false, false
-		// One intern lookup per step: HasID probes no lock, and an API
-		// that was never interned is in no footprint.
-		id, interned := linuxapi.InternedID(pt.API)
-		for pkg, fp := range in.Footprints {
-			if !interned || !fp.HasID(id) {
-				continue
-			}
-			users++
-			if w := m.Waivable[pkg]; w != nil && w.Contains(pt.API) {
-				waived++
-				if f := m.FakeNeeded[pkg]; f != nil && f.Contains(pt.API) {
-					needFake = true
-				}
-			} else {
-				needImpl = true
-			}
-		}
+	for k, pt := range todo {
+		t := tallies[k]
 		action := ActionStub
 		switch {
-		case needImpl:
+		case t.needImpl:
 			action = ActionImplement
 			p.Implement++
-		case needFake:
+		case t.needFake:
 			action = ActionFake
 			p.Fake++
 		default:
 			p.Stub++
 		}
-		cur.Add(pt.API)
-		wc := metrics.WeightedCompleteness(in, cur, waivedOpts)
 		p.Steps = append(p.Steps, Step{
-			N:            len(p.Steps) + 1,
+			N:            k + 1,
 			API:          pt.API.Name,
 			Action:       action,
 			Importance:   pt.Importance,
-			Users:        users,
-			Waived:       waived,
-			Completeness: wc,
-			Delta:        wc - prev,
+			Users:        t.users,
+			Waived:       t.waived,
+			Completeness: curve[k+1],
+			Delta:        curve[k+1] - curve[k],
 		})
-		prev = wc
-		p.FinalCompleteness = wc
 	}
 	return p
+}
+
+// tally is what one worklist step's API costs across the corpus.
+type tally struct {
+	// users counts packages whose footprint holds the API and waived
+	// those of them holding a waiver for it.
+	users, waived int
+	// needFake: some waived user needs a fake; needImpl: some user holds
+	// no waiver.
+	needFake, needImpl bool
+}
+
+// tallySteps tallies every step of order in one pass over the packages,
+// converting each package's waiver and fake sets to bitsets once. A
+// repeated API shares its first occurrence's tally; one that was never
+// interned is in no footprint and keeps a zero tally.
+func tallySteps(in *metrics.Input, order []linuxapi.API, m *Matrix) []tally {
+	// first maps an intern ID to the 1-based step that first adds it (0:
+	// no step); stepFirst maps each step to its API's first step.
+	var first []int
+	stepFirst := make([]int, len(order))
+	for k, api := range order {
+		id, ok := linuxapi.InternedID(api)
+		if !ok {
+			continue
+		}
+		if int(id) >= len(first) {
+			first = append(first, make([]int, int(id)+1-len(first))...)
+		}
+		if first[id] == 0 {
+			first[id] = k + 1
+		}
+		stepFirst[k] = first[id]
+	}
+	byFirst := make([]tally, len(order)+1)
+	for pkg, fp := range in.Footprints {
+		var waived, fake *footprint.BitSet
+		if w := m.Waivable[pkg]; w != nil {
+			waived = footprint.LookupBits(w)
+		}
+		if f := m.FakeNeeded[pkg]; f != nil {
+			fake = footprint.LookupBits(f)
+		}
+		fp.ForEach(func(id uint32) {
+			if int(id) >= len(first) || first[id] == 0 {
+				return
+			}
+			t := &byFirst[first[id]]
+			t.users++
+			if waived != nil && waived.HasID(id) {
+				t.waived++
+				if fake != nil && fake.HasID(id) {
+					t.needFake = true
+				}
+			} else {
+				t.needImpl = true
+			}
+		})
+	}
+	out := make([]tally, len(order))
+	for k, f := range stepFirst {
+		out[k] = byFirst[f]
+	}
+	return out
 }

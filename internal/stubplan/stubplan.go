@@ -72,13 +72,17 @@ const (
 )
 
 // worse orders verdicts by implementation cost; aggregation over
-// binaries takes the most demanding class.
+// binaries takes the most demanding class. It is symmetric and fails
+// closed: anything but the two tolerant classes counts as required.
 func worse(a, b Verdict) Verdict {
-	rank := map[Verdict]int{VerdictStubbable: 0, VerdictFakeable: 1, VerdictRequired: 2}
-	if rank[a] >= rank[b] {
-		return a
+	switch {
+	case a == VerdictStubbable && b == VerdictStubbable:
+		return VerdictStubbable
+	case (a == VerdictStubbable || a == VerdictFakeable) && (b == VerdictStubbable || b == VerdictFakeable):
+		return VerdictFakeable
+	default:
+		return VerdictRequired
 	}
-	return b
 }
 
 // terminationCalls must actually terminate: a stubbed or faked exit
@@ -138,6 +142,24 @@ type BinaryVerdicts struct {
 	// Verdicts maps syscall name to its measured class, for every
 	// syscall the baseline run observed with a known number.
 	Verdicts map[string]Verdict `json:"verdicts,omitempty"`
+}
+
+// valid reports whether a verdict set read back from the cache can be
+// trusted: every verdict is one of the three classes and names a system
+// call with a number. Anything else is a corrupt record, which
+// BuildMatrix re-emulates and overwrites like a miss.
+func (bv *BinaryVerdicts) valid() bool {
+	for name, v := range bv.Verdicts {
+		switch v {
+		case VerdictRequired, VerdictStubbable, VerdictFakeable:
+		default:
+			return false
+		}
+		if linuxapi.SyscallByName(name) == nil {
+			return false
+		}
+	}
+	return true
 }
 
 // VerdictTag is the anacache validation tag for verdict records: the
@@ -343,7 +365,7 @@ func BuildMatrix(s *core.Study, opts Options) *Matrix {
 				key := anacache.Key(j.data)
 				if cache != nil {
 					var bv BinaryVerdicts
-					if cache.GetVerdicts(key, tag, &bv) {
+					if cache.GetVerdicts(key, tag, &bv) && bv.valid() {
 						hits.Add(1)
 						results[i] = &bv
 						continue

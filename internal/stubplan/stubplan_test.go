@@ -1,10 +1,15 @@
 package stubplan
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -122,8 +127,9 @@ func TestMatrixClassesNonEmpty(t *testing.T) {
 }
 
 // Stub-aware completeness must dominate presence-only completeness for
-// every Table 6 target, and the stub-aware greedy path must dominate the
-// presence-only path pointwise — waivers only relax the subset test.
+// every Table 6 target, and the stub-aware curve along the greedy path
+// must dominate the presence-only path pointwise — waivers only relax
+// the subset test.
 func TestStubAwareDominatesPresenceOnly(t *testing.T) {
 	s, m := fixture(t)
 	in := s.Input
@@ -142,17 +148,19 @@ func TestStubAwareDominatesPresenceOnly(t *testing.T) {
 		}
 	}
 
-	waived := metrics.GreedyPathWaived(in, linuxapi.KindSyscall, m.Waivable)
-	if len(waived) != len(path) {
-		t.Fatalf("path lengths differ: %d vs %d", len(waived), len(path))
+	pathAPIs := make([]linuxapi.API, len(path))
+	for i, pt := range path {
+		pathAPIs[i] = pt.API
+	}
+	waived := metrics.CompletenessCurve(in, nil, pathAPIs,
+		metrics.CompletenessOptions{Kind: linuxapi.KindSyscall, Waivable: m.Waivable})
+	if len(waived) != len(path)+1 {
+		t.Fatalf("curve has %d points for a %d-step path", len(waived), len(path))
 	}
 	for i := range path {
-		if waived[i].API != path[i].API {
-			t.Fatalf("ordering diverged at %d: %v vs %v", i, waived[i].API, path[i].API)
-		}
-		if waived[i].Completeness < path[i].Completeness-1e-12 {
+		if waived[i+1] < path[i].Completeness-1e-12 {
 			t.Errorf("point %d (%s): waived %.6f < presence %.6f",
-				i, path[i].API.Name, waived[i].Completeness, path[i].Completeness)
+				i, path[i].API.Name, waived[i+1], path[i].Completeness)
 		}
 	}
 }
@@ -196,6 +204,180 @@ func TestPlanShape(t *testing.T) {
 	}
 }
 
+// naivePlan is BuildPlan as a per-step loop: every step scans every
+// package and recomputes weighted completeness from scratch. It is the
+// reference BuildPlan must match byte for byte.
+func naivePlan(in *metrics.Input, path []metrics.PathPoint, sys compat.System, m *Matrix) *Plan {
+	supported := compat.SupportedSet(sys, path)
+	opts := metrics.CompletenessOptions{Kind: linuxapi.KindSyscall}
+	waivedOpts := metrics.CompletenessOptions{Kind: linuxapi.KindSyscall, Waivable: m.Waivable}
+
+	p := &Plan{
+		System:               sys.Name,
+		Version:              sys.Version,
+		PolicyVersion:        m.PolicyVersion,
+		SupportedCount:       len(supported),
+		PresenceCompleteness: metrics.WeightedCompleteness(in, supported, opts),
+	}
+	p.StubAwareCompleteness = metrics.WeightedCompleteness(in, supported, waivedOpts)
+	p.FinalCompleteness = p.StubAwareCompleteness
+
+	cur := make(footprint.Set, len(supported))
+	for api := range supported {
+		cur.Add(api)
+	}
+	prev := p.StubAwareCompleteness
+	for _, pt := range path {
+		if supported.Contains(pt.API) {
+			continue
+		}
+		users, waived, needFake, needImpl := 0, 0, false, false
+		id, interned := linuxapi.InternedID(pt.API)
+		for pkg, fp := range in.Footprints {
+			if !interned || !fp.HasID(id) {
+				continue
+			}
+			users++
+			if w := m.Waivable[pkg]; w != nil && w.Contains(pt.API) {
+				waived++
+				if f := m.FakeNeeded[pkg]; f != nil && f.Contains(pt.API) {
+					needFake = true
+				}
+			} else {
+				needImpl = true
+			}
+		}
+		action := ActionStub
+		switch {
+		case needImpl:
+			action = ActionImplement
+			p.Implement++
+		case needFake:
+			action = ActionFake
+			p.Fake++
+		default:
+			p.Stub++
+		}
+		cur.Add(pt.API)
+		wc := metrics.WeightedCompleteness(in, cur, waivedOpts)
+		p.Steps = append(p.Steps, Step{
+			N:            len(p.Steps) + 1,
+			API:          pt.API.Name,
+			Action:       action,
+			Importance:   pt.Importance,
+			Users:        users,
+			Waived:       waived,
+			Completeness: wc,
+			Delta:        wc - prev,
+		})
+		prev = wc
+		p.FinalCompleteness = wc
+	}
+	return p
+}
+
+// syntheticMatrix draws each package's waivers as a random part of its
+// footprint (syscalls and other kinds alike) and its fake-needed set as
+// a random part of the waivers; some packages get none, a nil set or an
+// empty one. No emulation is needed.
+func syntheticMatrix(in *metrics.Input, seed int64) *Matrix {
+	rng := rand.New(rand.NewSource(seed))
+	m := &Matrix{
+		PolicyVersion: PolicyVersion,
+		Waivable:      make(map[string]footprint.Set),
+		FakeNeeded:    make(map[string]footprint.Set),
+	}
+	pkgs := make([]string, 0, len(in.Footprints))
+	for pkg := range in.Footprints {
+		pkgs = append(pkgs, pkg)
+	}
+	sort.Strings(pkgs)
+	for _, pkg := range pkgs {
+		switch rng.Intn(6) {
+		case 0:
+			continue
+		case 1:
+			m.Waivable[pkg] = nil
+			continue
+		case 2:
+			m.Waivable[pkg] = footprint.Set{}
+			continue
+		}
+		keep, fake := rng.Float64(), rng.Float64()
+		w, f := make(footprint.Set), make(footprint.Set)
+		for _, api := range in.Footprints[pkg].SortedAPIs() {
+			if rng.Float64() < keep {
+				w.Add(api)
+				if rng.Float64() < fake {
+					f.Add(api)
+				}
+			}
+		}
+		m.Waivable[pkg] = w
+		if len(f) > 0 {
+			m.FakeNeeded[pkg] = f
+		}
+	}
+	return m
+}
+
+// BuildPlan must produce the naive loop's exact bytes for all five
+// systems: over the emulated fixture matrix, over random synthetic
+// matrices and over an empty one. The synthetic corpus's survey total
+// is not a power of two, so a curve that summed its points in any other
+// order than WeightedCompleteness would change low bits here.
+func TestBuildPlanMatchesNaive(t *testing.T) {
+	fix, fixM := fixture(t)
+	c, err := corpus.Generate(corpus.Config{Packages: 40, Installations: 200000, Seed: 7})
+	if err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	heavy, err := core.Run(c, footprint.Options{})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+
+	type planCase struct {
+		name string
+		in   *metrics.Input
+		m    *Matrix
+	}
+	cases := []planCase{
+		{"fixture", fix.Input, fixM},
+		{"fixture-empty", fix.Input, &Matrix{PolicyVersion: PolicyVersion}},
+		{"synthetic-empty", heavy.Input, &Matrix{PolicyVersion: PolicyVersion}},
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		cases = append(cases,
+			planCase{fmt.Sprintf("synthetic-%d", seed), heavy.Input, syntheticMatrix(heavy.Input, seed)},
+			planCase{fmt.Sprintf("fixture-synthetic-%d", seed), fix.Input, syntheticMatrix(fix.Input, seed)})
+	}
+	systems := append(append([]compat.System(nil), compat.Systems...), compat.GrapheneFixed)
+	for _, pc := range cases {
+		path := metrics.GreedyPath(pc.in, linuxapi.KindSyscall)
+		for _, sys := range systems {
+			got, err := json.Marshal(BuildPlan(pc.in, path, sys, pc.m))
+			if err != nil {
+				t.Fatalf("marshal: %v", err)
+			}
+			want, err := json.Marshal(naivePlan(pc.in, path, sys, pc.m))
+			if err != nil {
+				t.Fatalf("marshal: %v", err)
+			}
+			if !bytes.Equal(got, want) {
+				i := 0
+				for i < len(got) && i < len(want) && got[i] == want[i] {
+					i++
+				}
+				lo := max(i-120, 0)
+				t.Errorf("%s %s%s: plan differs from the naive loop at byte %d:\ngot:  ...%s\nwant: ...%s",
+					pc.name, sys.Name, sys.Version, i,
+					got[lo:min(i+80, len(got))], want[lo:min(i+80, len(want))])
+			}
+		}
+	}
+}
+
 // A warm build over a populated cache must perform zero emulator runs and
 // produce a byte-identical plan.
 func TestColdWarmByteIdentical(t *testing.T) {
@@ -229,6 +411,97 @@ func TestColdWarmByteIdentical(t *testing.T) {
 	if string(a) != string(b) {
 		t.Fatalf("cold and warm plans differ:\ncold: %s\nwarm: %s", a, b)
 	}
+}
+
+// worse must be symmetric and fail closed: a verdict outside the three
+// classes ranks as required whichever binary it came from.
+func TestWorseFailsClosed(t *testing.T) {
+	classes := []Verdict{VerdictStubbable, VerdictFakeable, VerdictRequired, "bogus", ""}
+	rank := map[Verdict]int{VerdictStubbable: 0, VerdictFakeable: 1}
+	for _, a := range classes {
+		for _, b := range classes {
+			want := VerdictRequired
+			ra, okA := rank[a]
+			rb, okB := rank[b]
+			if okA && okB {
+				want = []Verdict{VerdictStubbable, VerdictFakeable}[max(ra, rb)]
+			}
+			if got := worse(a, b); got != want {
+				t.Errorf("worse(%q, %q) = %q, want %q", a, b, got, want)
+			}
+		}
+	}
+}
+
+// A cached verdict record holding a verdict outside the three classes,
+// or a verdict for a name with no system-call number, must fail closed:
+// BuildMatrix re-emulates exactly that binary, overwrites its record and
+// builds the clean matrix.
+func TestCorruptCachedVerdictReemulated(t *testing.T) {
+	dir := t.TempDir()
+	clean := BuildMatrix(testStudy(t, 20, 11, openCache(t, dir)), Options{})
+	tag := VerdictTag(footprint.Options{})
+
+	// The first binary with a stubbable verdict: taken at face value, a
+	// "bogus" class there would leave the call unwaived.
+	var key, name string
+	var rec BinaryVerdicts
+	seed := openCache(t, dir)
+	for _, j := range executables(testStudy(t, 20, 11, seed)) {
+		var bv BinaryVerdicts
+		if !seed.GetVerdicts(anacache.Key(j.data), tag, &bv) {
+			t.Fatalf("%s: no verdict record after a cold build", j.path)
+		}
+		for _, n := range sortedKeys(bv.Verdicts) {
+			if bv.Verdicts[n] == VerdictStubbable {
+				key, name, rec = anacache.Key(j.data), n, bv
+				break
+			}
+		}
+		if key != "" {
+			break
+		}
+	}
+	if key == "" {
+		t.Fatal("no stubbable verdict in the corpus")
+	}
+
+	corruptions := map[string]func(map[string]Verdict){
+		"unknown class":   func(v map[string]Verdict) { v[name] = "bogus" },
+		"unknown syscall": func(v map[string]Verdict) { v["no_such_syscall"] = VerdictStubbable },
+	}
+	for what, corrupt := range corruptions {
+		bad := BinaryVerdicts{Completed: rec.Completed, Verdicts: make(map[string]Verdict)}
+		for n, v := range rec.Verdicts {
+			bad.Verdicts[n] = v
+		}
+		corrupt(bad.Verdicts)
+		if err := openCache(t, dir).PutVerdicts(key, tag, &bad); err != nil {
+			t.Fatalf("%s: plant record: %v", what, err)
+		}
+
+		m := BuildMatrix(testStudy(t, 20, 11, openCache(t, dir)), Options{})
+		if m.Stats.CacheMisses != 1 || m.Stats.CacheHits != m.Stats.Binaries-1 || m.Stats.Emulations == 0 {
+			t.Errorf("%s: stats %+v, want exactly one binary re-emulated", what, m.Stats)
+		}
+		if !reflect.DeepEqual(m.Waivable, clean.Waivable) || !reflect.DeepEqual(m.FakeNeeded, clean.FakeNeeded) ||
+			m.Stats.Inconclusive != clean.Stats.Inconclusive {
+			t.Errorf("%s: matrix differs from a clean build", what)
+		}
+		var back BinaryVerdicts
+		if !openCache(t, dir).GetVerdicts(key, tag, &back) || !reflect.DeepEqual(back, rec) {
+			t.Errorf("%s: record not overwritten with the clean verdicts (%s is %q)", what, name, back.Verdicts[name])
+		}
+	}
+}
+
+func sortedKeys(m map[string]Verdict) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // TestHelperPlanProcess is not a test: when invoked as a subprocess it
@@ -284,7 +557,8 @@ func TestPlanDeterministicAcrossProcesses(t *testing.T) {
 
 // BenchmarkStubPlanColdVsWarm measures the matrix+plan build with an
 // empty verdict cache versus a populated one; benchgate asserts the warm
-// path is at least 2x faster.
+// path is at least 2x faster. The plans side times the five BuildPlan
+// calls alone over the warm matrix (recorded, not gated).
 func BenchmarkStubPlanColdVsWarm(b *testing.B) {
 	const pkgs, seed = 20, 31
 	b.Run("cold", func(b *testing.B) {
@@ -299,11 +573,10 @@ func BenchmarkStubPlanColdVsWarm(b *testing.B) {
 			}
 		}
 	})
+	dir := b.TempDir()
+	prime := testStudy(b, pkgs, seed, openCache(b, dir))
+	BuildMatrix(prime, Options{})
 	b.Run("warm", func(b *testing.B) {
-		dir := b.TempDir()
-		prime := testStudy(b, pkgs, seed, openCache(b, dir))
-		BuildMatrix(prime, Options{})
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			s := testStudy(b, pkgs, seed, openCache(b, dir))
@@ -315,6 +588,19 @@ func BenchmarkStubPlanColdVsWarm(b *testing.B) {
 			path := metrics.GreedyPath(s.Input, linuxapi.KindSyscall)
 			if p := BuildPlan(s.Input, path, compat.GrapheneFixed, m); p == nil {
 				b.Fatal("nil plan")
+			}
+		}
+	})
+	b.Run("plans", func(b *testing.B) {
+		m := BuildMatrix(prime, Options{})
+		path := metrics.GreedyPath(prime.Input, linuxapi.KindSyscall)
+		systems := append(append([]compat.System(nil), compat.Systems...), compat.GrapheneFixed)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, sys := range systems {
+				if p := BuildPlan(prime.Input, path, sys, m); p == nil {
+					b.Fatal("nil plan")
+				}
 			}
 		}
 	})

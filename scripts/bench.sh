@@ -4,7 +4,8 @@
 # map-vs-bitset aggregation benchmark, the snapshot open-vs-rebuild
 # benchmark, the evolution series cold-vs-warm benchmark, the
 # stub-aware plan cold-vs-warm benchmark (emulator-driven verdict
-# matrix vs cached verdict replay), and the parallel query hot-path
+# matrix vs cached verdict replay, plus the five plans alone over the
+# warm matrix, recorded but not gated), and the parallel query hot-path
 # benchmark (computing every answer vs the encoded byte cache + hotset
 # in the same run, with -benchmem), writes BENCH_pipeline.json (the committed artifact
 # documenting what the analysis cache buys, what fleet coordination

@@ -9,11 +9,13 @@
 # replica front proxy in internal/proxy, the coordinator/worker fleet
 # in internal/fleet, the load drivers in internal/loadgen, the
 # async job tier in internal/jobs, and the concurrent verdict-matrix
-# build in internal/stubplan), a two-worker end-to-end fleet smoke
-# test, a job-tier smoke test (spool persistence across kill -9), an
-# end-to-end load smoke test that gates the serving SLO, the ramp
-# (zero 5xx to the ceiling) and an in-process read-path throughput
-# ceiling that meets the SLO, a snapshot round-trip
+# build in internal/stubplan), ten seconds of the fuzzing engine on
+# each of the ELF reader (elfx.FuzzOpen) and the x86 decoder
+# (x86.FuzzDecode) beyond the seeds the test run replays, a two-worker
+# end-to-end fleet smoke test, a job-tier smoke test (spool persistence
+# across kill -9), an end-to-end load smoke test that gates the
+# serving SLO, the ramp (zero 5xx to the ceiling) and an in-process
+# read-path throughput ceiling that meets the SLO, a snapshot round-trip
 # equivalence smoke test, a replicated-serving smoke test (publish
 # to two replicas, kill one under load behind the proxy, zero 5xx),
 # a corpus-evolution smoke test (byte-stable 3-generation series
@@ -50,6 +52,10 @@ go test -race ./internal/core ./internal/linuxapi ./internal/footprint ./interna
     ./internal/service ./internal/httpapi ./internal/anacache ./internal/fleet \
     ./internal/loadgen ./internal/jobs ./internal/snapshot ./internal/proxy \
     ./internal/evolution ./internal/stubplan
+
+echo "== go test -fuzz (ELF reader, x86 decoder; 10s each)"
+go test -run '^$' -fuzz '^FuzzOpen$' -fuzztime 10s ./internal/elfx
+go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/x86
 
 echo "== fleet smoke test (two-worker end-to-end)"
 sh scripts/fleet_smoke.sh
