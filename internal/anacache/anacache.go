@@ -28,6 +28,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/footprint"
+	"repro/internal/obs"
 )
 
 // Cache is one on-disk analysis cache, safe for concurrent use by the
@@ -235,4 +236,21 @@ func (c *Cache) Stats() Stats {
 		VerdictWrites:        c.verdictWrites.Load(),
 		VerdictWriteErrors:   c.verdictWriteErrors.Load(),
 	}
+}
+
+// WriteMetrics writes the cache's families under prefix+"_anacache_",
+// the one rendering apiserved and apiworker share. A nil cache writes
+// zeros, so a server without one still exports the families.
+func (c *Cache) WriteMetrics(w *obs.Writer, prefix string) {
+	var st Stats
+	if c != nil {
+		st = c.Stats()
+	}
+	p := prefix + "_anacache_"
+	obs.Counter(w, p+"hits_total", "Per-binary analysis records served from the persistent cache.", st.Hits)
+	obs.Counter(w, p+"misses_total", "Lookups that fell back to re-analysis.", st.Misses)
+	obs.Counter(w, p+"invalidations_total", "Records rejected as stale or corrupt.", st.Invalidations)
+	obs.Counter(w, p+"writes_total", "Records persisted to the analysis cache.", st.Writes)
+	obs.Counter(w, p+"write_errors_total", "Records that failed to persist (the cache is advisory).", st.WriteErrors)
+	obs.Gauge(w, p+"hit_ratio", "Analysis-cache hits over lookups since start.", st.HitRatio())
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/anacache"
 	"repro/internal/core"
 	"repro/internal/footprint"
+	"repro/internal/obs"
 )
 
 // Config tunes a Coordinator. The zero value of every knob has a sane
@@ -656,7 +657,7 @@ func (c *Coordinator) Stats() Stats {
 			LastErr:    w.lastErr,
 		}
 		if w.latencyCount > 0 {
-			ws.AvgLatencyMs = float64(w.latencySum.Milliseconds()) / float64(w.latencyCount)
+			ws.AvgLatencyMs = float64(w.latencySum) / float64(time.Millisecond) / float64(w.latencyCount)
 		}
 		if !w.evicted {
 			s.WorkersHealthy++
@@ -665,4 +666,44 @@ func (c *Coordinator) Stats() Stats {
 		s.Workers = append(s.Workers, ws)
 	}
 	return s
+}
+
+// WriteMetrics writes the apiserved_fleet_* families. A nil coordinator
+// (no fleet) writes only apiserved_fleet_enabled 0.
+func (c *Coordinator) WriteMetrics(w *obs.Writer) {
+	obs.Gauge(w, "apiserved_fleet_enabled", "Whether a distributed-analysis fleet is configured.", c != nil)
+	if c == nil {
+		return
+	}
+	fs := c.Stats()
+	obs.Gauge(w, "apiserved_fleet_workers", "Workers configured.", len(fs.Workers))
+	obs.Gauge(w, "apiserved_fleet_workers_healthy", "Workers not currently evicted.", fs.WorkersHealthy)
+	obs.Counter(w, "apiserved_fleet_shards_total", "Shards partitioned across all fleet runs.", fs.ShardsTotal)
+	obs.Counter(w, "apiserved_fleet_jobs_dispatched_total", "Shard dispatches sent to workers.", fs.Dispatched)
+	obs.Counter(w, "apiserved_fleet_jobs_retried_total", "Failed shards re-queued after backoff.", fs.Retries)
+	obs.Counter(w, "apiserved_fleet_jobs_hedged_total", "Slow shards re-dispatched to an idle worker.", fs.Hedges)
+	obs.Counter(w, "apiserved_fleet_jobs_failed_total", "Shard dispatches that failed.", fs.Failures)
+	obs.Counter(w, "apiserved_fleet_corrupt_responses_total", "Worker responses rejected as malformed.", fs.CorruptResponses)
+	obs.Counter(w, "apiserved_fleet_local_fallback_shards_total", "Shards analyzed in-process instead of on a worker.", fs.LocalFallbackShards)
+	obs.Counter(w, "apiserved_fleet_worker_evictions_total", "Workers evicted after consecutive failures.", fs.Evictions)
+	obs.Counter(w, "apiserved_fleet_worker_readmissions_total", "Evicted workers re-admitted after a healthy probe.", fs.Readmissions)
+	w.Family("apiserved_fleet_shard_bytes", obs.TypeGauge, "Shard size skew of the most recent partition.")
+	obs.Sample(w, fs.ShardBytesMax, "bound", "max")
+	obs.Sample(w, fs.ShardBytesMin, "bound", "min")
+	w.Family("apiserved_fleet_worker_dispatched_total", obs.TypeCounter, "Shard dispatches per worker.")
+	for _, ws := range fs.Workers {
+		obs.Sample(w, ws.Dispatched, "worker", ws.URL)
+	}
+	w.Family("apiserved_fleet_worker_failures_total", obs.TypeCounter, "Failed shard dispatches per worker.")
+	for _, ws := range fs.Workers {
+		obs.Sample(w, ws.Failures, "worker", ws.URL)
+	}
+	w.Family("apiserved_fleet_worker_avg_latency_ms", obs.TypeGauge, "Mean shard dispatch latency per worker, in milliseconds.")
+	for _, ws := range fs.Workers {
+		obs.Sample(w, ws.AvgLatencyMs, "worker", ws.URL)
+	}
+	w.Family("apiserved_fleet_worker_evicted", obs.TypeGauge, "Whether each worker is currently evicted.")
+	for _, ws := range fs.Workers {
+		obs.Sample(w, ws.Evicted, "worker", ws.URL)
+	}
 }

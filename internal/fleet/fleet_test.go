@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/footprint"
+	"repro/internal/obs"
 )
 
 func fleetTestCorpus(t *testing.T) *corpus.Corpus {
@@ -338,5 +340,21 @@ func TestFleetEvictionAndReadmission(t *testing.T) {
 	}
 	if st.Readmissions == 0 {
 		t.Errorf("recovered worker never re-admitted: %+v", st)
+	}
+}
+
+// TestAvgLatencySubMillisecond pins the per-worker mean to nanosecond
+// resolution: two 400µs dispatches average 0.4 ms, not a truncated 0.
+func TestAvgLatencySubMillisecond(t *testing.T) {
+	c := New(Config{Workers: []string{"http://w1"}})
+	c.workers[0].latencySum = 2 * 400 * time.Microsecond
+	c.workers[0].latencyCount = 2
+	if got := c.Stats().Workers[0].AvgLatencyMs; got != 0.4 {
+		t.Errorf("AvgLatencyMs = %v, want 0.4", got)
+	}
+	var w obs.Writer
+	c.WriteMetrics(&w)
+	if line := `apiserved_fleet_worker_avg_latency_ms{worker="http://w1"} 0.4`; !strings.Contains(w.String(), line+"\n") {
+		t.Errorf("metrics missing %q:\n%s", line, w.String())
 	}
 }

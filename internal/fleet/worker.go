@@ -5,10 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -16,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/footprint"
 	"repro/internal/jobs"
+	"repro/internal/obs"
 )
 
 // WorkerConfig tunes one shard worker.
@@ -91,7 +90,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	w := &Worker{cfg: cfg, mux: http.NewServeMux(), start: time.Now()}
 	w.mux.HandleFunc("POST "+AnalyzePath, w.handleAnalyze)
 	w.mux.HandleFunc("GET /healthz", w.handleHealthz)
-	w.mux.HandleFunc("GET /metrics", w.handleMetrics)
+	w.mux.HandleFunc("GET /metrics", obs.Handler(w.writeMetrics))
 	return w
 }
 
@@ -187,21 +186,12 @@ func (w *Worker) handleHealthz(rw http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (w *Worker) handleMetrics(rw http.ResponseWriter, r *http.Request) {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# HELP apiworker_shards_total Shard-analysis requests served.\n")
-	fmt.Fprintf(&b, "# TYPE apiworker_shards_total counter\n")
-	fmt.Fprintf(&b, "apiworker_shards_total %d\n", w.shards.Load())
-	fmt.Fprintf(&b, "apiworker_files_total %d\n", w.files.Load())
-	fmt.Fprintf(&b, "apiworker_file_errors_total %d\n", w.fileErrors.Load())
-	fmt.Fprintf(&b, "apiworker_bad_requests_total %d\n", w.badShards.Load())
+func (w *Worker) writeMetrics(mw *obs.Writer) {
+	obs.Counter(mw, "apiworker_shards_total", "Shard-analysis requests served.", w.shards.Load())
+	obs.Counter(mw, "apiworker_files_total", "Files analyzed across all shards.", w.files.Load())
+	obs.Counter(mw, "apiworker_file_errors_total", "Files that failed analysis and were skipped.", w.fileErrors.Load())
+	obs.Counter(mw, "apiworker_bad_requests_total", "Shard requests rejected as malformed.", w.badShards.Load())
 	if w.cfg.Cache != nil {
-		cs := w.cfg.Cache.Stats()
-		fmt.Fprintf(&b, "apiworker_anacache_hits_total %d\n", cs.Hits)
-		fmt.Fprintf(&b, "apiworker_anacache_misses_total %d\n", cs.Misses)
-		fmt.Fprintf(&b, "apiworker_anacache_invalidations_total %d\n", cs.Invalidations)
-		fmt.Fprintf(&b, "apiworker_anacache_writes_total %d\n", cs.Writes)
+		w.cfg.Cache.WriteMetrics(mw, "apiworker")
 	}
-	rw.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	io.WriteString(rw, b.String())
 }

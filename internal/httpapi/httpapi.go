@@ -24,11 +24,11 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/jobs"
+	"repro/internal/obs"
 	"repro/internal/service"
 )
 
@@ -79,7 +79,7 @@ type API struct {
 	opts      Options
 	mux       *http.ServeMux
 	start     time.Time
-	metrics   *requestMetrics
+	routes    []*routeStats // sorted by route once New has wired the mux
 	admission *service.Admission
 }
 
@@ -98,11 +98,10 @@ func New(svc *service.Service, opts Options) *API {
 		opts.MaxSnapshotBytes = 256 << 20
 	}
 	a := &API{
-		svc:     svc,
-		opts:    opts,
-		mux:     http.NewServeMux(),
-		start:   time.Now(),
-		metrics: newRequestMetrics(),
+		svc:   svc,
+		opts:  opts,
+		mux:   http.NewServeMux(),
+		start: time.Now(),
 		admission: service.NewAdmission(service.AdmissionConfig{
 			MaxInFlight: opts.MaxInFlight,
 			MaxQueue:    opts.MaxQueue,
@@ -110,7 +109,7 @@ func New(svc *service.Service, opts Options) *API {
 		}),
 	}
 	a.handle("GET /healthz", a.handleHealthz, bypassAdmission)
-	a.handle("GET /metrics", a.handleMetrics, bypassAdmission)
+	a.handle("GET /metrics", obs.Handler(a.writeMetrics), bypassAdmission)
 	a.handle("GET /v1/importance/{syscall}", a.handleImportance)
 	a.handle("POST /v1/completeness", a.handleCompleteness)
 	a.handle("POST /v1/suggest", a.handleSuggest)
@@ -134,6 +133,7 @@ func New(svc *service.Service, opts Options) *API {
 		a.handle("POST /v1/snapshot/rollback", a.handleSnapshotRollback, bypassAdmission)
 		a.handle("GET /v1/snapshot", a.handleSnapshotStatus, bypassAdmission)
 	}
+	sort.Slice(a.routes, func(i, j int) bool { return a.routes[i].route < a.routes[j].route })
 	return a
 }
 
@@ -192,7 +192,8 @@ func (a *API) handle(pattern string, h http.HandlerFunc, flags ...string) {
 			bypass = true
 		}
 	}
-	a.metrics.register(pattern)
+	rs := &routeStats{route: pattern, hist: obs.NewHistogram(time.Second, latencyBuckets)}
+	a.routes = append(a.routes, rs)
 	a.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		ctx, cancel := context.WithTimeout(r.Context(), a.opts.RequestTimeout)
@@ -213,7 +214,7 @@ func (a *API) handle(pattern string, h http.HandlerFunc, flags ...string) {
 			}()
 		}
 		elapsed := time.Since(start)
-		a.metrics.observe(pattern, sw.code, elapsed)
+		rs.observe(sw.code, elapsed)
 		if a.opts.Logger != nil {
 			a.opts.Logger.Printf("%s %s -> %d in %s rid=%s", r.Method, r.URL.Path, sw.code,
 				elapsed.Round(time.Microsecond), RequestIDFrom(ctx))
@@ -377,319 +378,55 @@ var latencyBuckets = []float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// requestMetrics accumulates per-route counters and per-route latency
-// histograms — per-route because a global histogram lets a slow
-// endpoint's tail (/v1/analyze disassembles uploads) hide a regression
-// in a fast one (/v1/importance is a map probe). The route set is fixed
-// at construction (handle registers each pattern), so observe() is a
-// read-only map probe plus atomic adds: the metrics layer adds no
-// shared lock to the request path it is measuring.
-type requestMetrics struct {
-	routes map[string]*routeStats // immutable after registration
-	names  []string               // registration order; sorted lazily
-}
-
 // routeStats is one route's counters: per-status-code request counts
-// and a latency histogram over latencyBuckets, all atomics.
+// and a latency histogram over latencyBuckets — per route because a
+// global histogram lets a slow endpoint's tail (/v1/analyze
+// disassembles uploads) hide a regression in a fast one
+// (/v1/importance is a map probe). Each route's handler holds its own
+// routeStats, so observing a request is atomic adds: the metrics layer
+// adds no shared lock to the request path it is measuring.
 type routeStats struct {
-	codes    [600]atomic.Uint64 // indexed by HTTP status code
-	buckets  []atomic.Uint64    // len(latencyBuckets)+1; raw counts
-	sumNanos atomic.Int64
-	count    atomic.Uint64
+	route string
+	codes [600]atomic.Uint64 // indexed by HTTP status code
+	hist  *obs.Histogram
 }
 
-func newRequestMetrics() *requestMetrics {
-	return &requestMetrics{routes: make(map[string]*routeStats)}
+func (rs *routeStats) observe(code int, d time.Duration) {
+	if code < 0 || code >= len(rs.codes) {
+		code = len(rs.codes) - 1
+	}
+	rs.codes[code].Add(1)
+	rs.hist.Observe(d)
 }
 
-// register adds a route. Called only while New wires the mux, before
-// any traffic: the map is never written concurrently with observe.
-func (m *requestMetrics) register(route string) {
-	if _, ok := m.routes[route]; ok {
-		return
-	}
-	m.routes[route] = &routeStats{buckets: make([]atomic.Uint64, len(latencyBuckets)+1)}
-	m.names = append(m.names, route)
-}
-
-func (m *requestMetrics) observe(route string, code int, d time.Duration) {
-	h := m.routes[route]
-	if h == nil {
-		return
-	}
-	if code < 0 || code >= len(h.codes) {
-		code = len(h.codes) - 1
-	}
-	h.codes[code].Add(1)
-	sec := d.Seconds()
-	idx := len(latencyBuckets)
-	for i, ub := range latencyBuckets {
-		if sec <= ub {
-			idx = i
-			break
-		}
-	}
-	h.buckets[idx].Add(1)
-	h.sumNanos.Add(int64(d))
-	h.count.Add(1)
-}
-
-func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	st := a.svc.Stats()
-	var b strings.Builder
-
-	fmt.Fprintf(&b, "# HELP apiserved_requests_total Requests served, by route and status code.\n")
-	fmt.Fprintf(&b, "# TYPE apiserved_requests_total counter\n")
-	routeNames := append([]string(nil), a.metrics.names...)
-	sort.Strings(routeNames)
-	for _, route := range routeNames {
-		h := a.metrics.routes[route]
-		for code := range h.codes {
-			if n := h.codes[code].Load(); n > 0 {
-				fmt.Fprintf(&b, "apiserved_requests_total{route=%q,code=%q} %d\n",
-					route, strconv.Itoa(code), n)
+// writeMetrics writes the /metrics page: this layer's per-route request
+// families, then the families each subsystem owns.
+func (a *API) writeMetrics(w *obs.Writer) {
+	w.Family("apiserved_requests_total", obs.TypeCounter, "Requests served, by route and status code.")
+	for _, rs := range a.routes {
+		for code := range rs.codes {
+			if n := rs.codes[code].Load(); n > 0 {
+				obs.Sample(w, n, "route", rs.route, "code", strconv.Itoa(code))
 			}
 		}
 	}
 	// The aggregate (unlabeled) histogram keeps the long-standing series
 	// alive for dashboards; the per-route series are the ones that catch
 	// a single endpoint's tail regressing.
-	fmt.Fprintf(&b, "# HELP apiserved_request_duration_seconds Request latency histogram (aggregate over routes).\n")
-	fmt.Fprintf(&b, "# TYPE apiserved_request_duration_seconds histogram\n")
-	aggBuckets := make([]uint64, len(latencyBuckets)+1)
-	var aggSum float64
-	var aggCount uint64
-	for _, route := range routeNames {
-		h := a.metrics.routes[route]
-		for i := range h.buckets {
-			aggBuckets[i] += h.buckets[i].Load()
-		}
-		aggSum += float64(h.sumNanos.Load()) / 1e9
-		aggCount += h.count.Load()
+	agg := obs.NewHistogram(time.Second, latencyBuckets)
+	for _, rs := range a.routes {
+		agg.Merge(rs.hist)
 	}
-	var cum uint64
-	for i, ub := range latencyBuckets {
-		cum += aggBuckets[i]
-		fmt.Fprintf(&b, "apiserved_request_duration_seconds_bucket{le=%q} %d\n",
-			strconv.FormatFloat(ub, 'g', -1, 64), cum)
+	w.Family("apiserved_request_duration_seconds", obs.TypeHistogram, "Request latency histogram (aggregate over routes).")
+	w.Histogram(agg)
+	w.Family("apiserved_route_duration_seconds", obs.TypeHistogram, "Request latency histogram, per route.")
+	for _, rs := range a.routes {
+		w.Histogram(rs.hist, "route", rs.route)
 	}
-	cum += aggBuckets[len(latencyBuckets)]
-	fmt.Fprintf(&b, "apiserved_request_duration_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(&b, "apiserved_request_duration_seconds_sum %g\n", aggSum)
-	fmt.Fprintf(&b, "apiserved_request_duration_seconds_count %d\n", aggCount)
-	fmt.Fprintf(&b, "# HELP apiserved_route_duration_seconds Request latency histogram, per route.\n")
-	fmt.Fprintf(&b, "# TYPE apiserved_route_duration_seconds histogram\n")
-	for _, route := range routeNames {
-		h := a.metrics.routes[route]
-		var cum uint64
-		for i, ub := range latencyBuckets {
-			cum += h.buckets[i].Load()
-			fmt.Fprintf(&b, "apiserved_route_duration_seconds_bucket{route=%q,le=%q} %d\n",
-				route, strconv.FormatFloat(ub, 'g', -1, 64), cum)
-		}
-		cum += h.buckets[len(latencyBuckets)].Load()
-		fmt.Fprintf(&b, "apiserved_route_duration_seconds_bucket{route=%q,le=\"+Inf\"} %d\n", route, cum)
-		fmt.Fprintf(&b, "apiserved_route_duration_seconds_sum{route=%q} %g\n", route, float64(h.sumNanos.Load())/1e9)
-		fmt.Fprintf(&b, "apiserved_route_duration_seconds_count{route=%q} %d\n", route, h.count.Load())
-	}
-
-	adm := a.admission.Stats()
-	fmt.Fprintf(&b, "# HELP apiserved_admission_enabled Whether admission control is configured.\n")
-	fmt.Fprintf(&b, "# TYPE apiserved_admission_enabled gauge\n")
-	fmt.Fprintf(&b, "apiserved_admission_enabled %d\n", boolToInt(adm.Enabled))
-	fmt.Fprintf(&b, "# HELP apiserved_admission_inflight Requests currently admitted.\n")
-	fmt.Fprintf(&b, "# TYPE apiserved_admission_inflight gauge\n")
-	fmt.Fprintf(&b, "apiserved_admission_inflight %d\n", adm.InFlight)
-	fmt.Fprintf(&b, "# HELP apiserved_admission_queue_depth Requests waiting for an in-flight slot.\n")
-	fmt.Fprintf(&b, "# TYPE apiserved_admission_queue_depth gauge\n")
-	fmt.Fprintf(&b, "apiserved_admission_queue_depth %d\n", adm.Queued)
-	fmt.Fprintf(&b, "apiserved_admission_inflight_limit %d\n", adm.MaxInFlight)
-	fmt.Fprintf(&b, "apiserved_admission_queue_limit %d\n", adm.MaxQueue)
-	fmt.Fprintf(&b, "# HELP apiserved_admission_accepted_total Requests admitted past the limiter.\n")
-	fmt.Fprintf(&b, "# TYPE apiserved_admission_accepted_total counter\n")
-	fmt.Fprintf(&b, "apiserved_admission_accepted_total %d\n", adm.Accepted)
-	fmt.Fprintf(&b, "# HELP apiserved_admission_shed_total Requests rejected with 429, by reason.\n")
-	fmt.Fprintf(&b, "# TYPE apiserved_admission_shed_total counter\n")
-	fmt.Fprintf(&b, "apiserved_admission_shed_total{reason=\"queue_full\"} %d\n", adm.ShedQueueFull)
-	fmt.Fprintf(&b, "apiserved_admission_shed_total{reason=\"timeout\"} %d\n", adm.ShedTimeout)
-	fmt.Fprintf(&b, "apiserved_admission_shed_total{reason=\"cancelled\"} %d\n", adm.ShedCancelled)
-
-	fmt.Fprintf(&b, "# HELP apiserved_cache_hits_total Encoded byte-cache hits (unlabeled: all endpoints; labeled: per endpoint). Hotset answers are counted by apiserved_hotset_hits_total.\n")
-	fmt.Fprintf(&b, "apiserved_cache_hits_total %d\n", st.ByteCacheHits)
-	for _, es := range st.Endpoints {
-		fmt.Fprintf(&b, "apiserved_cache_hits_total{endpoint=%q} %d\n", es.Endpoint, es.Hits)
-	}
-	fmt.Fprintf(&b, "# HELP apiserved_cache_misses_total Encoded byte-cache misses (unlabeled: all endpoints; labeled: per endpoint).\n")
-	fmt.Fprintf(&b, "apiserved_cache_misses_total %d\n", st.ByteCacheMisses)
-	for _, es := range st.Endpoints {
-		fmt.Fprintf(&b, "apiserved_cache_misses_total{endpoint=%q} %d\n", es.Endpoint, es.Misses)
-	}
-	fmt.Fprintf(&b, "# HELP apiserved_cache_evictions_total Encoded byte-cache entries evicted by the byte budget.\n")
-	fmt.Fprintf(&b, "apiserved_cache_evictions_total %d\n", st.ByteCacheEvictions)
-	for _, es := range st.Endpoints {
-		fmt.Fprintf(&b, "apiserved_cache_evictions_total{endpoint=%q} %d\n", es.Endpoint, es.Evictions)
-	}
-	fmt.Fprintf(&b, "# HELP apiserved_cache_hit_ratio Encoded byte-cache hits over lookups since start.\n")
-	fmt.Fprintf(&b, "apiserved_cache_hit_ratio %g\n", st.HitRatio())
-	fmt.Fprintf(&b, "# HELP apiserved_cache_bytes Resident bytes in the encoded byte cache.\n")
-	fmt.Fprintf(&b, "# TYPE apiserved_cache_bytes gauge\n")
-	fmt.Fprintf(&b, "apiserved_cache_bytes %d\n", st.ByteCacheBytes)
-	fmt.Fprintf(&b, "apiserved_cache_capacity_bytes %d\n", st.ByteCacheCapacity)
-	fmt.Fprintf(&b, "apiserved_cache_byte_entries %d\n", st.ByteCacheEntries)
-	fmt.Fprintf(&b, "# HELP apiserved_cache_oversize_total Answers too large to cache, served uncached.\n")
-	fmt.Fprintf(&b, "apiserved_cache_oversize_total %d\n", st.ByteCacheOversize)
-	fmt.Fprintf(&b, "# HELP apiserved_hotset_hits_total Requests answered from the precomputed per-generation hotset.\n")
-	fmt.Fprintf(&b, "# TYPE apiserved_hotset_hits_total counter\n")
-	fmt.Fprintf(&b, "apiserved_hotset_hits_total %d\n", st.HotsetHits)
-	fmt.Fprintf(&b, "# HELP apiserved_hotset_bytes Pre-encoded bytes resident in the current hotset.\n")
-	fmt.Fprintf(&b, "# TYPE apiserved_hotset_bytes gauge\n")
-	fmt.Fprintf(&b, "apiserved_hotset_bytes %d\n", st.HotsetBytes)
-	fmt.Fprintf(&b, "apiserved_hotset_entries %d\n", st.HotsetEntries)
-	fmt.Fprintf(&b, "# HELP apiserved_singleflight_shared_total Cache misses that shared another in-flight compute.\n")
-	fmt.Fprintf(&b, "# TYPE apiserved_singleflight_shared_total counter\n")
-	fmt.Fprintf(&b, "apiserved_singleflight_shared_total %d\n", st.SingleflightShared)
-	fmt.Fprintf(&b, "# HELP apiserved_snapshot_generation Generation of the resident study snapshot.\n")
-	fmt.Fprintf(&b, "# TYPE apiserved_snapshot_generation gauge\n")
-	fmt.Fprintf(&b, "apiserved_snapshot_generation %d\n", st.Generation)
-	fmt.Fprintf(&b, "apiserved_snapshot_packages %d\n", st.Meta.Packages)
-	fmt.Fprintf(&b, "apiserved_snapshot_executables %d\n", st.Meta.Executables)
-	fmt.Fprintf(&b, "apiserved_analyses_active %d\n", st.AnalysesActive)
-	fmt.Fprintf(&b, "apiserved_analyses_total %d\n", st.AnalysesTotal)
-	fmt.Fprintf(&b, "apiserved_analyses_rejected_total %d\n", st.AnalysesRejected)
-
-	fmt.Fprintf(&b, "# HELP apiserved_snapshot_reloads_total Background corpus reloads swapped in.\n")
-	fmt.Fprintf(&b, "# TYPE apiserved_snapshot_reloads_total counter\n")
-	fmt.Fprintf(&b, "apiserved_snapshot_reloads_total %d\n", st.Reloads)
-	fmt.Fprintf(&b, "apiserved_snapshot_reloads_failed_total %d\n", st.ReloadsFailed)
-	fmt.Fprintf(&b, "# HELP apiserved_snapshot_file_loads_total Snapshot files validated and swapped in.\n")
-	fmt.Fprintf(&b, "# TYPE apiserved_snapshot_file_loads_total counter\n")
-	fmt.Fprintf(&b, "apiserved_snapshot_file_loads_total %d\n", st.SnapshotLoads)
-	fmt.Fprintf(&b, "apiserved_snapshot_file_errors_total %d\n", st.SnapshotLoadErrors)
-	fmt.Fprintf(&b, "apiserved_snapshot_fallbacks_total %d\n", st.SnapshotFallbacks)
-	fmt.Fprintf(&b, "# HELP apiserved_snapshot_from_file Whether the served study was restored from a snapshot file.\n")
-	fmt.Fprintf(&b, "# TYPE apiserved_snapshot_from_file gauge\n")
-	fmt.Fprintf(&b, "apiserved_snapshot_from_file %d\n", boolToInt(st.SnapshotFile != ""))
-	if a.opts.Snapshots != nil {
-		ms := a.opts.Snapshots.Status()
-		fmt.Fprintf(&b, "# HELP apiserved_snapshot_installs_total Snapshot pushes installed via /v1/snapshot.\n")
-		fmt.Fprintf(&b, "# TYPE apiserved_snapshot_installs_total counter\n")
-		fmt.Fprintf(&b, "apiserved_snapshot_installs_total %d\n", ms.Installs)
-		fmt.Fprintf(&b, "apiserved_snapshot_rollbacks_total %d\n", ms.Rollbacks)
-		fmt.Fprintf(&b, "apiserved_snapshot_rejected_stale_total %d\n", ms.RejectedStale)
-		fmt.Fprintf(&b, "apiserved_snapshot_rejected_corrupt_total %d\n", ms.RejectedCorrupt)
-	}
-	fmt.Fprintf(&b, "# HELP apiserved_anacache_enabled Whether a persistent analysis cache is configured.\n")
-	fmt.Fprintf(&b, "# TYPE apiserved_anacache_enabled gauge\n")
-	fmt.Fprintf(&b, "apiserved_anacache_enabled %d\n", boolToInt(st.AnacacheOn))
-	fmt.Fprintf(&b, "# HELP apiserved_anacache_hits_total Per-binary analysis records served from the persistent cache.\n")
-	fmt.Fprintf(&b, "# TYPE apiserved_anacache_hits_total counter\n")
-	fmt.Fprintf(&b, "apiserved_anacache_hits_total %d\n", st.Anacache.Hits)
-	fmt.Fprintf(&b, "# HELP apiserved_anacache_misses_total Lookups that fell back to re-analysis.\n")
-	fmt.Fprintf(&b, "# TYPE apiserved_anacache_misses_total counter\n")
-	fmt.Fprintf(&b, "apiserved_anacache_misses_total %d\n", st.Anacache.Misses)
-	fmt.Fprintf(&b, "# HELP apiserved_anacache_invalidations_total Records rejected as stale or corrupt.\n")
-	fmt.Fprintf(&b, "# TYPE apiserved_anacache_invalidations_total counter\n")
-	fmt.Fprintf(&b, "apiserved_anacache_invalidations_total %d\n", st.Anacache.Invalidations)
-	fmt.Fprintf(&b, "# HELP apiserved_anacache_writes_total Records persisted to the analysis cache.\n")
-	fmt.Fprintf(&b, "# TYPE apiserved_anacache_writes_total counter\n")
-	fmt.Fprintf(&b, "apiserved_anacache_writes_total %d\n", st.Anacache.Writes)
-	fmt.Fprintf(&b, "apiserved_anacache_write_errors_total %d\n", st.Anacache.WriteErrors)
-	fmt.Fprintf(&b, "# HELP apiserved_anacache_hit_ratio Analysis-cache hits over lookups since start.\n")
-	fmt.Fprintf(&b, "# TYPE apiserved_anacache_hit_ratio gauge\n")
-	fmt.Fprintf(&b, "apiserved_anacache_hit_ratio %g\n", st.Anacache.HitRatio())
-
-	fmt.Fprintf(&b, "# HELP apiserved_snapshot_skipped_files Malformed ELF files skipped while building the snapshot.\n")
-	fmt.Fprintf(&b, "# TYPE apiserved_snapshot_skipped_files gauge\n")
-	fmt.Fprintf(&b, "apiserved_snapshot_skipped_files %d\n", st.Meta.SkippedFiles)
-
-	fmt.Fprintf(&b, "# HELP apiserved_fleet_enabled Whether a distributed-analysis fleet is configured.\n")
-	fmt.Fprintf(&b, "# TYPE apiserved_fleet_enabled gauge\n")
-	fmt.Fprintf(&b, "apiserved_fleet_enabled %d\n", boolToInt(st.FleetOn))
-	if fs := st.Fleet; fs != nil {
-		fmt.Fprintf(&b, "apiserved_fleet_workers %d\n", len(fs.Workers))
-		fmt.Fprintf(&b, "apiserved_fleet_workers_healthy %d\n", fs.WorkersHealthy)
-		fmt.Fprintf(&b, "# HELP apiserved_fleet_shards_total Shards partitioned across all fleet runs.\n")
-		fmt.Fprintf(&b, "# TYPE apiserved_fleet_shards_total counter\n")
-		fmt.Fprintf(&b, "apiserved_fleet_shards_total %d\n", fs.ShardsTotal)
-		fmt.Fprintf(&b, "# HELP apiserved_fleet_jobs_dispatched_total Shard dispatches sent to workers.\n")
-		fmt.Fprintf(&b, "# TYPE apiserved_fleet_jobs_dispatched_total counter\n")
-		fmt.Fprintf(&b, "apiserved_fleet_jobs_dispatched_total %d\n", fs.Dispatched)
-		fmt.Fprintf(&b, "apiserved_fleet_jobs_retried_total %d\n", fs.Retries)
-		fmt.Fprintf(&b, "apiserved_fleet_jobs_hedged_total %d\n", fs.Hedges)
-		fmt.Fprintf(&b, "apiserved_fleet_jobs_failed_total %d\n", fs.Failures)
-		fmt.Fprintf(&b, "apiserved_fleet_corrupt_responses_total %d\n", fs.CorruptResponses)
-		fmt.Fprintf(&b, "apiserved_fleet_local_fallback_shards_total %d\n", fs.LocalFallbackShards)
-		fmt.Fprintf(&b, "apiserved_fleet_worker_evictions_total %d\n", fs.Evictions)
-		fmt.Fprintf(&b, "apiserved_fleet_worker_readmissions_total %d\n", fs.Readmissions)
-		fmt.Fprintf(&b, "# HELP apiserved_fleet_shard_bytes Shard size skew of the most recent partition.\n")
-		fmt.Fprintf(&b, "# TYPE apiserved_fleet_shard_bytes gauge\n")
-		fmt.Fprintf(&b, "apiserved_fleet_shard_bytes{bound=\"max\"} %d\n", fs.ShardBytesMax)
-		fmt.Fprintf(&b, "apiserved_fleet_shard_bytes{bound=\"min\"} %d\n", fs.ShardBytesMin)
-		fmt.Fprintf(&b, "# HELP apiserved_fleet_worker_dispatched_total Shard dispatches per worker.\n")
-		fmt.Fprintf(&b, "# TYPE apiserved_fleet_worker_dispatched_total counter\n")
-		for _, ws := range fs.Workers {
-			fmt.Fprintf(&b, "apiserved_fleet_worker_dispatched_total{worker=%q} %d\n", ws.URL, ws.Dispatched)
-			fmt.Fprintf(&b, "apiserved_fleet_worker_failures_total{worker=%q} %d\n", ws.URL, ws.Failures)
-			fmt.Fprintf(&b, "apiserved_fleet_worker_avg_latency_ms{worker=%q} %g\n", ws.URL, ws.AvgLatencyMs)
-			fmt.Fprintf(&b, "apiserved_fleet_worker_evicted{worker=%q} %d\n", ws.URL, boolToInt(ws.Evicted))
-		}
-	}
-
-	fmt.Fprintf(&b, "# HELP apiserved_evolution_enabled Whether a release series is resident for trend queries.\n")
-	fmt.Fprintf(&b, "# TYPE apiserved_evolution_enabled gauge\n")
-	fmt.Fprintf(&b, "apiserved_evolution_enabled %d\n", boolToInt(st.EvolutionOn))
-	fmt.Fprintf(&b, "# HELP apiserved_evolution_generations Generations resident in the release series.\n")
-	fmt.Fprintf(&b, "# TYPE apiserved_evolution_generations gauge\n")
-	fmt.Fprintf(&b, "apiserved_evolution_generations %d\n", st.EvolutionGenerations)
-	fmt.Fprintf(&b, "# HELP apiserved_evolution_series_installs_total Release series installed over the server's lifetime.\n")
-	fmt.Fprintf(&b, "# TYPE apiserved_evolution_series_installs_total counter\n")
-	fmt.Fprintf(&b, "apiserved_evolution_series_installs_total %d\n", st.SeriesInstalls)
-	fmt.Fprintf(&b, "# HELP apiserved_evolution_trend_queries_total Trend queries answered, by endpoint.\n")
-	fmt.Fprintf(&b, "# TYPE apiserved_evolution_trend_queries_total counter\n")
-	fmt.Fprintf(&b, "apiserved_evolution_trend_queries_total{endpoint=\"importance\"} %d\n", st.TrendImportanceQueries)
-	fmt.Fprintf(&b, "apiserved_evolution_trend_queries_total{endpoint=\"completeness\"} %d\n", st.TrendCompletenessQueries)
-	fmt.Fprintf(&b, "apiserved_evolution_trend_queries_total{endpoint=\"path\"} %d\n", st.TrendPathQueries)
-	fmt.Fprintf(&b, "# HELP apiserved_evolution_generation_queries_total Ordinary queries retargeted at a series generation via ?gen=.\n")
-	fmt.Fprintf(&b, "# TYPE apiserved_evolution_generation_queries_total counter\n")
-	fmt.Fprintf(&b, "apiserved_evolution_generation_queries_total %d\n", st.GenerationQueries)
-	fmt.Fprintf(&b, "# HELP apiserved_evolution_series_build_seconds Wall time spent building the resident series.\n")
-	fmt.Fprintf(&b, "# TYPE apiserved_evolution_series_build_seconds gauge\n")
-	fmt.Fprintf(&b, "apiserved_evolution_series_build_seconds %g\n", st.SeriesBuildSeconds)
-
-	fmt.Fprintf(&b, "# HELP apiserved_stubplan_enabled Whether a stub/fake verdict matrix is resident for the current generation.\n")
-	fmt.Fprintf(&b, "# TYPE apiserved_stubplan_enabled gauge\n")
-	fmt.Fprintf(&b, "apiserved_stubplan_enabled %d\n", boolToInt(st.StubMatrixOn))
-	fmt.Fprintf(&b, "# HELP apiserved_stubplan_matrix_builds_total Verdict matrices built over the server's lifetime.\n")
-	fmt.Fprintf(&b, "# TYPE apiserved_stubplan_matrix_builds_total counter\n")
-	fmt.Fprintf(&b, "apiserved_stubplan_matrix_builds_total %d\n", st.StubMatrixBuilds)
-	fmt.Fprintf(&b, "# HELP apiserved_stubplan_plan_queries_total Plan queries answered.\n")
-	fmt.Fprintf(&b, "# TYPE apiserved_stubplan_plan_queries_total counter\n")
-	fmt.Fprintf(&b, "apiserved_stubplan_plan_queries_total %d\n", st.PlanQueries)
-	fmt.Fprintf(&b, "# HELP apiserved_stubplan_binaries Executables classified by the resident verdict matrix.\n")
-	fmt.Fprintf(&b, "# TYPE apiserved_stubplan_binaries gauge\n")
-	fmt.Fprintf(&b, "apiserved_stubplan_binaries %d\n", st.StubBinaries)
-	fmt.Fprintf(&b, "# HELP apiserved_stubplan_emulations_total Emulator runs performed building the resident verdict matrix (zero on a warm verdict cache).\n")
-	fmt.Fprintf(&b, "# TYPE apiserved_stubplan_emulations_total counter\n")
-	fmt.Fprintf(&b, "apiserved_stubplan_emulations_total %d\n", st.StubEmulations)
-	fmt.Fprintf(&b, "# HELP apiserved_stubplan_verdict_cache_total Verdict-cache lookups building the resident matrix, by outcome.\n")
-	fmt.Fprintf(&b, "# TYPE apiserved_stubplan_verdict_cache_total counter\n")
-	fmt.Fprintf(&b, "apiserved_stubplan_verdict_cache_total{outcome=\"hit\"} %d\n", st.StubCacheHits)
-	fmt.Fprintf(&b, "apiserved_stubplan_verdict_cache_total{outcome=\"miss\"} %d\n", st.StubCacheMisses)
-	fmt.Fprintf(&b, "# HELP apiserved_stubplan_inconclusive Binaries whose baseline emulation did not complete (no waivers granted).\n")
-	fmt.Fprintf(&b, "# TYPE apiserved_stubplan_inconclusive gauge\n")
-	fmt.Fprintf(&b, "apiserved_stubplan_inconclusive %d\n", st.StubInconclusive)
-
-	a.writeJobsMetrics(&b)
-
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	io.WriteString(w, b.String())
-}
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
+	a.admission.WriteMetrics(w)
+	a.svc.WriteMetrics(w)
+	a.opts.Snapshots.WriteMetrics(w)
+	a.opts.Jobs.WriteMetrics(w)
 }
 
 // ListenAndServe runs handler on addr until ctx is cancelled, then

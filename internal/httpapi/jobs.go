@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/jobs"
@@ -152,71 +150,4 @@ func (a *API) analyzeAsync(w http.ResponseWriter, r *http.Request, name string, 
 		return
 	}
 	a.submitJob(w, r, service.JobAnalyzeUpload, params)
-}
-
-// writeJobsMetrics appends the apiserved_jobs_* family to a /metrics
-// render (no-op when the job tier is off).
-func (a *API) writeJobsMetrics(b *strings.Builder) {
-	fmt.Fprintf(b, "# HELP apiserved_jobs_enabled Whether the async job tier is configured.\n")
-	fmt.Fprintf(b, "# TYPE apiserved_jobs_enabled gauge\n")
-	fmt.Fprintf(b, "apiserved_jobs_enabled %d\n", boolToInt(a.opts.Jobs != nil))
-	if a.opts.Jobs == nil {
-		return
-	}
-	st := a.opts.Jobs.Stats()
-	fmt.Fprintf(b, "# HELP apiserved_jobs_state Jobs currently known, by state.\n")
-	fmt.Fprintf(b, "# TYPE apiserved_jobs_state gauge\n")
-	for _, s := range []jobs.State{jobs.StateQueued, jobs.StateRunning,
-		jobs.StateDone, jobs.StateFailed, jobs.StateDead} {
-		fmt.Fprintf(b, "apiserved_jobs_state{state=%q} %d\n", string(s), st.States[s])
-	}
-	fmt.Fprintf(b, "# HELP apiserved_jobs_queue_depth Jobs waiting for a pool slot.\n")
-	fmt.Fprintf(b, "# TYPE apiserved_jobs_queue_depth gauge\n")
-	fmt.Fprintf(b, "apiserved_jobs_queue_depth %d\n", st.QueueLen)
-	fmt.Fprintf(b, "# HELP apiserved_jobs_pool_active Pool slots currently executing.\n")
-	fmt.Fprintf(b, "# TYPE apiserved_jobs_pool_active gauge\n")
-	fmt.Fprintf(b, "apiserved_jobs_pool_active %d\n", st.PoolActive)
-	fmt.Fprintf(b, "apiserved_jobs_pool_size %d\n", st.PoolSize)
-	fmt.Fprintf(b, "# HELP apiserved_jobs_submitted_total New jobs admitted to the queue.\n")
-	fmt.Fprintf(b, "# TYPE apiserved_jobs_submitted_total counter\n")
-	fmt.Fprintf(b, "apiserved_jobs_submitted_total %d\n", st.Submitted)
-	fmt.Fprintf(b, "# HELP apiserved_jobs_deduped_total Submissions absorbed by an existing job.\n")
-	fmt.Fprintf(b, "# TYPE apiserved_jobs_deduped_total counter\n")
-	fmt.Fprintf(b, "apiserved_jobs_deduped_total %d\n", st.Deduped)
-	fmt.Fprintf(b, "# HELP apiserved_jobs_rejected_total Submissions refused because the queue was full.\n")
-	fmt.Fprintf(b, "# TYPE apiserved_jobs_rejected_total counter\n")
-	fmt.Fprintf(b, "apiserved_jobs_rejected_total %d\n", st.Rejected)
-	fmt.Fprintf(b, "# HELP apiserved_jobs_completed_total Jobs finished successfully.\n")
-	fmt.Fprintf(b, "# TYPE apiserved_jobs_completed_total counter\n")
-	fmt.Fprintf(b, "apiserved_jobs_completed_total %d\n", st.Completed)
-	fmt.Fprintf(b, "# HELP apiserved_jobs_failures_total Jobs that ended failed or dead.\n")
-	fmt.Fprintf(b, "# TYPE apiserved_jobs_failures_total counter\n")
-	fmt.Fprintf(b, "apiserved_jobs_failures_total %d\n", st.Failures)
-	fmt.Fprintf(b, "# HELP apiserved_jobs_retries_total Transient failures re-queued with backoff.\n")
-	fmt.Fprintf(b, "# TYPE apiserved_jobs_retries_total counter\n")
-	fmt.Fprintf(b, "apiserved_jobs_retries_total %d\n", st.Retries)
-	fmt.Fprintf(b, "# HELP apiserved_jobs_resumed_total Jobs re-admitted from the spool at startup.\n")
-	fmt.Fprintf(b, "# TYPE apiserved_jobs_resumed_total counter\n")
-	fmt.Fprintf(b, "apiserved_jobs_resumed_total %d\n", st.Resumed)
-	fmt.Fprintf(b, "# HELP apiserved_jobs_expired_total Terminal records swept by the result TTL.\n")
-	fmt.Fprintf(b, "# TYPE apiserved_jobs_expired_total counter\n")
-	fmt.Fprintf(b, "apiserved_jobs_expired_total %d\n", st.Expired)
-
-	fmt.Fprintf(b, "# HELP apiserved_jobs_duration_ms Job execution wall time, by type.\n")
-	fmt.Fprintf(b, "# TYPE apiserved_jobs_duration_ms histogram\n")
-	types := make([]string, 0, len(st.Durations))
-	for typ := range st.Durations {
-		types = append(types, typ)
-	}
-	sort.Strings(types)
-	for _, typ := range types {
-		h := st.Durations[typ]
-		for i, ub := range h.BucketsMs {
-			fmt.Fprintf(b, "apiserved_jobs_duration_ms_bucket{type=%q,le=%q} %d\n",
-				typ, strconv.FormatFloat(ub, 'g', -1, 64), h.Counts[i])
-		}
-		fmt.Fprintf(b, "apiserved_jobs_duration_ms_bucket{type=%q,le=\"+Inf\"} %d\n", typ, h.Count)
-		fmt.Fprintf(b, "apiserved_jobs_duration_ms_sum{type=%q} %g\n", typ, h.SumMs)
-		fmt.Fprintf(b, "apiserved_jobs_duration_ms_count{type=%q} %d\n", typ, h.Count)
-	}
 }

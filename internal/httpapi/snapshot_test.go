@@ -2,8 +2,11 @@ package httpapi
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -181,6 +184,37 @@ func TestSnapshotPushLifecycle(t *testing.T) {
 		if !strings.Contains(text, line) {
 			t.Errorf("/metrics missing %q", line)
 		}
+	}
+}
+
+// TestSnapshotPushWrappedTableOffset pushes a checksum-valid snapshot
+// whose section-table offset (header bytes 40-47) sits near 2^64, where
+// a bounds sum would wrap: the publisher gets the 400 envelope instead
+// of a dropped connection, the served study is untouched, and the
+// rejection is counted.
+func TestSnapshotPushWrappedTableOffset(t *testing.T) {
+	a, _ := snapStudies(t)
+	ts, svc, _ := replicaServer(t)
+	raw, err := a.EncodeSnapshot(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(raw[40:], math.MaxUint64-9)
+	clear(raw[56:88]) // re-seal: SHA-256 over the file with its field zeroed
+	sum := sha256.Sum256(raw)
+	copy(raw[56:], sum[:])
+
+	var e errorBody
+	postSnapshot(t, ts, raw, http.StatusBadRequest, &e)
+	if !strings.Contains(e.Error, "section table") || e.RequestID == "" {
+		t.Errorf("error envelope = %+v", e)
+	}
+	if gen, pkgs := svc.Generation(), svc.Snapshot().Meta.Packages; gen != 1 || pkgs != 0 {
+		t.Errorf("rejected push changed the served study: generation %d, %d packages", gen, pkgs)
+	}
+	_, page := fetch(t, ts, "GET", "/metrics", "")
+	if !strings.Contains(string(page), "\napiserved_snapshot_rejected_corrupt_total 1\n") {
+		t.Errorf("rejection not counted:\n%s", page)
 	}
 }
 

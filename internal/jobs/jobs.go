@@ -667,7 +667,7 @@ func (m *Manager) run(id string) {
 		m.scheduleRetryLocked(id, backoff)
 		return
 	}
-	m.stats.observe(j.Type, j.State, elapsed)
+	m.stats.observe(j.Type, elapsed)
 	m.spool.putJob(j)
 	m.notifyLocked(id)
 }

@@ -7,10 +7,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // fnExec adapts a func to Executor for tests.
@@ -658,8 +661,13 @@ func TestStatsSnapshot(t *testing.T) {
 	if st.States[StateDone] != 1 || st.States[StateDead] != 1 {
 		t.Fatalf("state gauges = %+v", st.States)
 	}
-	h, ok := st.Durations["ok"]
-	if !ok || h.Count != 1 || len(h.Counts) != len(DurationBucketsMs) {
-		t.Fatalf("duration histogram = %+v", h)
+	var w obs.Writer
+	m.WriteMetrics(&w)
+	page := w.String()
+	if !strings.Contains(page, "\napiserved_jobs_duration_ms_count{type=\"ok\"} 1\n") {
+		t.Fatalf("no ok-type duration count of 1:\n%s", page)
+	}
+	if n := strings.Count(page, "\napiserved_jobs_duration_ms_bucket{type=\"ok\",le="); n != len(DurationBucketsMs)+1 {
+		t.Fatalf("%d ok-type duration buckets, want %d:\n%s", n, len(DurationBucketsMs)+1, page)
 	}
 }

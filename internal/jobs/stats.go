@@ -1,6 +1,11 @@
 package jobs
 
-import "time"
+import (
+	"sort"
+	"time"
+
+	"repro/internal/obs"
+)
 
 // DurationBucketsMs are the histogram bucket upper bounds, in
 // milliseconds, for per-type job execution durations. Jobs live on a
@@ -20,50 +25,23 @@ type statsCounters struct {
 	resumed   uint64 // jobs re-admitted from the spool at Start
 	expired   uint64 // terminal records swept by TTL
 
-	durations map[string]*typeHist
+	durations map[string]*obs.Histogram // by job type, once one has run
 }
 
-type typeHist struct {
-	counts [len8]uint64
-	count  uint64
-	sumMs  float64
-}
-
-// len8 pins the bucket-count array to DurationBucketsMs' length.
-const len8 = 8
-
-func (s *statsCounters) observe(typ string, _ State, elapsed time.Duration) {
+func (s *statsCounters) observe(typ string, elapsed time.Duration) {
 	if s.durations == nil {
-		s.durations = make(map[string]*typeHist)
+		s.durations = make(map[string]*obs.Histogram)
 	}
 	h := s.durations[typ]
 	if h == nil {
-		h = &typeHist{}
+		h = obs.NewHistogram(time.Millisecond, DurationBucketsMs)
 		s.durations[typ] = h
 	}
-	ms := float64(elapsed) / float64(time.Millisecond)
-	for i, le := range DurationBucketsMs {
-		if ms <= le {
-			h.counts[i]++
-		}
-	}
-	h.count++
-	h.sumMs += ms
+	h.Observe(elapsed)
 }
 
-// DurationHist is a snapshot of one job type's execution-duration
-// histogram, cumulative per Prometheus convention (+Inf implied by
-// Count).
-type DurationHist struct {
-	BucketsMs []float64
-	Counts    []uint64
-	Count     uint64
-	SumMs     float64
-}
-
-// Stats is a point-in-time snapshot of the manager, shaped for the
-// /metrics exporter: state gauges, queue and pool occupancy, lifetime
-// counters, per-type duration histograms.
+// Stats is a point-in-time snapshot of the manager: state gauges,
+// queue and pool occupancy, lifetime counters.
 type Stats struct {
 	States     map[State]int
 	QueueLen   int
@@ -78,8 +56,6 @@ type Stats struct {
 	Retries   uint64
 	Resumed   uint64
 	Expired   uint64
-
-	Durations map[string]DurationHist
 }
 
 // Stats returns a consistent snapshot of counters and gauges.
@@ -102,18 +78,45 @@ func (m *Manager) Stats() Stats {
 		Retries:    m.stats.retries,
 		Resumed:    m.stats.resumed,
 		Expired:    m.stats.expired,
-		Durations:  make(map[string]DurationHist, len(m.stats.durations)),
 	}
 	for _, j := range m.jobs {
 		st.States[j.State]++
 	}
-	for typ, h := range m.stats.durations {
-		st.Durations[typ] = DurationHist{
-			BucketsMs: DurationBucketsMs,
-			Counts:    append([]uint64(nil), h.counts[:]...),
-			Count:     h.count,
-			SumMs:     h.sumMs,
-		}
-	}
 	return st
+}
+
+// WriteMetrics writes the apiserved_jobs_* families. A nil manager (no
+// job tier) writes only apiserved_jobs_enabled 0.
+func (m *Manager) WriteMetrics(w *obs.Writer) {
+	obs.Gauge(w, "apiserved_jobs_enabled", "Whether the async job tier is configured.", m != nil)
+	if m == nil {
+		return
+	}
+	st := m.Stats()
+	w.Family("apiserved_jobs_state", obs.TypeGauge, "Jobs currently known, by state.")
+	for _, s := range []State{StateQueued, StateRunning, StateDone, StateFailed, StateDead} {
+		obs.Sample(w, st.States[s], "state", string(s))
+	}
+	obs.Gauge(w, "apiserved_jobs_queue_depth", "Jobs waiting for a pool slot.", st.QueueLen)
+	obs.Gauge(w, "apiserved_jobs_pool_active", "Pool slots currently executing.", st.PoolActive)
+	obs.Gauge(w, "apiserved_jobs_pool_size", "Pool slots in total.", st.PoolSize)
+	obs.Counter(w, "apiserved_jobs_submitted_total", "New jobs admitted to the queue.", st.Submitted)
+	obs.Counter(w, "apiserved_jobs_deduped_total", "Submissions absorbed by an existing job.", st.Deduped)
+	obs.Counter(w, "apiserved_jobs_rejected_total", "Submissions refused because the queue was full.", st.Rejected)
+	obs.Counter(w, "apiserved_jobs_completed_total", "Jobs finished successfully.", st.Completed)
+	obs.Counter(w, "apiserved_jobs_failures_total", "Jobs that ended failed or dead.", st.Failures)
+	obs.Counter(w, "apiserved_jobs_retries_total", "Transient failures re-queued with backoff.", st.Retries)
+	obs.Counter(w, "apiserved_jobs_resumed_total", "Jobs re-admitted from the spool at startup.", st.Resumed)
+	obs.Counter(w, "apiserved_jobs_expired_total", "Terminal records swept by the result TTL.", st.Expired)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	w.Family("apiserved_jobs_duration_ms", obs.TypeHistogram, "Job execution wall time, by type.")
+	types := make([]string, 0, len(m.stats.durations))
+	for typ := range m.stats.durations {
+		types = append(types, typ)
+	}
+	sort.Strings(types)
+	for _, typ := range types {
+		w.Histogram(m.stats.durations[typ], "type", typ)
+	}
 }

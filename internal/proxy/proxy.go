@@ -17,6 +17,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Config tunes a Proxy. Only Replicas is required.
@@ -94,7 +96,7 @@ func New(cfg Config) *Proxy {
 	}
 	p.mux = http.NewServeMux()
 	p.mux.HandleFunc("GET /healthz", p.handleHealthz)
-	p.mux.HandleFunc("GET /metrics", p.handleMetrics)
+	p.mux.HandleFunc("GET /metrics", obs.Handler(p.writeMetrics))
 	p.mux.HandleFunc("/", p.handleProxy)
 	return p
 }
@@ -283,34 +285,18 @@ func (p *Proxy) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status, len(p.replicas), up, int64(time.Since(p.start).Seconds()))
 }
 
-func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# HELP apiproxy_requests_total Requests accepted by the proxy.\n")
-	fmt.Fprintf(&b, "# TYPE apiproxy_requests_total counter\n")
-	fmt.Fprintf(&b, "apiproxy_requests_total %d\n", p.requests.Load())
-	fmt.Fprintf(&b, "# HELP apiproxy_retries_total Requests retried on another replica after a transport failure.\n")
-	fmt.Fprintf(&b, "# TYPE apiproxy_retries_total counter\n")
-	fmt.Fprintf(&b, "apiproxy_retries_total %d\n", p.retries.Load())
-	fmt.Fprintf(&b, "# HELP apiproxy_exhausted_total Requests that failed on every replica.\n")
-	fmt.Fprintf(&b, "# TYPE apiproxy_exhausted_total counter\n")
-	fmt.Fprintf(&b, "apiproxy_exhausted_total %d\n", p.exhausted.Load())
-	fmt.Fprintf(&b, "# HELP apiproxy_replica_down_total Replica down transitions.\n")
-	fmt.Fprintf(&b, "# TYPE apiproxy_replica_down_total counter\n")
-	fmt.Fprintf(&b, "apiproxy_replica_down_total %d\n", p.transitions.Load())
-	fmt.Fprintf(&b, "apiproxy_replica_readmissions_total %d\n", p.readmissions.Load())
-	fmt.Fprintf(&b, "# HELP apiproxy_replica_up Whether each replica is in rotation.\n")
-	fmt.Fprintf(&b, "# TYPE apiproxy_replica_up gauge\n")
+func (p *Proxy) writeMetrics(w *obs.Writer) {
+	obs.Counter(w, "apiproxy_requests_total", "Requests accepted by the proxy.", p.requests.Load())
+	obs.Counter(w, "apiproxy_retries_total", "Requests retried on another replica after a transport failure.", p.retries.Load())
+	obs.Counter(w, "apiproxy_exhausted_total", "Requests that failed on every replica.", p.exhausted.Load())
+	obs.Counter(w, "apiproxy_replica_down_total", "Replica down transitions.", p.transitions.Load())
+	obs.Counter(w, "apiproxy_replica_readmissions_total", "Down replicas re-admitted after a healthy probe.", p.readmissions.Load())
+	w.Family("apiproxy_replica_up", obs.TypeGauge, "Whether each replica is in rotation.")
 	for _, rep := range p.replicas {
-		fmt.Fprintf(&b, "apiproxy_replica_up{replica=%q} %d\n", rep.url, boolToInt(rep.up.Load()))
-		fmt.Fprintf(&b, "apiproxy_replica_errors_total{replica=%q} %d\n", rep.url, rep.errs.Load())
+		obs.Sample(w, rep.up.Load(), "replica", rep.url)
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	io.WriteString(w, b.String())
-}
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
+	w.Family("apiproxy_replica_errors_total", obs.TypeCounter, "Transport errors per replica.")
+	for _, rep := range p.replicas {
+		obs.Sample(w, rep.errs.Load(), "replica", rep.url)
 	}
-	return 0
 }

@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // ErrShed reports that admission control rejected a request: every
@@ -174,4 +176,20 @@ func (a *Admission) Stats() AdmissionStats {
 	}
 	st.Shed = st.ShedQueueFull + st.ShedTimeout + st.ShedCancelled
 	return st
+}
+
+// WriteMetrics writes the apiserved_admission_* families (enabled 0 and
+// zeros for a nil limiter).
+func (a *Admission) WriteMetrics(w *obs.Writer) {
+	st := a.Stats()
+	obs.Gauge(w, "apiserved_admission_enabled", "Whether admission control is configured.", st.Enabled)
+	obs.Gauge(w, "apiserved_admission_inflight", "Requests currently admitted.", st.InFlight)
+	obs.Gauge(w, "apiserved_admission_queue_depth", "Requests waiting for an in-flight slot.", st.Queued)
+	obs.Gauge(w, "apiserved_admission_inflight_limit", "Limit on requests admitted at once.", st.MaxInFlight)
+	obs.Gauge(w, "apiserved_admission_queue_limit", "Limit on requests waiting for a slot.", st.MaxQueue)
+	obs.Counter(w, "apiserved_admission_accepted_total", "Requests admitted past the limiter.", st.Accepted)
+	w.Family("apiserved_admission_shed_total", obs.TypeCounter, "Requests rejected with 429, by reason.")
+	obs.Sample(w, st.ShedQueueFull, "reason", "queue_full")
+	obs.Sample(w, st.ShedTimeout, "reason", "timeout")
+	obs.Sample(w, st.ShedCancelled, "reason", "cancelled")
 }

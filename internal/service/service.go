@@ -34,6 +34,7 @@ import (
 	"repro"
 	"repro/internal/fleet"
 	"repro/internal/linuxapi"
+	"repro/internal/obs"
 	"repro/internal/stubplan"
 )
 
@@ -217,31 +218,19 @@ func (s *Service) Generation() uint64 { return s.gen.Load() }
 // Stats is a point-in-time view of the serving counters.
 type Stats struct {
 	Generation       uint64
-	Source           string
-	LoadedAt         time.Time
-	Meta             repro.Meta
 	AnalysesActive   int64
 	AnalysesTotal    uint64
 	AnalysesRejected uint64
 	// Reloads and ReloadsFailed count background corpus reloads since
-	// start; Anacache holds the persistent analysis-cache counters
-	// (zero-valued when the service runs without one).
+	// start.
 	Reloads       uint64
 	ReloadsFailed uint64
 	// SnapshotLoads / SnapshotLoadErrors count snapshot-file opens;
 	// SnapshotFallbacks counts corpus rebuilds forced by a snapshot that
-	// failed validation. SnapshotFile names the file backing the current
-	// study (empty when it was analyzed in-process).
+	// failed validation.
 	SnapshotLoads      uint64
 	SnapshotLoadErrors uint64
 	SnapshotFallbacks  uint64
-	SnapshotFile       string
-	Anacache           repro.CacheStats
-	AnacacheOn         bool
-	// Fleet holds the distributed-analysis coordinator counters when the
-	// service runs with a worker fleet (FleetOn); nil otherwise.
-	Fleet   *fleet.Stats
-	FleetOn bool
 	// Evolution counters: a resident release series (EvolutionOn) with
 	// EvolutionGenerations generations, how many series were installed,
 	// per-trend-endpoint query counts, generation-selected query counts,
@@ -304,15 +293,6 @@ func (s *Service) Stats() Stats {
 		hotsetBytes = h.bytes
 		hotsetEntries = len(h.entries)
 	}
-	var anacacheStats repro.CacheStats
-	if s.cfg.Cache != nil {
-		anacacheStats = s.cfg.Cache.Stats()
-	}
-	var fleetStats *fleet.Stats
-	if s.cfg.Fleet != nil {
-		fs := s.cfg.Fleet.Stats()
-		fleetStats = &fs
-	}
 	var (
 		evolutionOn   bool
 		evolutionGens int
@@ -333,9 +313,6 @@ func (s *Service) Stats() Stats {
 	}
 	return Stats{
 		Generation:         snap.Generation,
-		Source:             snap.Source,
-		LoadedAt:           snap.LoadedAt,
-		Meta:               snap.Meta,
 		AnalysesActive:     s.analysesActive.Load(),
 		AnalysesTotal:      s.analysesTotal.Load(),
 		AnalysesRejected:   s.analysesRejected.Load(),
@@ -344,11 +321,6 @@ func (s *Service) Stats() Stats {
 		SnapshotLoads:      s.snapshotLoads.Load(),
 		SnapshotLoadErrors: s.snapshotLoadErrors.Load(),
 		SnapshotFallbacks:  s.snapshotFallbacks.Load(),
-		SnapshotFile:       snap.File,
-		Anacache:           anacacheStats,
-		AnacacheOn:         s.cfg.Cache != nil,
-		Fleet:              fleetStats,
-		FleetOn:            s.cfg.Fleet != nil,
 
 		EvolutionOn:              evolutionOn,
 		EvolutionGenerations:     evolutionGens,
@@ -381,6 +353,77 @@ func (s *Service) Stats() Stats {
 		HotsetEntries:      hotsetEntries,
 		SingleflightShared: s.flightShared.Load(),
 	}
+}
+
+// WriteMetrics writes the serving families: the read path (byte cache,
+// hotset, singleflight), the resident snapshot, ad-hoc analyses,
+// reloads and snapshot-file loads, the analysis cache and fleet that
+// reloads go through, the release series and the stub-plan matrix.
+func (s *Service) WriteMetrics(w *obs.Writer) {
+	st := s.Stats()
+	snap := s.Snapshot()
+	w.Family("apiserved_cache_hits_total", obs.TypeCounter, "Encoded byte-cache hits (unlabeled: all endpoints; labeled: per endpoint). Hotset answers are counted by apiserved_hotset_hits_total.")
+	obs.Sample(w, st.ByteCacheHits)
+	for _, es := range st.Endpoints {
+		obs.Sample(w, es.Hits, "endpoint", es.Endpoint)
+	}
+	w.Family("apiserved_cache_misses_total", obs.TypeCounter, "Encoded byte-cache misses (unlabeled: all endpoints; labeled: per endpoint).")
+	obs.Sample(w, st.ByteCacheMisses)
+	for _, es := range st.Endpoints {
+		obs.Sample(w, es.Misses, "endpoint", es.Endpoint)
+	}
+	w.Family("apiserved_cache_evictions_total", obs.TypeCounter, "Encoded byte-cache entries evicted by the byte budget (unlabeled: all endpoints; labeled: per endpoint).")
+	obs.Sample(w, st.ByteCacheEvictions)
+	for _, es := range st.Endpoints {
+		obs.Sample(w, es.Evictions, "endpoint", es.Endpoint)
+	}
+	obs.Gauge(w, "apiserved_cache_hit_ratio", "Encoded byte-cache hits over lookups since start.", st.HitRatio())
+	obs.Gauge(w, "apiserved_cache_bytes", "Resident bytes in the encoded byte cache.", st.ByteCacheBytes)
+	obs.Gauge(w, "apiserved_cache_capacity_bytes", "Byte budget of the encoded byte cache.", st.ByteCacheCapacity)
+	obs.Gauge(w, "apiserved_cache_byte_entries", "Answers resident in the encoded byte cache.", st.ByteCacheEntries)
+	obs.Counter(w, "apiserved_cache_oversize_total", "Answers too large to cache, served uncached.", st.ByteCacheOversize)
+	obs.Counter(w, "apiserved_hotset_hits_total", "Requests answered from the precomputed per-generation hotset.", st.HotsetHits)
+	obs.Gauge(w, "apiserved_hotset_bytes", "Pre-encoded bytes resident in the current hotset.", st.HotsetBytes)
+	obs.Gauge(w, "apiserved_hotset_entries", "Answers resident in the current hotset.", st.HotsetEntries)
+	obs.Counter(w, "apiserved_singleflight_shared_total", "Cache misses that shared another in-flight compute.", st.SingleflightShared)
+
+	obs.Gauge(w, "apiserved_snapshot_generation", "Generation of the resident study snapshot.", snap.Generation)
+	obs.Gauge(w, "apiserved_snapshot_packages", "Packages in the resident study.", snap.Meta.Packages)
+	obs.Gauge(w, "apiserved_snapshot_executables", "Executables in the resident study.", snap.Meta.Executables)
+	obs.Gauge(w, "apiserved_snapshot_skipped_files", "Malformed ELF files skipped while building the snapshot.", snap.Meta.SkippedFiles)
+	obs.Gauge(w, "apiserved_snapshot_from_file", "Whether the served study was restored from a snapshot file.", snap.File != "")
+	obs.Gauge(w, "apiserved_analyses_active", "Ad-hoc ELF analyses running.", st.AnalysesActive)
+	obs.Counter(w, "apiserved_analyses_total", "Ad-hoc ELF analyses run.", st.AnalysesTotal)
+	obs.Counter(w, "apiserved_analyses_rejected_total", "Ad-hoc ELF analyses refused while the pool stayed full.", st.AnalysesRejected)
+	obs.Counter(w, "apiserved_snapshot_reloads_total", "Background corpus reloads swapped in.", st.Reloads)
+	obs.Counter(w, "apiserved_snapshot_reloads_failed_total", "Background corpus reloads that failed.", st.ReloadsFailed)
+	obs.Counter(w, "apiserved_snapshot_file_loads_total", "Snapshot files validated and swapped in.", st.SnapshotLoads)
+	obs.Counter(w, "apiserved_snapshot_file_errors_total", "Snapshot files that failed validation.", st.SnapshotLoadErrors)
+	obs.Counter(w, "apiserved_snapshot_fallbacks_total", "Corpus rebuilds forced by a snapshot file that failed validation.", st.SnapshotFallbacks)
+
+	obs.Gauge(w, "apiserved_anacache_enabled", "Whether a persistent analysis cache is configured.", s.cfg.Cache != nil)
+	s.cfg.Cache.WriteMetrics(w, "apiserved")
+	s.cfg.Fleet.WriteMetrics(w)
+
+	obs.Gauge(w, "apiserved_evolution_enabled", "Whether a release series is resident for trend queries.", st.EvolutionOn)
+	obs.Gauge(w, "apiserved_evolution_generations", "Generations resident in the release series.", st.EvolutionGenerations)
+	obs.Counter(w, "apiserved_evolution_series_installs_total", "Release series installed over the server's lifetime.", st.SeriesInstalls)
+	w.Family("apiserved_evolution_trend_queries_total", obs.TypeCounter, "Trend queries answered, by endpoint.")
+	obs.Sample(w, st.TrendImportanceQueries, "endpoint", "importance")
+	obs.Sample(w, st.TrendCompletenessQueries, "endpoint", "completeness")
+	obs.Sample(w, st.TrendPathQueries, "endpoint", "path")
+	obs.Counter(w, "apiserved_evolution_generation_queries_total", "Ordinary queries retargeted at a series generation via ?gen=.", st.GenerationQueries)
+	obs.Gauge(w, "apiserved_evolution_series_build_seconds", "Wall time spent building the resident series.", st.SeriesBuildSeconds)
+
+	obs.Gauge(w, "apiserved_stubplan_enabled", "Whether a stub/fake verdict matrix is resident for the current generation.", st.StubMatrixOn)
+	obs.Counter(w, "apiserved_stubplan_matrix_builds_total", "Verdict matrices built over the server's lifetime.", st.StubMatrixBuilds)
+	obs.Counter(w, "apiserved_stubplan_plan_queries_total", "Plan queries answered.", st.PlanQueries)
+	obs.Gauge(w, "apiserved_stubplan_binaries", "Executables classified by the resident verdict matrix.", st.StubBinaries)
+	obs.Counter(w, "apiserved_stubplan_emulations_total", "Emulator runs performed building the resident verdict matrix (zero on a warm verdict cache).", st.StubEmulations)
+	w.Family("apiserved_stubplan_verdict_cache_total", obs.TypeCounter, "Verdict-cache lookups building the resident matrix, by outcome.")
+	obs.Sample(w, st.StubCacheHits, "outcome", "hit")
+	obs.Sample(w, st.StubCacheMisses, "outcome", "miss")
+	obs.Gauge(w, "apiserved_stubplan_inconclusive", "Binaries whose baseline emulation did not complete (no waivers granted).", st.StubInconclusive)
 }
 
 // normalizeSyscalls dedups and sorts names, splitting off any not in the
@@ -624,9 +667,10 @@ func (s *Service) WatchCorpus(ctx context.Context, dir string, interval time.Dur
 			continue
 		}
 		last = sig
-		if st := s.Stats(); st.AnacacheOn {
+		if s.cfg.Cache != nil {
+			cs := s.cfg.Cache.Stats()
 			logf("corpus watch: serving generation %d (fingerprint %s, cache hits %d misses %d)",
-				gen, s.Snapshot().Meta.Fingerprint, st.Anacache.Hits, st.Anacache.Misses)
+				gen, s.Snapshot().Meta.Fingerprint, cs.Hits, cs.Misses)
 		} else {
 			logf("corpus watch: serving generation %d (fingerprint %s)", gen, s.Snapshot().Meta.Fingerprint)
 		}

@@ -11,8 +11,8 @@ import (
 
 // TestReloadThroughFleet reloads a corpus with a two-worker fleet wired
 // into the service: the swapped-in snapshot must be indistinguishable
-// from a local reload, and the serving stats must expose the fleet
-// counters.
+// from a local reload, and the reload must have gone through the
+// fleet.
 func TestReloadThroughFleet(t *testing.T) {
 	dir := t.TempDir()
 	small, err := repro.NewStudy(repro.Config{Packages: 60, Installations: 100000, Seed: 31})
@@ -54,24 +54,11 @@ func TestReloadThroughFleet(t *testing.T) {
 		t.Error("fleet-reloaded report differs from local study")
 	}
 
-	st := svc.Stats()
-	if !st.FleetOn || st.Fleet == nil {
-		t.Fatalf("fleet stats missing: %+v", st)
+	st := coord.Stats()
+	if st.Dispatched == 0 || st.LocalFallbackShards != 0 {
+		t.Errorf("fleet counters = %+v, want remote dispatches and no fallback", st)
 	}
-	if st.Fleet.Dispatched == 0 || st.Fleet.LocalFallbackShards != 0 {
-		t.Errorf("fleet counters = %+v, want remote dispatches and no fallback", st.Fleet)
-	}
-	if len(st.Fleet.Workers) != 2 {
-		t.Errorf("worker stats for %d workers, want 2", len(st.Fleet.Workers))
-	}
-}
-
-// TestStatsWithoutFleet pins the fleet-less default: FleetOn false and a
-// nil Fleet pointer, so metrics exporters can gate on it.
-func TestStatsWithoutFleet(t *testing.T) {
-	svc := newTestService(t, Config{})
-	st := svc.Stats()
-	if st.FleetOn || st.Fleet != nil {
-		t.Errorf("fleet-less service reports fleet stats: %+v", st)
+	if len(st.Workers) != 2 {
+		t.Errorf("worker stats for %d workers, want 2", len(st.Workers))
 	}
 }

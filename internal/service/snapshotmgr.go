@@ -8,6 +8,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/obs"
 	"repro/internal/snapshot"
 )
 
@@ -210,4 +211,17 @@ func (m *SnapshotManager) Status() SnapshotManagerStatus {
 		st.Previous = &SnapshotInfo{Generation: m.previous.gen, Fingerprint: m.previous.fingerprint, Path: m.previous.path}
 	}
 	return st
+}
+
+// WriteMetrics writes the push counters. A nil manager (no admin
+// surface mounted) writes nothing.
+func (m *SnapshotManager) WriteMetrics(w *obs.Writer) {
+	if m == nil {
+		return
+	}
+	st := m.Status()
+	obs.Counter(w, "apiserved_snapshot_installs_total", "Snapshot pushes installed via /v1/snapshot.", st.Installs)
+	obs.Counter(w, "apiserved_snapshot_rollbacks_total", "Rollbacks to the previous snapshot generation.", st.Rollbacks)
+	obs.Counter(w, "apiserved_snapshot_rejected_stale_total", "Pushes rejected for not advancing the generation.", st.RejectedStale)
+	obs.Counter(w, "apiserved_snapshot_rejected_corrupt_total", "Pushes rejected as invalid snapshot files.", st.RejectedCorrupt)
 }

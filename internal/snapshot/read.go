@@ -154,8 +154,10 @@ func Decode(data []byte) (*Data, error) {
 	tableOff := le.Uint64(data[offSecTable:])
 	count := int(le.Uint32(data[offSecCount:]))
 	const entrySize = 24
-	if count < 0 || count > 1<<16 || tableOff < headerSize ||
-		tableOff+uint64(count)*entrySize > uint64(len(data)) {
+	// Compare against the room left after tableOff, so an offset near
+	// 2^64 cannot wrap the sum back into bounds.
+	if count < 0 || count > 1<<16 || tableOff < headerSize || tableOff > uint64(len(data)) ||
+		uint64(count)*entrySize > uint64(len(data))-tableOff {
 		return nil, fmt.Errorf("%w: bad section table", ErrCorrupt)
 	}
 	secs := make(map[uint32][]byte, count)

@@ -2,8 +2,10 @@ package snapshot
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -191,6 +193,12 @@ func TestCorruptionMatrix(t *testing.T) {
 		{"wrong analysis version", func(b []byte) []byte { le.PutUint32(b[offAnalysis:], 999); return b }, ErrAnalysisVersion},
 		{"flipped checksum byte", func(b []byte) []byte { b[offChecksum] ^= 0x01; return b }, ErrChecksum},
 		{"flipped body byte", func(b []byte) []byte { b[len(b)-1] ^= 0x80; return b }, ErrChecksum},
+		// A section-table offset near 2^64 wraps the bounds sum; the
+		// checksum proves integrity, not authorship, so it is re-sealed.
+		{"section table offset wraps", func(b []byte) []byte {
+			le.PutUint64(b[offSecTable:], math.MaxUint64-9)
+			return reseal(b)
+		}, ErrCorrupt},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -204,6 +212,19 @@ func TestCorruptionMatrix(t *testing.T) {
 			}
 		})
 	}
+}
+
+// reseal rewrites b's declared size and SHA-256 so Decode's parser, not
+// its integrity checks, judges the content.
+func reseal(b []byte) []byte {
+	if len(b) < headerSize {
+		return b
+	}
+	binary.LittleEndian.PutUint64(b[offFileSize:], uint64(len(b)))
+	clear(b[offChecksum : offChecksum+checksumSize])
+	sum := sha256.Sum256(b)
+	copy(b[offChecksum:], sum[:])
+	return b
 }
 
 func TestOpenRejectsCorruptFile(t *testing.T) {

@@ -8,20 +8,22 @@
 # internal/httpapi, the snapshot file format in internal/snapshot, the
 # replica front proxy in internal/proxy, the coordinator/worker fleet
 # in internal/fleet, the load drivers in internal/loadgen, the
-# async job tier in internal/jobs, and the concurrent verdict-matrix
-# build in internal/stubplan), ten seconds of the fuzzing engine on
-# each of the ELF reader (elfx.FuzzOpen) and the x86 decoder
-# (x86.FuzzDecode) beyond the seeds the test run replays, a two-worker
-# end-to-end fleet smoke test, a job-tier smoke test (spool persistence
-# across kill -9), an end-to-end load smoke test that gates the
-# serving SLO, the ramp (zero 5xx to the ceiling) and an in-process
-# read-path throughput ceiling that meets the SLO, a snapshot round-trip
-# equivalence smoke test, a replicated-serving smoke test (publish
-# to two replicas, kill one under load behind the proxy, zero 5xx),
-# a corpus-evolution smoke test (byte-stable 3-generation series
-# rebuild through a shared analysis cache, live trend queries), and a
-# stub-aware planning smoke test (byte-stable plan, golden step
-# ordering, warm serve with zero emulator runs).
+# async job tier in internal/jobs, the concurrent verdict-matrix
+# build in internal/stubplan, and the lock-free histogram and metrics
+# writer in internal/obs), ten seconds of the fuzzing engine on each of
+# the ELF reader (elfx.FuzzOpen), the x86 decoder (x86.FuzzDecode) and
+# the snapshot reader (snapshot.FuzzDecode) beyond the seeds the test
+# run replays, a two-worker end-to-end fleet smoke test, a job-tier
+# smoke test (spool persistence across kill -9), an end-to-end load
+# smoke test that gates the serving SLO, the ramp (zero 5xx to the
+# ceiling) and an in-process read-path throughput ceiling that meets
+# the SLO, a snapshot round-trip equivalence smoke test, a
+# replicated-serving smoke test (publish to two replicas, kill one
+# under load behind the proxy, zero 5xx), a corpus-evolution smoke
+# test (byte-stable 3-generation series rebuild through a shared
+# analysis cache, live trend queries), and a stub-aware planning smoke
+# test (byte-stable plan, golden step ordering, warm serve with zero
+# emulator runs).
 # Run from the repository root; used by .github/workflows/ci.yml and
 # fine to run locally.
 set -eu
@@ -47,15 +49,16 @@ go test ./...
 echo "== go test -shuffle (order-independence)"
 go test -count=1 -shuffle=on ./...
 
-echo "== go test -race (pipeline, intern/bitset/metrics, service, HTTP API, analysis cache, fleet, loadgen, jobs, snapshot, proxy, evolution, stubplan)"
+echo "== go test -race (pipeline, intern/bitset/metrics, service, HTTP API, analysis cache, fleet, loadgen, jobs, snapshot, proxy, evolution, stubplan, obs)"
 go test -race ./internal/core ./internal/linuxapi ./internal/footprint ./internal/metrics \
     ./internal/service ./internal/httpapi ./internal/anacache ./internal/fleet \
     ./internal/loadgen ./internal/jobs ./internal/snapshot ./internal/proxy \
-    ./internal/evolution ./internal/stubplan
+    ./internal/evolution ./internal/stubplan ./internal/obs
 
-echo "== go test -fuzz (ELF reader, x86 decoder; 10s each)"
+echo "== go test -fuzz (ELF reader, x86 decoder, snapshot reader; 10s each)"
 go test -run '^$' -fuzz '^FuzzOpen$' -fuzztime 10s ./internal/elfx
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/x86
+go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/snapshot
 
 echo "== fleet smoke test (two-worker end-to-end)"
 sh scripts/fleet_smoke.sh
