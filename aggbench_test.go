@@ -286,13 +286,18 @@ func refSubsetOK(fp, supported footprint.Set, opts metrics.CompletenessOptions) 
 	return true
 }
 
+// refWeightedCompleteness sums in sorted package order, as the live
+// metric does, so the two agree bit for bit.
 func refWeightedCompleteness(in *refInput, supported footprint.Set, opts metrics.CompletenessOptions) float64 {
 	okOwn := make(map[string]bool, len(in.Footprints))
+	pkgs := make([]string, 0, len(in.Footprints))
 	for pkg, fp := range in.Footprints {
 		okOwn[pkg] = refSubsetOK(fp, supported, opts)
+		pkgs = append(pkgs, pkg)
 	}
+	sort.Strings(pkgs)
 	var num, den float64
-	for pkg := range in.Footprints {
+	for _, pkg := range pkgs {
 		w := in.Survey.Fraction(pkg)
 		den += w
 		if w == 0 {

@@ -253,7 +253,7 @@ func (s *Study) SuggestNext(supported []string, k int) []Suggestion {
 		have[name] = true
 	}
 	var out []Suggestion
-	acc := append([]string(nil), supported...)
+	var order []linuxapi.API
 	for _, pt := range s.report.Path {
 		if len(out) >= k {
 			break
@@ -261,12 +261,16 @@ func (s *Study) SuggestNext(supported []string, k int) []Suggestion {
 		if have[pt.API.Name] {
 			continue
 		}
-		acc = append(acc, pt.API.Name)
-		out = append(out, Suggestion{
-			Syscall:           pt.API.Name,
-			Importance:        pt.Importance,
-			CompletenessAfter: s.WeightedCompleteness(acc),
-		})
+		order = append(order, pt.API)
+		out = append(out, Suggestion{Syscall: pt.API.Name, Importance: pt.Importance})
+	}
+	if len(out) == 0 {
+		return out
+	}
+	curve := metrics.CompletenessCurve(s.core.Input, core.SupportedSyscallSet(supported), order,
+		metrics.CompletenessOptions{Kind: linuxapi.KindSyscall})
+	for i := range out {
+		out[i].CompletenessAfter = curve[i+1]
 	}
 	return out
 }

@@ -75,66 +75,6 @@ func (b *BitSet) IntersectWith(o *BitSet) {
 	}
 }
 
-// SubsetOf reports whether every bit of b is set in o.
-func (b *BitSet) SubsetOf(o *BitSet) bool {
-	for i, w := range b.words {
-		if w == 0 {
-			continue
-		}
-		if o == nil || i >= len(o.words) || w&^o.words[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// SubsetOfMasked reports whether every bit of b∧mask is set in o — the
-// kind-filtered completeness check, one AND-compare per word.
-func (b *BitSet) SubsetOfMasked(o, mask *BitSet) bool {
-	for i, w := range b.words {
-		if mask == nil || i >= len(mask.words) {
-			break
-		}
-		w &= mask.words[i]
-		if w == 0 {
-			continue
-		}
-		if o == nil || i >= len(o.words) || w&^o.words[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// SubsetOfWaived reports whether every bit of b∧mask is set in o∪waiver
-// — the stub-aware completeness check: waived APIs (stubbable or
-// fakeable for every binary using them) need not be in the supported
-// set. A nil mask means no kind filtering; a nil waiver degenerates to
-// the plain (masked) subset test.
-func (b *BitSet) SubsetOfWaived(o, mask, waiver *BitSet) bool {
-	for i, w := range b.words {
-		if mask != nil {
-			if i >= len(mask.words) {
-				break
-			}
-			w &= mask.words[i]
-		}
-		if w == 0 {
-			continue
-		}
-		if o != nil && i < len(o.words) {
-			w &^= o.words[i]
-		}
-		if w == 0 {
-			continue
-		}
-		if waiver == nil || i >= len(waiver.words) || w&^waiver.words[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Count reports the number of set bits.
 func (b *BitSet) Count() int {
 	n := 0

@@ -96,20 +96,6 @@ func TestBitSetEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(map[linuxapi.API]bool(bi.ToSet()), map[linuxapi.API]bool(inter)) {
 			t.Fatalf("trial %d: intersect disagrees with map intersect", trial)
 		}
-		// Subset.
-		mapSubset := true
-		for a := range s1 {
-			if !s2.Contains(a) {
-				mapSubset = false
-				break
-			}
-		}
-		if b1.SubsetOf(b2) != mapSubset {
-			t.Fatalf("trial %d: SubsetOf = %v, map says %v", trial, b1.SubsetOf(b2), mapSubset)
-		}
-		if !bi.SubsetOf(b1) || !bi.SubsetOf(b2) {
-			t.Fatalf("trial %d: intersection not a subset of its operands", trial)
-		}
 	}
 }
 
@@ -121,20 +107,11 @@ func TestBitSetMaskedOps(t *testing.T) {
 		s1, s2 := randomSet(rng, pool), randomSet(rng, pool)
 		b1, b2 := SetBits(s1), SetBits(s2)
 
-		// Masked subset agrees with the map check restricted to syscalls.
-		want := true
 		nSys := 0
 		for a := range s1 {
-			if a.Kind != linuxapi.KindSyscall {
-				continue
+			if a.Kind == linuxapi.KindSyscall {
+				nSys++
 			}
-			nSys++
-			if !s2.Contains(a) {
-				want = false
-			}
-		}
-		if got := b1.SubsetOfMasked(b2, mask); got != want {
-			t.Fatalf("trial %d: SubsetOfMasked = %v, want %v", trial, got, want)
 		}
 		if got := b1.CountMasked(mask); got != nSys {
 			t.Fatalf("trial %d: CountMasked = %d, want %d", trial, got, nSys)

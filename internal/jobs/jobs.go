@@ -560,25 +560,24 @@ func (m *Manager) wakeDispatcher() {
 func (m *Manager) dispatch() {
 	defer m.done.Done()
 	for {
+		// Take the slot before the job: a job popped first would wait
+		// for the slot outside the queue, where a higher-priority job
+		// submitted meanwhile could not overtake it.
+		release, err := m.pool.Acquire(m.ctx)
+		if err != nil {
+			return // shutting down
+		}
 		m.mu.Lock()
 		j := m.queue.pop()
 		m.mu.Unlock()
 		if j == nil {
+			release()
 			select {
 			case <-m.queueWake:
 				continue
 			case <-m.ctx.Done():
 				return
 			}
-		}
-		release, err := m.pool.Acquire(m.ctx)
-		if err != nil {
-			// Shutting down: the popped job stays queued on disk (its
-			// state was never flipped), so a restart resumes it.
-			m.mu.Lock()
-			m.queue.push(j)
-			m.mu.Unlock()
-			return
 		}
 		// Close waits for executions too: an interrupted job's refund
 		// must be on disk before Close returns.

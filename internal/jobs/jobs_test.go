@@ -337,6 +337,41 @@ func TestPriorityOrdering(t *testing.T) {
 	}
 }
 
+// TestLatePriorityOvertakes submits the high-priority job 20 ms after
+// the low one, long enough for the dispatcher to reach the busy pool:
+// the low job must still be queued there, not held aside waiting for
+// the slot.
+func TestLatePriorityOvertakes(t *testing.T) {
+	gate := make(chan struct{})
+	var order []string
+	var mu sync.Mutex
+	ex := fnExec{typ: "p", fn: func(ctx context.Context, p json.RawMessage) (any, error) {
+		select {
+		case <-gate:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		mu.Lock()
+		order = append(order, string(p))
+		mu.Unlock()
+		return "ok", nil
+	}}
+	m := newTestManager(t, Config{Workers: 1}, ex)
+	first, _, _ := m.Submit("p", json.RawMessage(`{"n":0}`), SubmitOptions{})
+	waitState(t, m, first.ID, StateRunning)
+	low, _, _ := m.Submit("p", json.RawMessage(`{"n":1}`), SubmitOptions{Priority: 0})
+	time.Sleep(20 * time.Millisecond)
+	high, _, _ := m.Submit("p", json.RawMessage(`{"n":2}`), SubmitOptions{Priority: 10})
+	close(gate)
+	waitState(t, m, low.ID, StateDone)
+	waitState(t, m, high.ID, StateDone)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(order) != 3 || order[1] != `{"n":2}` {
+		t.Fatalf("execution order = %v, want the late high-priority job second", order)
+	}
+}
+
 func TestWaitLongPollAndTimeout(t *testing.T) {
 	gate := make(chan struct{})
 	ex := fnExec{typ: "slow", fn: func(ctx context.Context, _ json.RawMessage) (any, error) {

@@ -101,42 +101,39 @@ func waiverMaps(rng *rand.Rand, in *metrics.Input, universe []linuxapi.API) []ma
 	return []map[string]footprint.Set{nil, {}, partial}
 }
 
-// checkCurve compares every curve point with WeightedCompleteness of
-// the same prefix, bit for bit.
+// checkCurve compares every curve point with the reference evaluation
+// of the same prefix, and point 0 with WeightedCompleteness too, bit
+// for bit.
 func checkCurve(t *testing.T, name string, in *metrics.Input, supported footprint.Set, order []linuxapi.API, opts metrics.CompletenessOptions) {
 	t.Helper()
 	curve := metrics.CompletenessCurve(in, supported, order, opts)
 	if len(curve) != len(order)+1 {
 		t.Fatalf("%s: curve has %d points for %d APIs", name, len(curve), len(order))
 	}
+	if wc := metrics.WeightedCompleteness(in, supported, opts); math.Float64bits(wc) != math.Float64bits(curve[0]) {
+		t.Fatalf("%s: WeightedCompleteness = %v, curve point 0 = %v", name, wc, curve[0])
+	}
 	cur := supported.Clone()
 	for k, got := range curve {
 		if k > 0 {
 			cur.Add(order[k-1])
 		}
-		want := metrics.WeightedCompleteness(in, cur, opts)
+		want := refWeightedCompleteness(in, cur, opts)
 		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("%s: point %d of %d = %v (%#x), WeightedCompleteness = %v (%#x)",
+			t.Fatalf("%s: point %d of %d = %v (%#x), reference = %v (%#x)",
 				name, k, len(order), got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	}
 }
 
 // TestCompletenessCurveMatchesPrefixes pins every point of the curve to
-// WeightedCompleteness of the same supported prefix, bit for bit, over
-// random supported sets, orders and waiver maps and every option
-// combination. Summing weights per demand level and accumulating them
-// (what greedyPath does) changes the low bits on the generated corpus,
-// so only WeightedCompleteness's summation order passes.
+// the reference evaluation of the same supported prefix, bit for bit,
+// over random supported sets, orders (empty ones included) and waiver
+// maps and every option combination. Summing weights per demand level
+// and accumulating them (what greedyPath does) changes the low bits on
+// the generated corpus, so only a re-sum in sorted package order passes.
 func TestCompletenessCurveMatchesPrefixes(t *testing.T) {
-	inputs := []struct {
-		name string
-		in   *metrics.Input
-	}{
-		{"fixture", metrics.Fixture()},
-		{"corpus", corpusInput(t)},
-	}
-	for _, tc := range inputs {
+	for _, tc := range referenceInputs(t) {
 		in := tc.in
 		rng := rand.New(rand.NewSource(1))
 		universe := in.Universe()
@@ -155,13 +152,14 @@ func TestCompletenessCurveMatchesPrefixes(t *testing.T) {
 				supported.Add(api)
 			}
 			supported.Add(linuxapi.Sys("curve_never_interned_supported"))
-			draws = append(draws, draw{supported, randomOrder(rng, universe, supported, trial)})
+			draws = append(draws, draw{supported, randomOrder(rng, universe, supported, trial)}, draw{supported, nil})
 		}
 		for d, dr := range draws {
 			for w, waivable := range waiverMaps(rng, in, universe) {
 				// AllKinds ignores Kind, so it runs once.
 				kinds := []metrics.CompletenessOptions{
-					{Kind: linuxapi.KindSyscall}, {Kind: linuxapi.KindPseudoFile}, {AllKinds: true},
+					{Kind: linuxapi.KindSyscall}, {Kind: linuxapi.KindPseudoFile},
+					{Kind: linuxapi.KindIoctl}, {AllKinds: true},
 				}
 				for _, opts := range kinds {
 					for _, nodep := range []bool{false, true} {

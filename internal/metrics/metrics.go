@@ -38,14 +38,24 @@ type Input struct {
 
 	colsOnce sync.Once
 	cols     columns
+	closOnce sync.Once
+	// closure holds, per column, the columns of the package's
+	// DependencyClosure (itself included, packages outside Footprints
+	// dropped): the relation §7 materialized with recursive SQL.
+	closure [][]int32
 }
 
 // columns is the dense form every metric computes over: packages in
-// sorted order with their footprints alongside. Derived once per Input.
+// sorted order with their footprints and weights alongside. Derived
+// once per Input.
 type columns struct {
 	pkgs   []string
 	bits   []*footprint.BitSet
 	direct []*footprint.BitSet // nil entries: package has no direct data
+	// weight is each package's installation fraction, and total their
+	// sum in package order: every metric's summation order.
+	weight []float64
+	total  float64
 	// cap bounds every member ID across bits, so per-API accumulators
 	// can be flat arrays.
 	cap int
@@ -61,6 +71,7 @@ func (in *Input) columns() *columns {
 		sort.Strings(c.pkgs)
 		c.bits = make([]*footprint.BitSet, len(c.pkgs))
 		c.direct = make([]*footprint.BitSet, len(c.pkgs))
+		c.weight = make([]float64, len(c.pkgs))
 		for i, pkg := range c.pkgs {
 			b := in.Footprints[pkg]
 			if b == nil {
@@ -71,9 +82,53 @@ func (in *Input) columns() *columns {
 				c.cap = cap
 			}
 			c.direct[i] = in.Direct[pkg]
+			c.weight[i] = in.Survey.Fraction(pkg)
+			c.total += c.weight[i]
 		}
 	})
 	return &in.cols
+}
+
+// closures returns the closure index, built on first use.
+func (in *Input) closures() [][]int32 {
+	in.closOnce.Do(func() {
+		c := in.columns()
+		in.closure = make([][]int32, len(c.pkgs))
+		if in.Repo == nil {
+			return
+		}
+		col := make(map[string]int32, len(c.pkgs))
+		for i, pkg := range c.pkgs {
+			col[pkg] = int32(i)
+		}
+		for i, pkg := range c.pkgs {
+			for _, dep := range in.Repo.DependencyClosure(pkg) {
+				if j, ok := col[dep]; ok {
+					in.closure[i] = append(in.closure[i], j)
+				}
+			}
+		}
+	})
+	return in.closure
+}
+
+// propagate is §2.2 step 3 over per-package levels, the point at which
+// each package's own footprint is satisfied: a package rises to the
+// latest level in its dependency closure. One that weighs nothing counts
+// toward no point, and one already at top, the highest level there is,
+// cannot rise, so neither walks its closure.
+func (in *Input) propagate(level []int, top int) []int {
+	weight, closure := in.columns().weight, in.closures()
+	out := make([]int, len(level))
+	for i, l := range level {
+		if weight[i] != 0 && l != top {
+			for _, j := range closure[i] {
+				l = max(l, level[j])
+			}
+		}
+		out[i] = l
+	}
+	return out
 }
 
 // Universe returns every API appearing in any footprint.
@@ -140,9 +195,8 @@ func Importance(in *Input) map[linuxapi.API]float64 {
 	// by never-installed packages still exist with zero importance.
 	acc := make([]float64, c.cap)
 	seen := make([]bool, c.cap)
-	for i, pkg := range c.pkgs {
-		b := c.bits[i]
-		frac := in.Survey.Fraction(pkg)
+	for i, b := range c.bits {
+		frac := c.weight[i]
 		if frac == 0 {
 			b.ForEach(func(id uint32) { seen[id] = true })
 			continue
@@ -250,64 +304,14 @@ type CompletenessOptions struct {
 //
 // A package is supported when its (kind-filtered) footprint is a subset of
 // the supported set and, unless disabled, every package in its dependency
-// closure is supported too.
+// closure is supported too. It is point 0 of a CompletenessCurve.
 func WeightedCompleteness(in *Input, supported footprint.Set, opts CompletenessOptions) float64 {
-	c := in.columns()
-	// Lookup-only conversion: a supported API that was never interned
-	// cannot be in any footprint, so dropping it changes no subset test
-	// — and keeps untrusted query inputs from growing the intern table.
-	sup := footprint.LookupBits(supported)
-	var mask *footprint.BitSet
-	if !opts.AllKinds {
-		mask = footprint.KindMask(opts.Kind)
-	}
-	okOwn := make(map[string]bool, len(c.pkgs))
-	for i, pkg := range c.pkgs {
-		if w := opts.Waivable[pkg]; w != nil {
-			okOwn[pkg] = c.bits[i].SubsetOfWaived(sup, mask, footprint.LookupBits(w))
-		} else {
-			okOwn[pkg] = subsetOK(c.bits[i], sup, mask)
-		}
-	}
-	var num, den float64
-	for _, pkg := range c.pkgs {
-		w := in.Survey.Fraction(pkg)
-		den += w
-		if w == 0 {
-			continue
-		}
-		good := okOwn[pkg]
-		if good && !opts.NoDependencyPropagation && in.Repo != nil {
-			for _, dep := range in.Repo.DependencyClosure(pkg) {
-				if ok, known := okOwn[dep]; known && !ok {
-					good = false
-					break
-				}
-			}
-		}
-		if good {
-			num += w
-		}
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
-// subsetOK is the per-package support test: the (mask-filtered)
-// footprint must be contained in the supported set — a handful of
-// AND-compares per package instead of a map traversal.
-func subsetOK(fp, supported, mask *footprint.BitSet) bool {
-	if mask == nil {
-		return fp.SubsetOf(supported)
-	}
-	return fp.SubsetOfMasked(supported, mask)
+	return CompletenessCurve(in, supported, nil, opts)[0]
 }
 
 // CompletenessCurve is weighted completeness along a growing supported
-// set: point k equals WeightedCompleteness(in, supported ∪ order[:k],
-// opts) bit for bit, for k = 0..len(order).
+// set: point k is WeightedCompleteness(in, supported ∪ order[:k], opts),
+// for k = 0..len(order).
 //
 // Rather than one full pass per point, each package gets a demand level
 // once: the point at which order lands its last missing API (after the
@@ -315,20 +319,27 @@ func subsetOK(fp, supported, mask *footprint.BitSet) bool {
 // max over the package's closure. Each point then re-sums, in sorted
 // package order, the weights at or below it. It re-sums instead of
 // accumulating per-level mass because float addition is not
-// associative: only WeightedCompleteness's own summation order rounds
-// the same way.
+// associative: re-summing makes every point round exactly as a curve
+// with an empty order, which is WeightedCompleteness itself.
 func CompletenessCurve(in *Input, supported footprint.Set, order []linuxapi.API, opts CompletenessOptions) []float64 {
 	c := in.columns()
 	never := len(order) + 1
 	// landing maps an intern ID to the 1-based position where order first
 	// adds it; 0 means order never does. An ID at or beyond c.cap is in
-	// no footprint, and neither is an API that was never interned.
-	landing := make([]int, c.cap)
+	// no footprint, and neither is an API that was never interned. An
+	// empty order lands nothing and needs no array.
+	var landing []int
+	if len(order) > 0 {
+		landing = make([]int, c.cap)
+	}
 	for i, api := range order {
 		if id, ok := linuxapi.InternedID(api); ok && int(id) < len(landing) && landing[id] == 0 {
 			landing[id] = i + 1
 		}
 	}
+	// Lookup-only conversion: a supported API that was never interned
+	// cannot be in any footprint, so dropping it changes no subset test
+	// — and keeps untrusted query inputs from growing the intern table.
 	sup := footprint.LookupBits(supported)
 	var mask *footprint.BitSet
 	if !opts.AllKinds {
@@ -342,45 +353,22 @@ func CompletenessCurve(in *Input, supported footprint.Set, order []linuxapi.API,
 		}
 		level[i] = demandLevel(c.bits[i], sup, mask, waiver, landing, never)
 	}
-
-	var pos map[string]int // package -> column, for closure walks
-	if !opts.NoDependencyPropagation && in.Repo != nil {
-		pos = make(map[string]int, len(c.pkgs))
-		for i, pkg := range c.pkgs {
-			pos[pkg] = i
-		}
-	}
-	weight := make([]float64, len(c.pkgs))
-	effective := make([]int, len(c.pkgs))
-	var den float64
-	for i, pkg := range c.pkgs {
-		weight[i] = in.Survey.Fraction(pkg)
-		den += weight[i]
-		effective[i] = level[i]
-		// Propagation lifts a package to the latest level in its closure;
-		// one that weighs nothing or never lands needs no walk.
-		if pos == nil || weight[i] == 0 || level[i] == never {
-			continue
-		}
-		for _, dep := range in.Repo.DependencyClosure(pkg) {
-			if j, ok := pos[dep]; ok && level[j] > effective[i] {
-				effective[i] = level[j]
-			}
-		}
+	if !opts.NoDependencyPropagation {
+		level = in.propagate(level, never)
 	}
 
 	out := make([]float64, len(order)+1)
-	if den == 0 {
+	if c.total == 0 {
 		return out
 	}
 	for k := range out {
 		var num float64
-		for i, e := range effective {
-			if weight[i] != 0 && e <= k {
-				num += weight[i]
+		for i, l := range level {
+			if c.weight[i] != 0 && l <= k {
+				num += c.weight[i]
 			}
 		}
-		out[k] = num / den
+		out[k] = num / c.total
 	}
 	return out
 }
@@ -388,7 +376,8 @@ func CompletenessCurve(in *Input, supported footprint.Set, order []linuxapi.API,
 // demandLevel is the point at which a package's footprint stops missing
 // APIs: the latest landing among the bits of fp∧mask outside supported
 // and waiver (a nil mask filters nothing, a nil waiver waives nothing),
-// 0 when none is missing, never when one of them never lands.
+// 0 when none is missing, never when one of them never lands (an ID
+// beyond landing never does).
 func demandLevel(fp, supported, mask, waiver *footprint.BitSet, landing []int, never int) int {
 	sw := supported.Words()
 	var mw, ww []uint64
@@ -413,11 +402,11 @@ func demandLevel(fp, supported, mask, waiver *footprint.BitSet, landing []int, n
 			w &^= ww[i]
 		}
 		for ; w != 0; w &= w - 1 {
-			l := landing[i<<6+bits.TrailingZeros64(w)]
-			if l == 0 {
+			id := i<<6 + bits.TrailingZeros64(w)
+			if id >= len(landing) || landing[id] == 0 {
 				return never
 			}
-			d = max(d, l)
+			d = max(d, landing[id])
 		}
 	}
 	return d
@@ -489,40 +478,19 @@ func greedyPath(in *Input, include func(linuxapi.API) bool) []PathPoint {
 	}
 
 	// A package's demand is the highest rank in its filtered footprint;
-	// with dependency propagation, the max over its closure.
-	demand := make(map[string]int, len(c.pkgs))
-	for i, pkg := range c.pkgs {
-		d := 0
-		c.bits[i].ForEach(func(id uint32) {
-			if r := rankByID[id]; r > d {
-				d = r
-			}
-		})
-		demand[pkg] = d
+	// propagation lifts it to the highest in its dependency closure.
+	demand := make([]int, len(c.pkgs))
+	for i, b := range c.bits {
+		b.ForEach(func(id uint32) { demand[i] = max(demand[i], rankByID[id]) })
 	}
-	effective := make(map[string]int, len(demand))
-	for pkg := range demand {
-		d := demand[pkg]
-		if in.Repo != nil {
-			for _, dep := range in.Repo.DependencyClosure(pkg) {
-				if dd, ok := demand[dep]; ok && dd > d {
-					d = dd
-				}
-			}
-		}
-		effective[pkg] = d
-	}
+	demand = in.propagate(demand, len(apis))
 
 	// Weight mass per demand level, accumulated in sorted package order:
-	// float addition is not associative, so ranging the map here would
-	// make the curve's low bits vary run to run (and differ between a
-	// corpus-built and a snapshot-restored server answering /v1/path).
+	// float addition is not associative, so any other order would change
+	// the curve's low bits (and /v1/path's bytes).
 	massAt := make([]float64, len(apis)+1)
-	var total float64
-	for _, pkg := range c.pkgs {
-		w := in.Survey.Fraction(pkg)
-		total += w
-		massAt[effective[pkg]] += w
+	for i, d := range demand {
+		massAt[d] += c.weight[i]
 	}
 
 	out := make([]PathPoint, len(apis))
@@ -530,8 +498,8 @@ func greedyPath(in *Input, include func(linuxapi.API) bool) []PathPoint {
 	for i, api := range apis {
 		cum += massAt[i+1]
 		wc := 0.0
-		if total > 0 {
-			wc = cum / total
+		if c.total > 0 {
+			wc = cum / c.total
 		}
 		out[i] = PathPoint{N: i + 1, API: api, Importance: imp[api], Completeness: wc}
 	}

@@ -117,12 +117,12 @@ func BenchmarkQueryHotPath(b *testing.B) {
 					v, status = buildImportance(study, gen, names[i%40])
 				case 4, 5:
 					known, unknown := normalizeSyscalls(sets[i%3])
-					v = buildCompleteness(study, gen, known, unknown, false)
+					v = buildCompleteness(study, gen, known, unknown)
 				case 6:
 					known, unknown := normalizeSyscalls(sets[i%3])
-					v = buildSuggest(study, gen, known, unknown, 3, false)
+					v = buildSuggest(study, gen, known, unknown, 3)
 				default:
-					v = buildGreedyPrefix(study.GreedyPath(), gen, 0, false)
+					v = buildGreedyPrefix(study.GreedyPath(), gen, 0)
 				}
 				enc, err := encodeAnswer(status, "", v)
 				if err != nil {

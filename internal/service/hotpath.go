@@ -7,10 +7,10 @@ package service
 // swap, a plain map lookup with no lock at all — (2) the sharded
 // byte-bounded cache, one per-shard mutex around a map probe, and (3) a
 // singleflighted compute-and-encode that seeds the cache. A cold miss
-// encodes the answer twice — the served copy says "cached": false, the
-// stored copy says "cached": true — so first and repeat requests differ
-// exactly there (the bytes are pinned by golden response files in
-// internal/httpapi).
+// computes the answer once and encodes it twice — the served copy says
+// "cached": false, the stored copy says "cached": true — so first and
+// repeat requests differ exactly there (the bytes are pinned by golden
+// response files in internal/httpapi).
 
 import (
 	"bytes"
@@ -162,31 +162,29 @@ func buildImportance(study *repro.Study, label uint64, name string) (ImportanceR
 	return res, status
 }
 
-func buildCompleteness(study *repro.Study, label uint64, known, unknown []string, cached bool) CompletenessResult {
+func buildCompleteness(study *repro.Study, label uint64, known, unknown []string) CompletenessResult {
 	return CompletenessResult{
 		Syscalls:     len(known),
 		Unknown:      unknown,
 		Completeness: study.WeightedCompleteness(known),
 		Generation:   label,
-		Cached:       cached,
 	}
 }
 
-func buildSuggest(study *repro.Study, label uint64, known, unknown []string, k int, cached bool) SuggestResult {
+func buildSuggest(study *repro.Study, label uint64, known, unknown []string, k int) SuggestResult {
 	return SuggestResult{
 		Supported:   len(known),
 		Unknown:     unknown,
 		Suggestions: study.SuggestNext(known, k),
 		Generation:  label,
-		Cached:      cached,
 	}
 }
 
-func buildGreedyPrefix(path []metrics.PathPoint, label uint64, n int, cached bool) GreedyPrefixResult {
+func buildGreedyPrefix(path []metrics.PathPoint, label uint64, n int) GreedyPrefixResult {
 	if n <= 0 || n > len(path) {
 		n = len(path)
 	}
-	out := GreedyPrefixResult{N: n, Generation: label, Cached: cached}
+	out := GreedyPrefixResult{N: n, Generation: label}
 	for _, pt := range path[:n] {
 		out.Syscalls = append(out.Syscalls, pt.API.Name)
 		out.Curve = append(out.Curve, CurvePointJSON{
@@ -255,8 +253,10 @@ func (s *Service) CompletenessBytes(gen int, names []string) (Encoded, error) {
 	known, unknown := normalizeSyscalls(names)
 	return s.fetchEncoded(s.bcache.ep(epCompleteness), wcKey(prefix, known, unknown), base,
 		func() (any, any, int, error) {
-			return buildCompleteness(study, label, known, unknown, false),
-				buildCompleteness(study, label, known, unknown, true), 200, nil
+			res := buildCompleteness(study, label, known, unknown)
+			warm := res
+			warm.Cached = true
+			return res, warm, 200, nil
 		})
 }
 
@@ -274,8 +274,10 @@ func (s *Service) SuggestBytes(gen int, supported []string, k int) (Encoded, err
 	known, unknown := normalizeSyscalls(supported)
 	return s.fetchEncoded(s.bcache.ep(epSuggest), suggestKey(prefix, k, known, unknown), base,
 		func() (any, any, int, error) {
-			return buildSuggest(study, label, known, unknown, k, false),
-				buildSuggest(study, label, known, unknown, k, true), 200, nil
+			res := buildSuggest(study, label, known, unknown, k)
+			warm := res
+			warm.Cached = true
+			return res, warm, 200, nil
 		})
 }
 
@@ -295,9 +297,10 @@ func (s *Service) PathBytes(gen, n int) (Encoded, error) {
 	}
 	return s.fetchEncoded(s.bcache.ep(epPath), pathKey(prefix, n), base,
 		func() (any, any, int, error) {
-			path := study.GreedyPath()
-			return buildGreedyPrefix(path, label, n, false),
-				buildGreedyPrefix(path, label, n, true), 200, nil
+			res := buildGreedyPrefix(study.GreedyPath(), label, n)
+			warm := res
+			warm.Cached = true
+			return res, warm, 200, nil
 		})
 }
 

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/compat"
 )
 
 // TestByteCacheByteBound is the resident-memory regression test: no
@@ -204,6 +206,42 @@ func TestHotsetServesPrecomputed(t *testing.T) {
 	st = svc.Stats()
 	if st.ByteCacheMisses == 0 || st.ByteCacheHits == 0 {
 		t.Errorf("footprint pair: byte-cache hits/misses = %d/%d, want both > 0", st.ByteCacheHits, st.ByteCacheMisses)
+	}
+}
+
+// TestHotsetSuggestSlicesMatchFresh pins the hotset's suggest entries,
+// one list per compat target sliced for every k, to the answers the
+// compute path gives once the hotset is gone: same body, same ETag.
+func TestHotsetSuggestSlicesMatchFresh(t *testing.T) {
+	svc := newTestService(t, Config{})
+	hot := svc.hot.Load()
+	svc.hot.Store(nil)
+	path := svc.Snapshot().Study.GreedyPath()
+	for _, sys := range append(append([]compat.System(nil), compat.Systems...), compat.GrapheneFixed) {
+		var names []string
+		for _, api := range compat.SupportedSet(sys, path).Sorted() {
+			names = append(names, api.Name)
+		}
+		known, unknown := normalizeSyscalls(names)
+		for k := 1; k <= hotsetSuggestMaxK; k++ {
+			want, ok := hot.entries[suggestKey(hot.prefix, k, known, unknown)]
+			if !ok {
+				t.Fatalf("%s k=%d: no hotset entry", sys.Name, k)
+			}
+			// The first call computes and caches the warm copy, which is
+			// what the hotset holds; the second serves it.
+			if _, err := svc.SuggestBytes(-1, names, k); err != nil {
+				t.Fatal(err)
+			}
+			got, err := svc.SuggestBytes(-1, names, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Body, want.Body) || got.ETag != want.ETag {
+				t.Fatalf("%s k=%d: hotset entry %s (%s), fresh answer %s (%s)",
+					sys.Name, k, want.Body, want.ETag, got.Body, got.ETag)
+			}
+		}
 	}
 }
 

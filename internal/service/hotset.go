@@ -62,7 +62,9 @@ func buildHotset(study *repro.Study, gen uint64, fingerprint string, packages in
 
 	path := study.GreedyPath()
 	h.pathLen = len(path)
-	add(pathKey(prefix, 0), 200, buildGreedyPrefix(path, gen, 0, true))
+	full := buildGreedyPrefix(path, gen, 0)
+	full.Cached = true
+	add(pathKey(prefix, 0), 200, full)
 
 	warmCompat := CompatSystemsResult{
 		Systems:    buildCompatRows(study),
@@ -78,11 +80,17 @@ func buildHotset(study *repro.Study, gen uint64, fingerprint string, packages in
 			names = append(names, api.Name)
 		}
 		known, unknown := normalizeSyscalls(names)
-		add(wcKey(prefix, known, unknown), 200,
-			buildCompleteness(study, gen, known, unknown, true))
+		wc := buildCompleteness(study, gen, known, unknown)
+		wc.Cached = true
+		add(wcKey(prefix, known, unknown), 200, wc)
+		// A shorter suggest list is a prefix of a longer one, so one
+		// list serves every k.
+		sugg := buildSuggest(study, gen, known, unknown, hotsetSuggestMaxK)
+		sugg.Cached = true
+		all := sugg.Suggestions
 		for k := 1; k <= hotsetSuggestMaxK; k++ {
-			add(suggestKey(prefix, k, known, unknown), 200,
-				buildSuggest(study, gen, known, unknown, k, true))
+			sugg.Suggestions = all[:min(k, len(all))]
+			add(suggestKey(prefix, k, known, unknown), 200, sugg)
 		}
 	}
 	return h

@@ -11,9 +11,11 @@
 # async job tier in internal/jobs, the concurrent verdict-matrix
 # build in internal/stubplan, and the lock-free histogram and metrics
 # writer in internal/obs), ten seconds of the fuzzing engine on each of
-# the ELF reader (elfx.FuzzOpen), the x86 decoder (x86.FuzzDecode) and
-# the snapshot reader (snapshot.FuzzDecode) beyond the seeds the test
-# run replays, a two-worker end-to-end fleet smoke test, a job-tier
+# the ELF reader (elfx.FuzzOpen), the x86 decoder (x86.FuzzDecode), the
+# snapshot reader (snapshot.FuzzDecode) and query canonicalization
+# (service.FuzzCanonicalQuery) beyond the seeds the test run replays,
+# with minimization capped at one second so the ten seconds go to new
+# inputs, a two-worker end-to-end fleet smoke test, a job-tier
 # smoke test (spool persistence across kill -9), an end-to-end load
 # smoke test that gates the serving SLO, the ramp (zero 5xx to the
 # ceiling) and an in-process read-path throughput ceiling that meets
@@ -55,10 +57,11 @@ go test -race ./internal/core ./internal/linuxapi ./internal/footprint ./interna
     ./internal/loadgen ./internal/jobs ./internal/snapshot ./internal/proxy \
     ./internal/evolution ./internal/stubplan ./internal/obs
 
-echo "== go test -fuzz (ELF reader, x86 decoder, snapshot reader; 10s each)"
-go test -run '^$' -fuzz '^FuzzOpen$' -fuzztime 10s ./internal/elfx
-go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/x86
-go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/snapshot
+echo "== go test -fuzz (ELF reader, x86 decoder, snapshot reader, query canonicalization; 10s each)"
+go test -run '^$' -fuzz '^FuzzOpen$' -fuzztime 10s -fuzzminimizetime 1s ./internal/elfx
+go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s -fuzzminimizetime 1s ./internal/x86
+go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s -fuzzminimizetime 1s ./internal/snapshot
+go test -run '^$' -fuzz '^FuzzCanonicalQuery$' -fuzztime 10s -fuzzminimizetime 1s ./internal/service
 
 echo "== fleet smoke test (two-worker end-to-end)"
 sh scripts/fleet_smoke.sh
