@@ -40,7 +40,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/report"
 	"repro/internal/seccomp"
-	"repro/internal/snapshot"
 )
 
 // Config parameterizes corpus generation.
@@ -75,13 +74,12 @@ type Study struct {
 	// generation is a serving-layer snapshot counter (see Generation);
 	// zero for studies that never entered a service.
 	generation uint64
-	// snapshotGen, fingerprint and snap are set only on studies restored
-	// from a snapshot file: the publisher-assigned file generation, the
-	// stored corpus fingerprint (the restored corpus has no file bytes to
-	// hash), and the live file mapping, if any (see snapshot.go).
+	// snapshotGen and fingerprint are set only on studies restored from
+	// a snapshot file: the publisher-assigned file generation and the
+	// stored corpus fingerprint (the restored corpus has no file bytes
+	// to hash).
 	snapshotGen uint64
 	fingerprint string
-	snap        *snapshot.Data
 }
 
 // NewStudy generates a calibrated corpus and runs the full pipeline over

@@ -456,8 +456,8 @@ func BenchmarkStudyColdVsWarm(b *testing.B) {
 // BenchmarkSnapshotOpenVsRebuild prices what the columnar snapshot
 // format buys a replica at swap time: "rebuild" analyzes an on-disk
 // corpus from scratch (what a replica without snapshots must do),
-// "open" restores the same study from a snapshot file (mmap + column
-// decode, no disassembly at all). scripts/bench.sh records both as
+// "open" restores the same study from a snapshot file (one heap read +
+// column decode, no disassembly at all). scripts/bench.sh records both as
 // snapshot_rebuild/snapshot_open in BENCH_pipeline.json and benchgate
 // gates CI on open being ≥10× faster.
 func BenchmarkSnapshotOpenVsRebuild(b *testing.B) {

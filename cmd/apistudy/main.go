@@ -138,7 +138,6 @@ func main() {
 		log.Printf("series written to %s in %v (%d generations, trends over %d APIs)",
 			*seriesOut, time.Since(start).Round(time.Millisecond),
 			sr.Generations(), len(sr.Trends.Importance))
-		sr.Close()
 		return
 	}
 

@@ -33,11 +33,9 @@ func BenchmarkEvolutionSeriesColdVsWarm(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			s, err := Build(Config{Series: cfg, Dir: b.TempDir()})
-			if err != nil {
+			if _, err := Build(Config{Series: cfg, Dir: b.TempDir()}); err != nil {
 				b.Fatal(err)
 			}
-			s.Close()
 		}
 	})
 
@@ -47,11 +45,9 @@ func BenchmarkEvolutionSeriesColdVsWarm(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		s, err := Build(Config{Series: cfg, Dir: b.TempDir(), Cache: cache}) // populate
-		if err != nil {
+		if _, err := Build(Config{Series: cfg, Dir: b.TempDir(), Cache: cache}); err != nil { // populate
 			b.Fatal(err)
 		}
-		s.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			s, err := Build(Config{Series: cfg, Dir: b.TempDir(), Cache: cache})
@@ -61,7 +57,6 @@ func BenchmarkEvolutionSeriesColdVsWarm(b *testing.B) {
 			if s.Trends.Generations[0].CacheHits == 0 {
 				b.Fatal("warm series build hit nothing")
 			}
-			s.Close()
 		}
 	})
 }

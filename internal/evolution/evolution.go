@@ -24,6 +24,7 @@ import (
 	"repro"
 	"repro/internal/corpus"
 	"repro/internal/linuxapi"
+	"repro/internal/snapshot"
 )
 
 // DefaultPathHead is the greedy-path prefix length used for "toward/away
@@ -120,17 +121,6 @@ func (s *Series) Study(gen int) *repro.Study {
 	return s.studies[gen]
 }
 
-// Close releases any mmapped snapshot studies.
-func (s *Series) Close() error {
-	var first error
-	for _, st := range s.studies {
-		if err := st.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // Build generates the release series, analyzes every generation through
 // the shared cache, persists gen-*.snap snapshots plus trends.json into
 // cfg.Dir, and returns the in-memory series.
@@ -187,7 +177,7 @@ func Build(cfg Config) (*Series, error) {
 }
 
 // Load opens a series directory written by Build: trends.json plus the
-// per-generation snapshots (mmapped; call Close when done).
+// per-generation snapshots.
 func Load(dir string) (*Series, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, TrendsFile))
 	if err != nil {
@@ -201,12 +191,9 @@ func Load(dir string) (*Series, error) {
 	for _, info := range trends.Generations {
 		st, err := repro.LoadSnapshotStudy(filepath.Join(dir, info.Snapshot))
 		if err != nil {
-			s.Close()
 			return nil, fmt.Errorf("evolution: loading %s: %w", info.Snapshot, err)
 		}
 		if fp := st.Fingerprint(); fp != info.Fingerprint {
-			st.Close()
-			s.Close()
 			return nil, fmt.Errorf("evolution: %s fingerprint %s does not match trends.json %s",
 				info.Snapshot, fp, info.Fingerprint)
 		}
@@ -331,16 +318,12 @@ func pathDirection(rank []int) string {
 	}
 }
 
-// writeTrends persists trends.json atomically and deterministically.
+// writeTrends persists trends.json atomically and deterministically,
+// through the same fsync-then-rename write as the snapshots beside it.
 func writeTrends(path string, t *Trends) error {
 	data, err := json.MarshalIndent(t, "", "  ")
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return snapshot.WriteBytes(path, append(data, '\n'))
 }

@@ -3,10 +3,12 @@ package evolution
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro"
@@ -42,12 +44,10 @@ func TestBuildByteStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s1.Close()
 	s2, err := Build(testConfig(dir2, cache))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close()
 
 	for g := 0; g < s1.Generations(); g++ {
 		a, err := os.ReadFile(filepath.Join(dir1, snapName(g)))
@@ -85,11 +85,9 @@ func TestBuildByteStable(t *testing.T) {
 	}
 	// A second warm build is a full byte-identical fixed point.
 	dir3 := t.TempDir()
-	s3, err := Build(testConfig(dir3, cache))
-	if err != nil {
+	if _, err := Build(testConfig(dir3, cache)); err != nil {
 		t.Fatal(err)
 	}
-	defer s3.Close()
 	c, err := os.ReadFile(filepath.Join(dir3, TrendsFile))
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +112,6 @@ func TestIncrementalCacheHitRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer series.Close()
 
 	// Recompute, from the corpora alone, which ELF payloads are new per
 	// generation — the exact population a content-addressed cache must
@@ -167,7 +164,6 @@ func TestTrendsMatchOfflineRecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer series.Close()
 	n := series.Generations()
 
 	// Importance trajectories, recomputed through the public Study API.
@@ -235,13 +231,11 @@ func TestLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer built.Close()
 
 	loaded, err := Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer loaded.Close()
 
 	if !reflect.DeepEqual(built.Trends, loaded.Trends) {
 		t.Error("loaded trends differ from built trends")
@@ -258,6 +252,46 @@ func TestLoadRoundTrip(t *testing.T) {
 				t.Errorf("gen %d importance(%s) = %v, want %v", g, call, got, want)
 			}
 		}
+	}
+}
+
+// TestWriteTrendsConcurrent has several builders write trends.json into
+// one series directory at once: no write may fail on another's temp
+// file, the file left behind must parse, and no temp file may remain.
+func TestWriteTrendsConcurrent(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, TrendsFile)
+	want := &Trends{PathHead: DefaultPathHead, Path: []PathTrend{{API: "read", Rank: []int{1, 2}, Direction: "away"}}}
+	const writers, writes = 8, 50
+	errs := make(chan error, writers*writes)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < writes; i++ {
+				if err := writeTrends(path, want); err != nil {
+					errs <- err
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	if n := len(errs); n > 0 {
+		t.Errorf("%d of %d concurrent writes failed; first: %v", n, writers*writes, <-errs)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Trends
+	if err := json.Unmarshal(raw, &got); err != nil || !reflect.DeepEqual(&got, want) {
+		t.Errorf("trends.json after concurrent writes = %+v, %v", got, err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil || len(ents) != 1 {
+		t.Errorf("series dir holds %d entries, want only %s: %v", len(ents), TrendsFile, err)
 	}
 }
 

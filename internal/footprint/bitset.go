@@ -119,9 +119,9 @@ func (b *BitSet) Words() []uint64 { return b.words }
 
 // FromWords wraps an existing word slice as a BitSet without copying.
 // The caller must not mutate words afterwards, and the resulting bitset
-// must be used read-only: the slice may alias a read-only file mapping,
-// where a growing write would fault. Used to serve footprints straight
-// out of a mapped snapshot.
+// must be used read-only: the slice may alias the bytes a snapshot was
+// decoded from, which the decoder's caller still owns. Used to serve
+// footprints straight out of a snapshot's file buffer.
 func FromWords(words []uint64) *BitSet { return &BitSet{words: words} }
 
 // Clone returns an independent copy.

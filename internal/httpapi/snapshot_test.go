@@ -15,7 +15,9 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/linuxapi"
 	"repro/internal/service"
+	"repro/internal/snapshot"
 )
 
 var (
@@ -215,6 +217,51 @@ func TestSnapshotPushWrappedTableOffset(t *testing.T) {
 	_, page := fetch(t, ts, "GET", "/metrics", "")
 	if !strings.Contains(string(page), "\napiserved_snapshot_rejected_corrupt_total 1\n") {
 		t.Errorf("rejection not counted:\n%s", page)
+	}
+}
+
+// TestSnapshotPushFootprintBitPastTable pushes a checksum-valid
+// snapshot in which one package's footprint sets a bit past the file's
+// API table. Served, the first footprint miss for that package would
+// look up a name that does not exist; instead the push gets the 400
+// envelope, and the served study and the intern table stay as they
+// were.
+func TestSnapshotPushFootprintBitPastTable(t *testing.T) {
+	a, _ := snapStudies(t)
+	ts, svc, _ := replicaServer(t)
+	gen1, err := a.EncodeSnapshot(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	postSnapshot(t, ts, gen1, http.StatusOK, nil)
+	d, err := a.SnapshotData(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &d.Packages[0]
+	_, want := fetch(t, ts, "GET", "/v1/footprint/"+p.Name, "")
+
+	universe := linuxapi.InternUniverse()
+	p.Footprint = p.Footprint.Clone()
+	p.Footprint.AddID(uint32(universe) + 43)
+	crafted, err := snapshot.Encode(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e errorBody
+	postSnapshot(t, ts, crafted, http.StatusBadRequest, &e)
+	if !strings.Contains(e.Error, "beyond api table") || e.RequestID == "" {
+		t.Errorf("error envelope = %+v", e)
+	}
+	if gen, fp := svc.Generation(), svc.Snapshot().Meta.Fingerprint; gen != 1 || fp != a.Fingerprint() {
+		t.Errorf("rejected push changed the served study: generation %d, fingerprint %s", gen, fp)
+	}
+	if n := linuxapi.InternUniverse(); n != universe {
+		t.Errorf("rejected push grew the intern table from %d to %d entries", universe, n)
+	}
+	code, got := fetch(t, ts, "GET", "/v1/footprint/"+p.Name, "")
+	if code != http.StatusOK || !bytes.Equal(got, want) {
+		t.Errorf("footprint of %s after the rejected push = %d %s, want 200 %s", p.Name, code, got, want)
 	}
 }
 

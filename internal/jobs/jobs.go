@@ -327,6 +327,8 @@ func (m *Manager) Close() {
 
 // recover rebuilds in-memory state from the spool: live jobs re-enter
 // the queue under their original IDs, terminal ones serve until TTL.
+// A record that would need to run but whose type has no executor here
+// stays on disk, unadopted, for a process that runs that type.
 func (m *Manager) recover() error {
 	records, err := m.spool.loadJobs()
 	if err != nil {
@@ -346,6 +348,9 @@ func (m *Manager) recover() error {
 			if j.State == StateDone && !m.spool.hasResult(j.ID) {
 				// A done record without its result cannot serve; run it
 				// again rather than 500 every result request.
+				if !m.runnableLocked(j) {
+					continue
+				}
 				j.State = StateQueued
 				j.Error = ""
 				m.adoptLocked(j, now)
@@ -353,6 +358,9 @@ func (m *Manager) recover() error {
 			}
 			m.jobs[j.ID] = j
 		case j.State == StateRunning, j.State == StateQueued:
+			if !m.runnableLocked(j) {
+				continue
+			}
 			// Running means a previous process died mid-execution; the
 			// interruption is not the job's fault, so the attempt that
 			// was charged at start is refunded.
@@ -367,6 +375,18 @@ func (m *Manager) recover() error {
 		m.cfg.Logf("jobs: spool recovery: %d records, %d resumed", n, m.stats.resumed)
 	}
 	return nil
+}
+
+// runnableLocked reports whether a recovered record's type has an
+// executor in this process, logging the record it must leave alone
+// (m.mu held). Processes with different registries can share a spool,
+// and a type can be renamed across an upgrade.
+func (m *Manager) runnableLocked(j *Job) bool {
+	if m.reg[j.Type] != nil {
+		return true
+	}
+	m.cfg.Logf("jobs: spool record %s has unregistered type %q; left on disk", j.ID, j.Type)
+	return false
 }
 
 // adoptLocked re-admits a recovered queued job (m.mu held).
@@ -689,9 +709,10 @@ func (m *Manager) scheduleRetryLocked(id string, d time.Duration) {
 }
 
 // backoffLocked returns the jittered exponential delay before the next
-// attempt (m.mu held for the rng).
+// attempt (m.mu held for the rng). A spooled record read back from disk
+// can carry any attempt count, so counts below 1 take the base delay.
 func (m *Manager) backoffLocked(attempt int) time.Duration {
-	d := m.cfg.RetryBase << (attempt - 1)
+	d := m.cfg.RetryBase << max(attempt-1, 0)
 	if d > m.cfg.RetryMax || d <= 0 {
 		d = m.cfg.RetryMax
 	}

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -599,6 +600,73 @@ func TestSpoolDoneWithoutResultReruns(t *testing.T) {
 	raw, _, err := m2.Result(j.ID)
 	if err != nil || string(raw) != `{"v":1}` {
 		t.Fatalf("result = %s, %v", raw, err)
+	}
+}
+
+// TestSpoolLeavesUnregisteredTypeOnDisk recovers a spool holding
+// records of a type this process has no executor for (a process with a
+// different registry shares the spool, or the type was renamed): the
+// live records are neither adopted nor run, which would call a nil
+// executor, and stay on disk byte for byte; a finished record of that
+// type still serves its result.
+func TestSpoolLeavesUnregisteredTypeOnDisk(t *testing.T) {
+	dir := t.TempDir()
+	now := time.Now()
+	live := map[string]*Job{
+		"j-00000000000000a1": {State: StateQueued},
+		"j-00000000000000a2": {State: StateRunning, Attempts: 1, StartedAt: now},
+		"j-00000000000000a3": {State: StateDone, Attempts: 1, FinishedAt: now}, // no result on disk
+	}
+	raws := map[string][]byte{}
+	for id, j := range live {
+		j.ID, j.Type, j.Params, j.MaxAttempts, j.CreatedAt = id, "nope", json.RawMessage(`{}`), 3, now
+		raw, err := json.Marshal(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raws[id] = raw
+		writeSpoolRecord(t, dir, id, raw)
+	}
+	done := &Job{ID: "j-00000000000000b1", Type: "nope", State: StateDone, Attempts: 1,
+		MaxAttempts: 3, CreatedAt: now, FinishedAt: now}
+	raw, _ := json.Marshal(done)
+	writeSpoolRecord(t, dir, done.ID, raw)
+	if err := os.MkdirAll(filepath.Join(dir, "results"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "results", done.ID+".json"), []byte(`{"ok":1}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	var logs []string
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	m := newTestManager(t, Config{SpoolDir: dir, Logf: logf}, echoExec("work"))
+	// Give a wrongly adopted job time to reach the dispatcher.
+	time.Sleep(50 * time.Millisecond)
+	for id, want := range raws {
+		if j, ok := m.Get(id); ok {
+			t.Errorf("record %s of an unregistered type was adopted: %+v", id, j)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, "jobs", id+".json"))
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("record %s on disk = %s, %v; want it untouched", id, got, err)
+		}
+	}
+	if res, rec, err := m.Result(done.ID); err != nil || string(res) != `{"ok":1}` || rec.State != StateDone {
+		t.Errorf("finished record of an unregistered type: %s (%+v), %v", res, rec, err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if n := strings.Count(strings.Join(logs, "\n"), `unregistered type "nope"`); n != len(raws) {
+		t.Errorf("%d unregistered-type log lines, want %d: %q", n, len(raws), logs)
+	}
+	if st := m.Stats(); st.Resumed != 0 {
+		t.Errorf("resumed = %d, want 0", st.Resumed)
 	}
 }
 

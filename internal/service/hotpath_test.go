@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -157,6 +158,78 @@ func TestSingleflightShared(t *testing.T) {
 	}
 	if uint64(shared) != uint64(followers+1)-got {
 		t.Errorf("shared callers = %d with %d executions, want %d", shared, got, uint64(followers+1)-got)
+	}
+}
+
+// TestSingleflightPanicReleasesKey: a compute that panics must not
+// wedge its key. The panic reaches the goroutine that ran fn, callers
+// that joined the call get an error instead of blocking, and the next
+// Do on the key runs its own fn.
+func TestSingleflightPanicReleasesKey(t *testing.T) {
+	var g flightGroup
+	started := make(chan struct{})
+	release := make(chan struct{})
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		g.Do("k", func() (Encoded, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-started
+
+	const joiners = 4
+	errs := make(chan error, joiners)
+	for i := 0; i < joiners; i++ {
+		go func() {
+			_, shared, err := g.Do("k", func() (Encoded, error) {
+				return Encoded{Status: 200, Body: []byte("own")}, nil
+			})
+			if shared && !errors.Is(err, errFlightPanicked) {
+				errs <- fmt.Errorf("joined the panicking call and got %v", err)
+				return
+			}
+			errs <- nil
+		}()
+	}
+	time.Sleep(20 * time.Millisecond) // let the joiners queue behind the call
+	close(release)
+
+	timeout := time.After(5 * time.Second)
+	select {
+	case v := <-recovered:
+		if v != "boom" {
+			t.Fatalf("panicking caller recovered %v, want the panic value", v)
+		}
+	case <-timeout:
+		t.Fatal("panicking caller never returned")
+	}
+	for i := 0; i < joiners; i++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Error(err)
+			}
+		case <-timeout:
+			t.Fatal("a caller that joined the panicking call is still blocked")
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		enc, shared, err := g.Do("k", func() (Encoded, error) {
+			return Encoded{Status: 200, Body: []byte("fresh")}, nil
+		})
+		if err != nil || shared || string(enc.Body) != "fresh" {
+			t.Errorf("Do after the panic = %q shared=%v err=%v, want its own result", enc.Body, shared, err)
+		}
+	}()
+	select {
+	case <-done:
+	case <-timeout:
+		t.Fatal("the key is still wedged after the panic")
 	}
 }
 

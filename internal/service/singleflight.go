@@ -1,6 +1,9 @@
 package service
 
-import "sync"
+import (
+	"errors"
+	"sync"
+)
 
 // flightGroup is a minimal stdlib-only singleflight: concurrent callers
 // of Do with the same key run fn once and all receive its result. It
@@ -18,6 +21,10 @@ type flightCall struct {
 	err error
 }
 
+// errFlightPanicked is what the callers sharing a call receive when its
+// fn panics; the panic itself goes on up the goroutine that ran fn.
+var errFlightPanicked = errors.New("service: shared computation panicked")
+
 // Do runs fn once per concurrent set of callers for key. shared is true
 // for callers that received another caller's result.
 func (g *flightGroup) Do(key string, fn func() (Encoded, error)) (enc Encoded, shared bool, err error) {
@@ -30,16 +37,19 @@ func (g *flightGroup) Do(key string, fn func() (Encoded, error)) (enc Encoded, s
 		c.wg.Wait()
 		return c.enc, true, c.err
 	}
-	c := new(flightCall)
+	c := &flightCall{err: errFlightPanicked} // stands unless fn returns
 	c.wg.Add(1)
 	g.m[key] = c
 	g.mu.Unlock()
 
+	// Release the key and wake the sharers even if fn panics, so the key
+	// is not wedged for every later caller.
+	defer func() {
+		g.mu.Lock()
+		delete(g.m, key)
+		c.wg.Done()
+		g.mu.Unlock()
+	}()
 	c.enc, c.err = fn()
-	c.wg.Done()
-
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
 	return c.enc, false, c.err
 }

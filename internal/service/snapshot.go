@@ -36,11 +36,13 @@ func (s *Service) SwapAt(study *repro.Study, source string, gen uint64, file str
 	return gen
 }
 
-// LoadSnapshotFile opens the snapshot file at path (mmap when the
-// platform supports it) and swaps the restored study in at the file's
-// own generation. Any validation failure — truncation, bad magic,
-// version skew, checksum mismatch — is counted and returned without
-// touching the served snapshot.
+// LoadSnapshotFile reads the snapshot file at path into memory and
+// swaps the restored study in at the file's own generation. Any
+// validation failure — truncation, bad magic, version skew, checksum
+// mismatch — is counted and returned without touching the served
+// snapshot. The swapped-out study is garbage once the last request
+// holding it returns, and later changes to the file do not reach the
+// served study.
 func (s *Service) LoadSnapshotFile(path string) (uint64, error) {
 	study, err := repro.LoadSnapshotStudy(path)
 	if err != nil {

@@ -1,13 +1,18 @@
 package service
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro"
+	"repro/internal/linuxapi"
 	"repro/internal/snapshot"
 )
 
@@ -322,4 +327,195 @@ func TestSnapshotInstallDuringQueries(t *testing.T) {
 	if svc.Generation() != 1 {
 		t.Errorf("final generation %d, want 1 after rollback", svc.Generation())
 	}
+}
+
+// servedAndReference writes a snapshot of the test study to path and
+// a copy beside it, and returns a replica serving path and a reference
+// replica serving the copy, which no test touches.
+func servedAndReference(t *testing.T) (a *repro.Study, path string, svc, ref *Service) {
+	t.Helper()
+	a, _ = testStudies(t)
+	dir := t.TempDir()
+	path = writeTestSnapshot(t, a, dir, 1)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refPath := filepath.Join(dir, "ref.snap")
+	if err := os.WriteFile(refPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	svc = New(repro.EmptyStudy(), "awaiting-snapshot", Config{})
+	if _, err := svc.LoadSnapshotFile(path); err != nil {
+		t.Fatal(err)
+	}
+	ref = New(repro.EmptyStudy(), "awaiting-snapshot", Config{})
+	if _, err := ref.LoadSnapshotFile(refPath); err != nil {
+		t.Fatal(err)
+	}
+	return a, path, svc, ref
+}
+
+// fileMappings counts the lines of /proc/self/maps that map path; -1
+// where the process has no such file.
+func fileMappings(t *testing.T, path string) int {
+	t.Helper()
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		return -1
+	}
+	return strings.Count(string(maps), path)
+}
+
+// TestSnapshotSwapStormKeepsAnswers swaps the same snapshot file in 60
+// times while readers issue completeness and footprint misses (every
+// swap empties the byte cache) and one reader holds a Snapshot taken
+// before the swaps. Every answer must be byte-identical to a reference
+// replica's, the held study must keep answering as before, and no
+// mapping of the file may be left behind: swapped-out generations are
+// plain heap memory the garbage collector retires.
+func TestSnapshotSwapStormKeepsAnswers(t *testing.T) {
+	a, path, svc, ref := servedAndReference(t)
+
+	// A query's first answer says "cached": false and its repeats say
+	// true; both forms are legal after a swap empties the cache.
+	pkgs := a.Packages()[:12]
+	type query func(*Service) (Encoded, error)
+	var queries []query
+	for i, pkg := range pkgs {
+		queries = append(queries,
+			func(s *Service) (Encoded, error) { return s.FootprintBytes(-1, pkg) },
+			func(s *Service) (Encoded, error) {
+				return s.CompletenessBytes(-1, []string{"read", "write", extraSyscall(i)})
+			})
+	}
+	want := make([][2][]byte, len(queries))
+	for i, q := range queries {
+		for j := range want[i] {
+			enc, err := q(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i][j] = enc.Body
+		}
+	}
+	check := func(i int) error {
+		enc, err := queries[i](svc)
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(enc.Body, want[i][0]) && !bytes.Equal(enc.Body, want[i][1]) {
+			return fmt.Errorf("query %d answered %s, want %s", i, enc.Body, want[i][1])
+		}
+		return nil
+	}
+
+	held := svc.Snapshot()
+	heldWant := held.Study.PackageFootprint(pkgs[0])
+	swapped := make(chan struct{})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // the reader that holds a pre-swap snapshot
+		defer wg.Done()
+		for range swapped {
+			if got := held.Study.PackageFootprint(pkgs[0]); !reflect.DeepEqual(got, heldWant) {
+				t.Errorf("held study's footprint changed across a swap: %v, want %v", got, heldWant)
+			}
+		}
+	}()
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := check(i % len(queries)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(r)
+	}
+	const swaps = 60
+	for i := 0; i < swaps; i++ {
+		if _, err := svc.LoadSnapshotFile(path); err != nil {
+			t.Error(err)
+			break
+		}
+		swapped <- struct{}{}
+	}
+	close(swapped)
+	close(stop)
+	wg.Wait()
+	for i := range queries {
+		if err := check(i); err != nil {
+			t.Error(err)
+		}
+	}
+	if n := fileMappings(t, path); n > 0 {
+		t.Errorf("%d mappings of the snapshot file remain after %d swaps", n, swaps)
+	}
+}
+
+// extraSyscall returns a syscall other than read and write, distinct
+// for each i, so every completeness query below has its own key.
+func extraSyscall(i int) string { return linuxapi.Syscalls[20+i].Name }
+
+// TestServedSnapshotFileChangedInPlace serves a snapshot file, then
+// overwrites it in place with same-length bytes and finally truncates
+// it. The served study was read into memory, so footprint and
+// completeness misses after each change answer exactly as a replica
+// serving an untouched copy does.
+func TestServedSnapshotFileChangedInPlace(t *testing.T) {
+	a, path, svc, ref := servedAndReference(t)
+	pkgs := a.Packages()
+	misses := func(step string, from int) {
+		t.Helper()
+		for i := from; i < from+8; i++ {
+			for _, q := range []func(*Service) (Encoded, error){
+				func(s *Service) (Encoded, error) { return s.FootprintBytes(-1, pkgs[i]) },
+				func(s *Service) (Encoded, error) {
+					return s.CompletenessBytes(-1, []string{"read", "write", extraSyscall(i)})
+				},
+			} {
+				got, err := q(svc)
+				if err != nil {
+					t.Fatalf("%s: %v", step, err)
+				}
+				want, err := q(ref)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Body, want.Body) {
+					t.Errorf("%s: answered %s, want %s", step, got.Body, want.Body)
+				}
+			}
+		}
+	}
+
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(bytes.Repeat([]byte{0xff}, int(st.Size())), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	misses("after an in-place overwrite", 0)
+
+	if err := os.Truncate(path, 0); err != nil {
+		t.Fatal(err)
+	}
+	misses("after truncation", 8)
 }

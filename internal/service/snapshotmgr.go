@@ -30,8 +30,9 @@ type managedSnap struct {
 // SnapshotManager is a replica's admin surface for pushed snapshots: it
 // validates pushed bytes, persists them under generation-numbered names
 // in its directory, swaps them into the service atomically, keeps the
-// previous generation for rollback, and unlinks anything older (live
-// mmaps survive the unlink, so readers on old generations are safe).
+// previous generation for rollback, and unlinks anything older. Served
+// studies are read into memory, so readers on old generations never
+// touch the unlinked files.
 type SnapshotManager struct {
 	svc *Service
 	dir string

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"os"
 	"unsafe"
 
 	"repro/internal/footprint"
@@ -22,8 +23,9 @@ var hostLittleEndian = func() bool {
 }()
 
 // u64view reinterprets b as a []uint64 without copying when the host is
-// little-endian and b is 8-aligned (sections are written 8-aligned, so
-// this holds for mapped files; crafted layouts fall back to a copy).
+// little-endian and b is 8-aligned (sections are written 8-aligned and
+// heap buffers such as os.ReadFile's start 8-aligned, so this holds for
+// opened files; crafted layouts fall back to a copy).
 func u64view(b []byte) ([]uint64, bool) {
 	if !hostLittleEndian {
 		return nil, false
@@ -116,11 +118,13 @@ func (r *reader) f64s(n int) ([]float64, error) {
 // Decode validates and parses snapshot bytes. Validation is strict and
 // ordered — magic, format version, analysis version, declared size,
 // SHA-256 — so each corruption class maps to its typed error, and no
-// content is interpreted before the checksum passes. Bitsets are
-// remapped into the process intern table; when the file's API table is
-// an identity prefix of the process table (the common case), footprint
-// words alias data instead of being copied, so the caller must keep
-// data alive and read-only for the life of the returned Data.
+// content is interpreted before the checksum passes. Every section is
+// then checked against the file's own API IDs, and only a file that
+// passes all of it touches the process intern table: a rejected file
+// leaves no trace. Bitsets are remapped into the process intern table;
+// when the file's API table is an identity prefix of the process table
+// (the common case), footprint words alias data instead of being
+// copied, so the caller must not modify data afterwards.
 func Decode(data []byte) (*Data, error) {
 	le := binary.LittleEndian
 	if len(data) < headerSize {
@@ -141,7 +145,7 @@ func Decode(data []byte) (*Data, error) {
 		return nil, fmt.Errorf("%w: header declares %d bytes, have %d", ErrTruncated, sz, len(data))
 	}
 	// The checksum covers the whole file with its own field zeroed; hash
-	// around the field because data may be a read-only mapping.
+	// around the field so Decode never writes to data.
 	h := sha256.New()
 	h.Write(data[:offChecksum])
 	var zero [checksumSize]byte
@@ -191,8 +195,8 @@ func Decode(data []byte) (*Data, error) {
 		return string(blob[off:end]), nil
 	}
 
-	// API table; re-intern into the process table and detect the
-	// identity fast path (file IDs == process IDs, no remap needed).
+	// API table, in file IDs. It is interned only after the whole file
+	// has validated, below.
 	apiRaw, err := sec(secAPIs)
 	if err != nil {
 		return nil, err
@@ -211,18 +215,15 @@ func Decode(data []byte) (*Data, error) {
 		return nil, err
 	}
 	fileAPIs := make([]linuxapi.API, nAPI)
-	procIDs := make([]uint32, nAPI)
-	identity := true
 	for i := range fileAPIs {
+		if kinds[i] > uint32(linuxapi.KindLibcSym) { // the last kind
+			return nil, fmt.Errorf("%w: api kind %d out of range", ErrCorrupt, kinds[i])
+		}
 		name, err := str(nameRefs[2*i], nameRefs[2*i+1])
 		if err != nil {
 			return nil, err
 		}
 		fileAPIs[i] = linuxapi.API{Kind: linuxapi.Kind(kinds[i]), Name: name}
-		procIDs[i] = linuxapi.InternID(fileAPIs[i])
-		if procIDs[i] != uint32(i) {
-			identity = false
-		}
 	}
 
 	pkgRaw, err := sec(secPackages)
@@ -314,11 +315,9 @@ func Decode(data []byte) (*Data, error) {
 				p.Depends = append(p.Depends, dep)
 			}
 		}
-		if p.Footprint, err = decodeBits(fpWords[fpStart[i]:fpStart[i+1]], procIDs, identity); err != nil {
-			return nil, err
-		}
-		if p.Direct, err = decodeBits(dirWords[dirStart[i]:dirStart[i+1]], procIDs, identity); err != nil {
-			return nil, err
+		if !bitsBelow(fpWords[fpStart[i]:fpStart[i+1]], nAPI) ||
+			!bitsBelow(dirWords[dirStart[i]:dirStart[i+1]], nAPI) {
+			return nil, fmt.Errorf("%w: footprint bit beyond api table", ErrCorrupt)
 		}
 	}
 
@@ -405,6 +404,22 @@ func Decode(data []byte) (*Data, error) {
 		return nil, fmt.Errorf("%w: meta section: %v", ErrCorrupt, err)
 	}
 
+	// The file is valid: intern its table and build the bitsets, a pass
+	// that cannot fail. Identity (file IDs == process IDs) wraps the
+	// words in place; otherwise each bit is remapped.
+	procIDs := make([]uint32, nAPI)
+	identity := true
+	for i, a := range fileAPIs {
+		procIDs[i] = linuxapi.InternID(a)
+		if procIDs[i] != uint32(i) {
+			identity = false
+		}
+	}
+	for i := range pkgs {
+		pkgs[i].Footprint = decodeBits(fpWords[fpStart[i]:fpStart[i+1]], procIDs, identity)
+		pkgs[i].Direct = decodeBits(dirWords[dirStart[i]:dirStart[i+1]], procIDs, identity)
+	}
+
 	return &Data{
 		Generation:    le.Uint64(data[offGen:]),
 		Installations: int64(le.Uint64(data[offInstalls:])),
@@ -445,44 +460,49 @@ func checkPrefix(starts []uint32, total uint32, what string) error {
 	return nil
 }
 
-// decodeBits turns a file-space word run into a process-space bitset:
-// zero-copy wrap under the identity mapping, rebuilt bit-by-bit through
-// procIDs otherwise.
-func decodeBits(w []uint64, procIDs []uint32, identity bool) (*footprint.BitSet, error) {
+// bitsBelow reports whether every set bit of the word run w lies below
+// n, the size of the file's API table.
+func bitsBelow(w []uint64, n uint32) bool {
+	i := int(n / 64)
+	if i >= len(w) {
+		return true
+	}
+	if w[i]>>(n%64) != 0 {
+		return false
+	}
+	for _, x := range w[i+1:] {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// decodeBits turns a validated file-space word run into a process-space
+// bitset: zero-copy wrap under the identity table, rebuilt bit-by-bit
+// through procIDs otherwise.
+func decodeBits(w []uint64, procIDs []uint32, identity bool) *footprint.BitSet {
 	if identity {
-		return footprint.FromWords(w), nil
+		return footprint.FromWords(w)
 	}
 	nb := footprint.NewBitSet()
 	for wi, word := range w {
 		for word != 0 {
-			bit := bits.TrailingZeros64(word)
-			idx := wi*64 + bit
-			if idx >= len(procIDs) {
-				return nil, fmt.Errorf("%w: footprint bit beyond api table", ErrCorrupt)
-			}
-			nb.AddID(procIDs[idx])
+			nb.AddID(procIDs[wi*64+bits.TrailingZeros64(word)])
 			word &= word - 1
 		}
 	}
-	return nb, nil
+	return nb
 }
 
-// Open maps (or, failing that, reads) the snapshot file at path and
-// decodes it. On success the returned Data may alias the mapping; keep
-// it alive until the Data is unreachable, or Close it explicitly once
-// nothing references the decoded bitsets.
+// Open reads the snapshot file at path into the heap and decodes it.
+// The returned Data's bitsets may alias the read buffer; the garbage
+// collector frees it once nothing references them, and later changes
+// to the file do not reach the decoded Data.
 func Open(path string) (*Data, error) {
-	b, m, err := mapFile(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	d, err := Decode(b)
-	if err != nil {
-		if m != nil {
-			m.close()
-		}
-		return nil, err
-	}
-	d.mapping = m
-	return d, nil
+	return Decode(b)
 }

@@ -2,9 +2,8 @@
 // columnar serving state of an analyzed study — the API intern table,
 // per-package footprint bitset columns, popcon weights, dependency edges
 // and the precomputed importance/completeness metrics — laid out 8-byte
-// aligned so a serving replica reads it with a single mmap and shares
-// page cache with its neighbours, instead of re-running the analysis
-// pipeline on every cold start.
+// aligned so a serving replica restores a study with one file read and
+// no re-run of the analysis pipeline on every cold start.
 //
 // The file is self-describing and fails closed: a magic string, a format
 // version, the analysis version (footprint.AnalysisVersion — per-binary
@@ -19,7 +18,11 @@
 // trailing section table. Strings live in one deduplicated blob and are
 // referenced by (offset, length); bitsets are raw little-endian uint64
 // word runs addressed by per-package prefix sums, so on a little-endian
-// host they are served zero-copy straight out of the mapping.
+// host they are served zero-copy straight out of the file bytes. Open
+// reads the file into the heap, so a decoded generation lives exactly as
+// long as something references it: the garbage collector retires a
+// swapped-out generation once its last reader returns, and a file
+// changed on disk after Open cannot change what is served.
 //
 // ID spaces: inside a Data value every bitset is expressed in the
 // process intern table (linuxapi.InternID). The file carries its own API
@@ -103,7 +106,7 @@ type Package struct {
 	Installs int64
 	// Footprint is the package's aggregated API footprint; Direct the
 	// APIs its own binaries request without a library. Decoded bitsets
-	// may alias the underlying mapping and must be treated read-only.
+	// may alias the decoded file bytes and must be treated read-only.
 	Footprint *footprint.BitSet
 	Direct    *footprint.BitSet
 }
@@ -168,23 +171,9 @@ type Data struct {
 	Importance map[linuxapi.API]float64
 	Unweighted map[linuxapi.API]float64
 	Path       []PathPoint
-
-	mapping *mapping // non-nil while the file is memory-mapped
 }
 
-// Mapped reports whether the Data is served out of a live memory
-// mapping (bitsets alias the file pages).
-func (d *Data) Mapped() bool { return d.mapping != nil }
-
-// Close releases the memory mapping, if any. Only call once nothing
-// references the decoded bitsets anymore: zero-copy bitsets alias the
-// mapping. Serving layers deliberately never close swapped-out
-// generations for exactly this reason.
-func (d *Data) Close() error {
-	m := d.mapping
-	d.mapping = nil
-	if m != nil {
-		return m.close()
-	}
-	return nil
-}
+// Close is a no-op that returns nil: Data holds only heap memory, which
+// the garbage collector reclaims once the Data is unreachable. It is
+// kept for callers that release snapshots explicitly.
+func (d *Data) Close() error { return nil }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -211,6 +212,110 @@ func TestCorruptionMatrix(t *testing.T) {
 				t.Fatalf("Decode(%s): %v does not wrap ErrCorrupt", tc.name, err)
 			}
 		})
+	}
+}
+
+// patchSection applies fn to section id of the encoded snapshot b, in
+// place, and re-seals b so that only the parser judges the change.
+func patchSection(t *testing.T, b []byte, id uint32, fn func(sec []byte)) []byte {
+	t.Helper()
+	le := binary.LittleEndian
+	tableOff := le.Uint64(b[offSecTable:])
+	for i := uint64(0); i < uint64(le.Uint32(b[offSecCount:])); i++ {
+		e := b[tableOff+24*i:]
+		if le.Uint32(e) == id {
+			off, n := le.Uint64(e[8:]), le.Uint64(e[16:])
+			fn(b[off : off+n])
+			return reseal(b)
+		}
+	}
+	t.Fatalf("snapshot has no section %d", id)
+	return nil
+}
+
+// TestRejectedDecodeInternsNothing decodes checksum-valid files whose
+// API table names an API this process has never interned, and which a
+// later check rejects. The process intern table never shrinks, so a
+// rejected file must not add to it; a valid file with the same table
+// still interns the new API.
+func TestRejectedDecodeInternsNothing(t *testing.T) {
+	// The valid decode at the end interns its API, so each run of the
+	// test (-count) takes the first name no earlier run has interned.
+	var novel linuxapi.API
+	for i := 0; ; i++ {
+		novel = linuxapi.Pseudo(fmt.Sprintf("/proc/snapshot-test/never-interned-%d", i))
+		if _, ok := linuxapi.InternedID(novel); !ok {
+			break
+		}
+	}
+	full := append(append([]linuxapi.API(nil), linuxapi.InternedAPIs()...), novel)
+	small := []linuxapi.API{
+		linuxapi.Sys("read"), linuxapi.Sys("write"), linuxapi.Sys("openat"), linuxapi.Ioctl("TCGETS"), novel,
+	}
+	cases := []struct {
+		name  string
+		table []linuxapi.API
+		id    uint32
+		patch func(sec []byte)
+	}{
+		{"corrupt meta section", full, secMeta, func(sec []byte) { sec[0] = '!' }},
+		// In the 5-entry table, bit 63 of the first footprint word is
+		// file ID 63.
+		{"footprint bit past the table", small, secFootprint, func(sec []byte) { sec[7] |= 0x80 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			raw, err := encode(testData(), tc.table)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := linuxapi.InternUniverse()
+			if _, err := Decode(patchSection(t, raw, tc.id, tc.patch)); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Decode = %v, want ErrCorrupt", err)
+			}
+			if after := linuxapi.InternUniverse(); after != before {
+				t.Errorf("rejected file grew the intern table from %d to %d entries", before, after)
+			}
+			if _, ok := linuxapi.InternedID(novel); ok {
+				t.Errorf("rejected file interned %v", novel)
+			}
+		})
+	}
+
+	raw, err := encode(testData(), full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(raw); err != nil {
+		t.Fatalf("Decode(valid file with a new API) = %v", err)
+	}
+	if _, ok := linuxapi.InternedID(novel); !ok {
+		t.Errorf("valid file did not intern %v", novel)
+	}
+}
+
+// TestDecodeRejectsFootprintBitAtTableSize encodes, on the zero-copy
+// identity path, a package whose footprint and direct bitsets each set
+// the first ID past the file's API table. Serving either would look up
+// a name that does not exist, so Decode must reject the file.
+func TestDecodeRejectsFootprintBitAtTableSize(t *testing.T) {
+	past := uint32(linuxapi.InternUniverse())
+	for _, direct := range []bool{false, true} {
+		d := testData()
+		col := &d.Packages[1].Footprint
+		if direct {
+			col = &d.Packages[1].Direct
+		}
+		*col = (*col).Clone()
+		(*col).AddID(past)
+		raw, err := Encode(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Decode(raw); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("Decode(bit %d in a %d-entry table, direct=%v) = %v, want ErrCorrupt",
+				past, past, direct, err)
+		}
 	}
 }
 

@@ -12,8 +12,10 @@
 # build in internal/stubplan, and the lock-free histogram and metrics
 # writer in internal/obs), ten seconds of the fuzzing engine on each of
 # the ELF reader (elfx.FuzzOpen), the x86 decoder (x86.FuzzDecode), the
-# snapshot reader (snapshot.FuzzDecode) and query canonicalization
-# (service.FuzzCanonicalQuery) beyond the seeds the test run replays,
+# snapshot reader (snapshot.FuzzDecode, which reads files into the heap
+# and must leave the intern table untouched on rejection), query
+# canonicalization (service.FuzzCanonicalQuery) and job spool recovery
+# (jobs.FuzzSpoolRecord) beyond the seeds the test run replays,
 # with minimization capped at one second so the ten seconds go to new
 # inputs, a two-worker end-to-end fleet smoke test, a job-tier
 # smoke test (spool persistence across kill -9), an end-to-end load
@@ -57,11 +59,12 @@ go test -race ./internal/core ./internal/linuxapi ./internal/footprint ./interna
     ./internal/loadgen ./internal/jobs ./internal/snapshot ./internal/proxy \
     ./internal/evolution ./internal/stubplan ./internal/obs
 
-echo "== go test -fuzz (ELF reader, x86 decoder, snapshot reader, query canonicalization; 10s each)"
+echo "== go test -fuzz (ELF reader, x86 decoder, snapshot reader, query canonicalization, spool records; 10s each)"
 go test -run '^$' -fuzz '^FuzzOpen$' -fuzztime 10s -fuzzminimizetime 1s ./internal/elfx
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s -fuzzminimizetime 1s ./internal/x86
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s -fuzzminimizetime 1s ./internal/snapshot
 go test -run '^$' -fuzz '^FuzzCanonicalQuery$' -fuzztime 10s -fuzzminimizetime 1s ./internal/service
+go test -run '^$' -fuzz '^FuzzSpoolRecord$' -fuzztime 10s -fuzzminimizetime 1s ./internal/jobs
 
 echo "== fleet smoke test (two-worker end-to-end)"
 sh scripts/fleet_smoke.sh

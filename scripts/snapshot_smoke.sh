@@ -7,7 +7,7 @@
 # fingerprint, generation and package count and to answer
 # /v1/completeness, /v1/importance and /v1/path byte-identically. This
 # is the snapshot format's integration gate above internal/snapshot's
-# unit tests: flag plumbing, the mmap read path in a real process, and
+# unit tests: flag plumbing, the heap read path in a real process, and
 # the service swap at the file's generation.
 # Run from the repository root; used by scripts/ci.sh and fine to run
 # locally.

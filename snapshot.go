@@ -199,27 +199,19 @@ func skippedFromSamples(in []snapshot.SkippedSample) []core.SkippedFile {
 	return out
 }
 
-// LoadSnapshotStudy opens (mmap when available) and restores a study
-// from a snapshot file. The study retains the mapping for its lifetime;
-// call Close once the study is no longer referenced to release it.
+// LoadSnapshotStudy reads a snapshot file into memory and restores a
+// study from it. The study does not depend on the file afterwards.
 func LoadSnapshotStudy(path string) (*Study, error) {
 	d, err := snapshot.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	s, err := StudyFromSnapshot(d)
-	if err != nil {
-		d.Close()
-		return nil, err
-	}
-	s.snap = d
-	return s, nil
+	return StudyFromSnapshot(d)
 }
 
 // DecodeSnapshotStudy restores a study from in-memory snapshot bytes
 // (the transport form used by the replica push endpoint). The caller
-// must keep data alive and unmodified for the study's lifetime: decoded
-// footprints may alias it.
+// must not modify data afterwards: decoded footprints may alias it.
 func DecodeSnapshotStudy(data []byte) (*Study, error) {
 	d, err := snapshot.Decode(data)
 	if err != nil {
@@ -237,17 +229,10 @@ func (s *Study) SnapshotGeneration() uint64 { return s.snapshotGen }
 // file rather than analyzed from a corpus.
 func (s *Study) FromSnapshot() bool { return s.fingerprint != "" }
 
-// Close releases the snapshot mapping backing the study, if any. Only
-// call it when nothing will touch the study again: served footprints
-// alias the mapping. Long-lived services keep studies open instead.
-func (s *Study) Close() error {
-	if s.snap != nil {
-		snap := s.snap
-		s.snap = nil
-		return snap.Close()
-	}
-	return nil
-}
+// Close is a no-op that returns nil: a study holds only heap memory,
+// which the garbage collector reclaims once the study is unreachable.
+// It is kept for callers that release studies explicitly.
+func (s *Study) Close() error { return nil }
 
 // EmptyStudy returns a study over zero packages. Replicas started in
 // awaiting-snapshot mode serve it (health reports degraded) until the
