@@ -53,7 +53,7 @@ func (c *Cache) GetVerdicts(key, tag string, v any) bool {
 		}
 		var rec verdictRecord
 		if err := json.Unmarshal(fileRaw, &rec); err != nil ||
-			rec.Tag != tag || rec.Key != key || len(rec.Verdict) == 0 {
+			rec.Tag != tag || rec.Key != key || len(rec.Verdict) == 0 || string(rec.Verdict) == "null" {
 			c.verdictInvalidations.Add(1)
 			c.verdictMisses.Add(1)
 			return false

@@ -22,9 +22,9 @@ import (
 	"sort"
 
 	"repro"
+	"repro/internal/atomicfile"
 	"repro/internal/corpus"
 	"repro/internal/linuxapi"
-	"repro/internal/snapshot"
 )
 
 // DefaultPathHead is the greedy-path prefix length used for "toward/away
@@ -318,12 +318,12 @@ func pathDirection(rank []int) string {
 	}
 }
 
-// writeTrends persists trends.json atomically and deterministically,
-// through the same fsync-then-rename write as the snapshots beside it.
+// writeTrends persists trends.json deterministically, with the same
+// durable write as the snapshots beside it.
 func writeTrends(path string, t *Trends) error {
 	data, err := json.MarshalIndent(t, "", "  ")
 	if err != nil {
 		return err
 	}
-	return snapshot.WriteBytes(path, append(data, '\n'))
+	return atomicfile.WriteDurable(path, append(data, '\n'))
 }

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -242,12 +243,11 @@ func TestSnapshotPushFootprintBitPastTable(t *testing.T) {
 	_, want := fetch(t, ts, "GET", "/v1/footprint/"+p.Name, "")
 
 	universe := linuxapi.InternUniverse()
-	p.Footprint = p.Footprint.Clone()
-	p.Footprint.AddID(uint32(universe) + 43)
-	crafted, err := snapshot.Encode(d)
+	valid, err := snapshot.Encode(d)
 	if err != nil {
 		t.Fatal(err)
 	}
+	crafted := withFootprintBit(t, valid, 0, uint32(universe)+43)
 	var e errorBody
 	postSnapshot(t, ts, crafted, http.StatusBadRequest, &e)
 	if !strings.Contains(e.Error, "beyond api table") || e.RequestID == "" {
@@ -263,6 +263,49 @@ func TestSnapshotPushFootprintBitPastTable(t *testing.T) {
 	if code != http.StatusOK || !bytes.Equal(got, want) {
 		t.Errorf("footprint of %s after the rejected push = %d %s, want 200 %s", p.Name, code, got, want)
 	}
+}
+
+// withFootprintBit returns a resealed copy of the valid snapshot file
+// raw in which package pkg's footprint also sets bit id; snapshot.Encode
+// refuses to write such a file. The footprint section (id 5) is copied
+// to the end of the file with the package's word run grown to reach id,
+// the section table points at the copy, and the footprint word offsets
+// of the packages after it (the middle of the three prefix arrays that
+// end the package section, id 3) move up.
+func withFootprintBit(t *testing.T, raw []byte, pkg int, id uint32) []byte {
+	t.Helper()
+	le := binary.LittleEndian
+	out := append([]byte(nil), raw...)
+	entry := func(sec uint32) []byte {
+		table := out[le.Uint64(out[40:]):]
+		for i := range int(le.Uint32(out[48:])) {
+			if e := table[24*i : 24*i+24]; le.Uint32(e) == sec {
+				return e
+			}
+		}
+		t.Fatalf("no section %d", sec)
+		return nil
+	}
+	col, pkgs := entry(5), entry(3)
+	pkgEnd := le.Uint64(pkgs[8:]) + le.Uint64(pkgs[16:])
+	n := uint64(le.Uint32(out[le.Uint64(pkgs[8:]):])) + 1
+	starts := out[pkgEnd-8*n : pkgEnd-4*n]
+	begin, end := le.Uint32(starts[4*pkg:]), le.Uint32(starts[4*pkg+4:])
+	grow := max(int(begin+id/64+1)-int(end), 0)
+	words := slices.Insert(slices.Clone(out[le.Uint64(col[8:]):][:le.Uint64(col[16:])]), int(end)*8, make([]byte, 8*grow)...)
+	for i := pkg + 1; i < int(n); i++ {
+		le.PutUint32(starts[4*i:], le.Uint32(starts[4*i:])+uint32(grow))
+	}
+	w := words[8*(begin+id/64):]
+	le.PutUint64(w, le.Uint64(w)|1<<(id%64))
+	le.PutUint64(col[8:], uint64(len(out)))
+	le.PutUint64(col[16:], uint64(len(words)))
+	out = append(out, words...)
+	le.PutUint64(out[16:], uint64(len(out)))
+	clear(out[56:88]) // re-seal: SHA-256 over the file with its field zeroed
+	sum := sha256.Sum256(out)
+	copy(out[56:], sum[:])
+	return out
 }
 
 func TestSnapshotRollbackWithoutPrevious(t *testing.T) {

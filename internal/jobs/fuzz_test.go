@@ -30,9 +30,9 @@ func writeSpoolRecord(tb testing.TB, dir, id string, raw []byte) string {
 // FuzzSpoolRecord writes one arbitrary job record into a spool, starts
 // a manager with one registered executor over it, gives an adopted job
 // a moment to run, and closes the manager. Spool records are read back
-// from disk, so recovery must fail closed: nothing may panic, and Start
-// must not fail because of a record. Seeds live in
-// testdata/fuzz/FuzzSpoolRecord.
+// from disk, so recovery must fail closed: nothing may panic, Start must
+// not fail because of a record, and the record is skipped at most once.
+// Seeds live in testdata/fuzz/FuzzSpoolRecord.
 func FuzzSpoolRecord(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		dir := t.TempDir()
@@ -57,6 +57,9 @@ func FuzzSpoolRecord(f *testing.F) {
 		}
 		if err := m.Start(); err != nil {
 			t.Fatalf("Start: %v", err)
+		}
+		if n := m.Stats().SpoolSkipped; n > 1 {
+			t.Fatalf("one record counted as %d skipped", n)
 		}
 		m.Wait(context.Background(), fuzzRecordID, 50*time.Millisecond)
 		m.Close()

@@ -8,12 +8,13 @@
 // — so identical submissions dedupe to one running job and one stored
 // result.
 //
-// Durability follows the anacache discipline: every job record and
-// every result is a JSON file in a spool directory written via temp +
-// rename, so a reader races a writer onto the old record or the new
-// one, never a torn one. A restart rescans the spool: queued and
-// interrupted-while-running jobs are re-enqueued under their original
-// IDs, finished results keep serving until their TTL expires.
+// Durability: every job record and every result is a JSON file in a
+// spool directory written by atomicfile.WriteDurable, so a reader races
+// a writer onto the old record or the new one, never a torn one, and a
+// record is on disk before Submit answers. A restart rescans the spool:
+// queued and interrupted-while-running jobs are re-enqueued under their
+// original IDs, finished results keep serving until their TTL expires,
+// and unreadable records are counted, logged and skipped.
 //
 // State machine: queued → running → done | failed | dead. A transient
 // executor error sends the job back to queued after a jittered
@@ -330,13 +331,17 @@ func (m *Manager) Close() {
 // A record that would need to run but whose type has no executor here
 // stays on disk, unadopted, for a process that runs that type.
 func (m *Manager) recover() error {
-	records, err := m.spool.loadJobs()
+	records, skipped, err := m.spool.loadJobs()
 	if err != nil {
 		return err
 	}
 	now := time.Now()
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	for _, name := range skipped {
+		m.cfg.Logf("jobs: spool record %s is unreadable; skipped", name)
+	}
+	m.stats.skipped += uint64(len(skipped))
 	for _, j := range records {
 		switch {
 		case j.State.Terminal():

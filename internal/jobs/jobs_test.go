@@ -603,6 +603,58 @@ func TestSpoolDoneWithoutResultReruns(t *testing.T) {
 	}
 }
 
+// TestSpoolCountsSkippedRecords plants an empty record (a rename that
+// reached the disk before its data) and a truncated one: recovery skips
+// both, counts them in Stats and on /metrics, logs each file name, and
+// sweeps the temp files cut-short writes left in both directories.
+func TestSpoolCountsSkippedRecords(t *testing.T) {
+	dir := t.TempDir()
+	writeSpoolRecord(t, dir, "j-00000000000000c1", nil)
+	writeSpoolRecord(t, dir, "j-00000000000000c2", []byte(`{"id":"j-00000000000000c2","type":"wo`))
+	temps := []string{writeSpoolRecord(t, dir, ".tmp-1", nil)}
+	temps = append(temps, filepath.Join(dir, "results", ".tmp-2"))
+	if err := os.MkdirAll(filepath.Join(dir, "results"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(temps[1], []byte(`{"ok"`), 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	var logs []string
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	m := newTestManager(t, Config{SpoolDir: dir, Logf: logf}, echoExec("work"))
+	if st := m.Stats(); st.SpoolSkipped != 2 {
+		t.Errorf("SpoolSkipped = %d, want 2", st.SpoolSkipped)
+	}
+	mu.Lock()
+	var skipped []string
+	for _, l := range logs {
+		if strings.Contains(l, "skipped") {
+			skipped = append(skipped, l)
+		}
+	}
+	mu.Unlock()
+	if len(skipped) != 2 || !strings.Contains(skipped[0], "j-00000000000000c1.json") ||
+		!strings.Contains(skipped[1], "j-00000000000000c2.json") {
+		t.Errorf("skip log lines = %q", skipped)
+	}
+	var w obs.Writer
+	m.WriteMetrics(&w)
+	if page := w.String(); !strings.Contains(page, "\napiserved_jobs_spool_skipped_total 2\n") {
+		t.Errorf("skipped records not exported:\n%s", page)
+	}
+	for _, p := range temps {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("temp file %s survived Start: %v", p, err)
+		}
+	}
+}
+
 // TestSpoolLeavesUnregisteredTypeOnDisk recovers a spool holding
 // records of a type this process has no executor for (a process with a
 // different registry shares the spool, or the type was renamed): the

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"repro/internal/atomicfile"
 )
 
 // spool persists job records and results as individual JSON files:
@@ -13,11 +15,12 @@ import (
 //	<dir>/jobs/<id>.json     one Job record, rewritten on every state change
 //	<dir>/results/<id>.json  the raw result document of a done job
 //
-// Writes follow the anacache discipline — temp file in the target
-// directory, then rename — so a concurrent reader (or a crash mid-
-// write) sees the old complete file or the new complete file, never a
-// torn one. All methods are nil-receiver safe: a Manager without a
-// SpoolDir simply calls into no-ops, keeping the hot paths free of
+// Writes are durable atomicfile writes, so a concurrent reader, or a
+// restart after a crash at any point of a write, sees the old complete
+// file or the new complete file, never a torn one; and a record a 202
+// answered, or a result a done record points to, is on disk before the
+// caller moves on. All methods are nil-receiver safe: a Manager without
+// a SpoolDir simply calls into no-ops, keeping the hot paths free of
 // "if persistent" branches.
 type spool struct {
 	jobsDir    string
@@ -49,14 +52,14 @@ func (s *spool) putJob(j *Job) {
 	if err != nil {
 		return
 	}
-	writeAtomic(filepath.Join(s.jobsDir, j.ID+".json"), data)
+	atomicfile.WriteDurable(filepath.Join(s.jobsDir, j.ID+".json"), data)
 }
 
 func (s *spool) putResult(id string, raw json.RawMessage) {
 	if s == nil {
 		return
 	}
-	writeAtomic(filepath.Join(s.resultsDir, id+".json"), raw)
+	atomicfile.WriteDurable(filepath.Join(s.resultsDir, id+".json"), raw)
 }
 
 func (s *spool) getResult(id string) (json.RawMessage, error) {
@@ -83,59 +86,41 @@ func (s *spool) remove(id string) {
 	os.Remove(filepath.Join(s.resultsDir, id+".json"))
 }
 
-// loadJobs reads every job record in the spool. Unparseable or
-// foreign files are skipped, not fatal: one corrupt record must not
-// block recovery of the rest.
-func (s *spool) loadJobs() ([]*Job, error) {
+// loadJobs reads every job record in the spool and removes the temp
+// files that writes cut short by a crash left in either directory. A
+// record that cannot be read, parsed or matched to its file name is
+// skipped and returned by name, not fatal: one corrupt record must not
+// block recovery of the rest. Foreign files are ignored.
+func (s *spool) loadJobs() (jobs []*Job, skipped []string, err error) {
 	if s == nil {
-		return nil, nil
+		return nil, nil, nil
 	}
-	entries, err := os.ReadDir(s.jobsDir)
-	if err != nil {
-		return nil, fmt.Errorf("jobs: scanning spool: %w", err)
-	}
-	var out []*Job
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".json") || strings.HasPrefix(name, ".tmp-") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(s.jobsDir, name))
+	for _, dir := range []string{s.resultsDir, s.jobsDir} {
+		entries, err := os.ReadDir(dir)
 		if err != nil {
-			continue
+			return nil, nil, fmt.Errorf("jobs: scanning spool: %w", err)
 		}
-		var j Job
-		if err := json.Unmarshal(data, &j); err != nil {
-			continue
+		for _, e := range entries {
+			name := e.Name()
+			path := filepath.Join(dir, name)
+			if strings.HasPrefix(name, atomicfile.TempPrefix) {
+				os.Remove(path)
+				continue
+			}
+			if dir != s.jobsDir || e.IsDir() || !strings.HasSuffix(name, ".json") {
+				continue
+			}
+			var j Job
+			data, err := os.ReadFile(path)
+			if err == nil {
+				err = json.Unmarshal(data, &j)
+			}
+			if err != nil || j.ID == "" || j.ID != strings.TrimSuffix(name, ".json") {
+				skipped = append(skipped, name)
+				continue
+			}
+			jobs = append(jobs, &j)
 		}
-		if j.ID == "" || j.ID != strings.TrimSuffix(name, ".json") {
-			continue
-		}
-		out = append(out, &j)
 	}
-	return out, nil
-}
-
-// writeAtomic is the temp+rename write: the destination is replaced in
-// one rename, so readers never observe a partial file.
-func writeAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	return jobs, skipped, nil
 }

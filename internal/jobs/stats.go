@@ -24,6 +24,7 @@ type statsCounters struct {
 	retries   uint64 // transient failures re-queued with backoff
 	resumed   uint64 // jobs re-admitted from the spool at Start
 	expired   uint64 // terminal records swept by TTL
+	skipped   uint64 // unreadable spool records passed over at Start
 
 	durations map[string]*obs.Histogram // by job type, once one has run
 }
@@ -56,6 +57,9 @@ type Stats struct {
 	Retries   uint64
 	Resumed   uint64
 	Expired   uint64
+	// SpoolSkipped counts spool records recovery could not read, parse
+	// or match to their file name.
+	SpoolSkipped uint64
 }
 
 // Stats returns a consistent snapshot of counters and gauges.
@@ -78,6 +82,8 @@ func (m *Manager) Stats() Stats {
 		Retries:    m.stats.retries,
 		Resumed:    m.stats.resumed,
 		Expired:    m.stats.expired,
+
+		SpoolSkipped: m.stats.skipped,
 	}
 	for _, j := range m.jobs {
 		st.States[j.State]++
@@ -108,6 +114,7 @@ func (m *Manager) WriteMetrics(w *obs.Writer) {
 	obs.Counter(w, "apiserved_jobs_retries_total", "Transient failures re-queued with backoff.", st.Retries)
 	obs.Counter(w, "apiserved_jobs_resumed_total", "Jobs re-admitted from the spool at startup.", st.Resumed)
 	obs.Counter(w, "apiserved_jobs_expired_total", "Terminal records swept by the result TTL.", st.Expired)
+	obs.Counter(w, "apiserved_jobs_spool_skipped_total", "Unreadable spool records skipped at startup.", st.SpoolSkipped)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	w.Family("apiserved_jobs_duration_ms", obs.TypeHistogram, "Job execution wall time, by type.")

@@ -268,6 +268,91 @@ func TestSnapshotManagerOpenLatest(t *testing.T) {
 	}
 }
 
+// restartManager opens a fresh service and manager over dir, as a
+// restarted replica does, and adopts what the directory commits.
+func restartManager(t *testing.T, dir string) (*Service, *SnapshotManager) {
+	t.Helper()
+	svc := New(repro.EmptyStudy(), "awaiting-snapshot", Config{})
+	mgr, err := NewSnapshotManager(svc, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mgr.OpenLatest(); err != nil && !errors.Is(err, ErrNoPrevious) {
+		t.Fatalf("OpenLatest: %v", err)
+	}
+	return svc, mgr
+}
+
+func installStudy(t *testing.T, mgr *SnapshotManager, s *repro.Study, gen uint64) {
+	t.Helper()
+	raw, err := s.EncodeSnapshot(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mgr.Install(raw); err != nil {
+		t.Fatalf("Install gen %d: %v", gen, err)
+	}
+}
+
+// TestSnapshotRollbackSurvivesRestart rolls back, restarts, and checks
+// that the restarted manager serves the rolled-back-to generation with
+// the rolled-back-from one as previous, so a second rollback still
+// undoes the first.
+func TestSnapshotRollbackSurvivesRestart(t *testing.T) {
+	a, b := testStudies(t)
+	dir := t.TempDir()
+	_, mgr := restartManager(t, dir)
+	installStudy(t, mgr, a, 1)
+	installStudy(t, mgr, b, 2)
+	if _, err := mgr.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+
+	svc, mgr := restartManager(t, dir)
+	if gen, fp := svc.Generation(), svc.Snapshot().Meta.Fingerprint; gen != 1 || fp != a.Fingerprint() {
+		t.Fatalf("after restart serving generation %d (%s), want 1 (study A)", gen, fp)
+	}
+	if st := mgr.Status(); st.Previous == nil || st.Previous.Generation != 2 || st.Previous.Fingerprint != b.Fingerprint() {
+		t.Fatalf("after restart previous = %+v, want generation 2 (study B)", st.Previous)
+	}
+	if _, err := mgr.Rollback(); err != nil {
+		t.Fatalf("second rollback: %v", err)
+	}
+	if gen, fp := svc.Generation(), svc.Snapshot().Meta.Fingerprint; gen != 2 || fp != b.Fingerprint() {
+		t.Fatalf("second rollback serves generation %d (%s), want 2 (study B)", gen, fp)
+	}
+	svc, _ = restartManager(t, dir)
+	if gen := svc.Generation(); gen != 2 {
+		t.Fatalf("restart after the second rollback serves generation %d, want 2", gen)
+	}
+}
+
+// TestSnapshotRestartKeepsTwoGenerations checks that a restarted
+// manager keeps exactly the current and previous generations on disk
+// across further installs.
+func TestSnapshotRestartKeepsTwoGenerations(t *testing.T) {
+	a, b := testStudies(t)
+	dir := t.TempDir()
+	_, mgr := restartManager(t, dir)
+	installStudy(t, mgr, a, 1)
+	installStudy(t, mgr, b, 2)
+	if _, err := mgr.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	for gen := uint64(3); gen <= 4; gen++ {
+		_, mgr = restartManager(t, dir)
+		installStudy(t, mgr, []*repro.Study{a, b}[gen%2], gen)
+		files, err := filepath.Glob(filepath.Join(dir, "gen-*.snap"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []string{genPath(dir, mgr.Status().Previous.Generation), genPath(dir, gen)}
+		if !reflect.DeepEqual(files, want) {
+			t.Fatalf("after a restart and installing generation %d the directory holds %v, want %v", gen, files, want)
+		}
+	}
+}
+
 // TestSnapshotInstallDuringQueries races pushes against reads: queries
 // must always see a coherent snapshot (run under -race in CI).
 func TestSnapshotInstallDuringQueries(t *testing.T) {

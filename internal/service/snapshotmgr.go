@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
+	"repro/internal/atomicfile"
 	"repro/internal/obs"
 	"repro/internal/snapshot"
 )
@@ -33,6 +36,10 @@ type managedSnap struct {
 // previous generation for rollback, and unlinks anything older. Served
 // studies are read into memory, so readers on old generations never
 // touch the unlinked files.
+//
+// The pointer file (currentFile) commits which generations are current
+// and previous, so a restart serves what the last Install or Rollback
+// chose. Every file is written with atomicfile.WriteDurable.
 type SnapshotManager struct {
 	svc *Service
 	dir string
@@ -82,6 +89,10 @@ func genPath(dir string, gen uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("gen-%016d.snap", gen))
 }
 
+// currentFile names the pointer file: the current generation's file
+// name on its first line, the previous one's (if any) on its second.
+const currentFile = "current"
+
 // Install validates pushed snapshot bytes, persists them, and swaps the
 // restored study into the service at the file's generation. A push that
 // exactly matches the current generation and fingerprint is an
@@ -116,18 +127,17 @@ func (m *SnapshotManager) Install(data []byte) (SnapshotInfo, error) {
 		}
 	}
 	path := genPath(m.dir, d.Generation)
-	if err := snapshot.WriteBytes(path, data); err != nil {
+	if err := atomicfile.WriteDurable(path, data); err != nil {
 		return SnapshotInfo{}, err
 	}
-	if _, err := m.svc.LoadSnapshotFile(path); err != nil {
+	old := m.previous
+	if err := m.serve(managedSnap{gen: d.Generation, fingerprint: d.Fingerprint, path: path}, m.current); err != nil {
 		os.Remove(path)
 		return SnapshotInfo{}, err
 	}
-	if m.previous.path != "" && m.previous.path != path {
-		os.Remove(m.previous.path)
+	if old.path != "" && old.path != path {
+		os.Remove(old.path)
 	}
-	m.previous = m.current
-	m.current = managedSnap{gen: d.Generation, fingerprint: d.Fingerprint, path: path}
 	m.installs++
 	info.Path = path
 	return info, nil
@@ -137,17 +147,17 @@ func (m *SnapshotManager) Install(data []byte) (SnapshotInfo, error) {
 // generation stays on disk as the new "previous", so a second rollback
 // undoes the first; the next Install must still advance past the
 // *rolled-back-from* generation's predecessor only, i.e. any push newer
-// than the now-current generation is accepted.
+// than the now-current generation is accepted. The choice survives a
+// restart.
 func (m *SnapshotManager) Rollback() (SnapshotInfo, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.previous.path == "" {
 		return SnapshotInfo{}, ErrNoPrevious
 	}
-	if _, err := m.svc.LoadSnapshotFile(m.previous.path); err != nil {
+	if err := m.serve(m.previous, m.current); err != nil {
 		return SnapshotInfo{}, err
 	}
-	m.current, m.previous = m.previous, m.current
 	m.rollbacks++
 	snap := m.svc.Snapshot()
 	return SnapshotInfo{
@@ -158,10 +168,40 @@ func (m *SnapshotManager) Rollback() (SnapshotInfo, error) {
 	}, nil
 }
 
-// OpenLatest adopts the newest valid snapshot already in the manager's
-// directory (from a previous process life) and serves it; files that
-// fail validation are skipped. Returns ErrNoPrevious when the directory
-// holds no servable snapshot.
+// serve commits cur and prev to the pointer file, then swaps cur in
+// (m.mu held). The pointer's rename is the commit point: a restart
+// serves what it names. A failed swap puts the old pointer back, so
+// disk and memory agree.
+func (m *SnapshotManager) serve(cur, prev managedSnap) error {
+	if err := m.writePointer(cur, prev); err != nil {
+		return err
+	}
+	if _, err := m.svc.LoadSnapshotFile(cur.path); err != nil {
+		// Best effort: if this fails too, the pointer names a file
+		// Install removes, and OpenLatest falls back to the newest files.
+		m.writePointer(m.current, m.previous)
+		return err
+	}
+	m.current, m.previous = cur, prev
+	return nil
+}
+
+func (m *SnapshotManager) writePointer(cur, prev managedSnap) error {
+	var names []byte
+	for _, s := range []managedSnap{cur, prev} {
+		if s.path != "" {
+			names = append(names, filepath.Base(s.path)+"\n"...)
+		}
+	}
+	return atomicfile.WriteDurable(filepath.Join(m.dir, currentFile), names)
+}
+
+// OpenLatest adopts the generations the pointer file commits, or
+// without a servable one the newest valid snapshots in the directory
+// (from a previous process life), and serves the current one. Files
+// that fail validation are skipped; every other snapshot file is
+// unlinked, as are temp files a write cut short by a crash left behind.
+// Returns ErrNoPrevious when the directory holds no servable snapshot.
 func (m *SnapshotManager) OpenLatest() (uint64, error) {
 	ents, err := os.ReadDir(m.dir)
 	if err != nil {
@@ -169,24 +209,61 @@ func (m *SnapshotManager) OpenLatest() (uint64, error) {
 	}
 	var paths []string
 	for _, e := range ents {
-		if !e.IsDir() && filepath.Ext(e.Name()) == ".snap" {
-			paths = append(paths, filepath.Join(m.dir, e.Name()))
+		path := filepath.Join(m.dir, e.Name())
+		switch {
+		case strings.HasPrefix(e.Name(), atomicfile.TempPrefix):
+			os.Remove(path)
+		case !e.IsDir() && filepath.Ext(path) == ".snap":
+			paths = append(paths, path)
 		}
 	}
 	sort.Sort(sort.Reverse(sort.StringSlice(paths)))
+	var committed []string
+	raw, _ := os.ReadFile(filepath.Join(m.dir, currentFile))
+	for _, name := range strings.Fields(string(raw)) {
+		if p := filepath.Join(m.dir, name); slices.Contains(paths, p) && !slices.Contains(committed, p) {
+			committed = append(committed, p)
+		}
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	kept := m.adopt(committed)
+	if len(kept) == 0 {
+		kept = m.adopt(paths)
+	}
+	if len(kept) == 0 {
+		return 0, ErrNoPrevious
+	}
+	for _, p := range paths {
+		if !slices.ContainsFunc(kept, func(s managedSnap) bool { return s.path == p }) {
+			os.Remove(p)
+		}
+	}
+	m.current, m.previous = kept[0], managedSnap{}
+	if len(kept) > 1 {
+		m.previous = kept[1]
+	}
+	return m.current.gen, nil
+}
+
+// adopt serves the first valid file of paths and returns it followed by
+// the next valid one, if any (m.mu held).
+func (m *SnapshotManager) adopt(paths []string) []managedSnap {
+	var kept []managedSnap
 	for _, path := range paths {
-		gen, err := m.svc.LoadSnapshotFile(path)
-		if err != nil {
+		if len(kept) == 0 {
+			gen, err := m.svc.LoadSnapshotFile(path)
+			if err != nil {
+				continue
+			}
+			kept = append(kept, managedSnap{gen: gen, fingerprint: m.svc.Snapshot().Meta.Fingerprint, path: path})
 			continue
 		}
-		snap := m.svc.Snapshot()
-		m.current = managedSnap{gen: gen, fingerprint: snap.Meta.Fingerprint, path: path}
-		m.previous = managedSnap{}
-		return gen, nil
+		if d, err := snapshot.Open(path); err == nil {
+			return append(kept, managedSnap{gen: d.Generation, fingerprint: d.Fingerprint, path: path})
+		}
 	}
-	return 0, ErrNoPrevious
+	return kept
 }
 
 // Status reports the managed generations and counters.

@@ -10,6 +10,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/footprint"
@@ -141,9 +143,13 @@ func TestEncodeDeterministic(t *testing.T) {
 
 func TestWriteOpen(t *testing.T) {
 	d := testData()
+	raw, err := Encode(d)
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
 	path := filepath.Join(t.TempDir(), "study.snap")
-	if err := Write(path, d); err != nil {
-		t.Fatalf("Write: %v", err)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
 	got, err := Open(path)
 	if err != nil {
@@ -294,29 +300,65 @@ func TestRejectedDecodeInternsNothing(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsFootprintBitAtTableSize encodes, on the zero-copy
-// identity path, a package whose footprint and direct bitsets each set
-// the first ID past the file's API table. Serving either would look up
-// a name that does not exist, so Decode must reject the file.
+// TestDecodeRejectsFootprintBitAtTableSize builds, on the zero-copy
+// identity path, a file in which a package's footprint and direct
+// bitsets each set the first ID past the file's API table. Serving
+// either would look up a name that does not exist, so Decode must
+// reject the file. Encode refuses to write one, so the test patches a
+// valid file.
 func TestDecodeRejectsFootprintBitAtTableSize(t *testing.T) {
 	past := uint32(linuxapi.InternUniverse())
+	valid, err := Encode(testData())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, direct := range []bool{false, true} {
-		d := testData()
-		col := &d.Packages[1].Footprint
-		if direct {
-			col = &d.Packages[1].Direct
-		}
-		*col = (*col).Clone()
-		(*col).AddID(past)
-		raw, err := Encode(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Decode(raw); !errors.Is(err, ErrCorrupt) {
+		raw := withBit(t, valid, 1, direct, past)
+		if _, err := Decode(raw); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "beyond api table") {
 			t.Errorf("Decode(bit %d in a %d-entry table, direct=%v) = %v, want ErrCorrupt",
 				past, past, direct, err)
 		}
 	}
+}
+
+// withBit returns a resealed copy of the valid file raw in which
+// package pkg's footprint (or direct) bitset also sets bit id. The
+// column's section is copied to the end of the file with the package's
+// word run grown to reach id, the section table points at the copy,
+// and the word offsets of the packages after it move up.
+func withBit(t *testing.T, raw []byte, pkg int, direct bool, id uint32) []byte {
+	t.Helper()
+	le := binary.LittleEndian
+	out := append([]byte(nil), raw...)
+	entry := func(sec uint32) []byte {
+		table := out[le.Uint64(out[offSecTable:]):]
+		for i := range int(le.Uint32(out[offSecCount:])) {
+			if e := table[24*i : 24*i+24]; le.Uint32(e) == sec {
+				return e
+			}
+		}
+		t.Fatalf("no section %d", sec)
+		return nil
+	}
+	col, prefix := entry(secFootprint), 2 // fpStart: second to last prefix array
+	if direct {
+		col, prefix = entry(secDirect), 1
+	}
+	pkgs := entry(secPackages)
+	pkgOff, pkgLen := le.Uint64(pkgs[8:]), le.Uint64(pkgs[16:])
+	n := uint64(le.Uint32(out[pkgOff:])) + 1
+	starts := out[pkgOff+pkgLen-uint64(prefix)*4*n : pkgOff+pkgLen-uint64(prefix-1)*4*n]
+	begin, end := le.Uint32(starts[4*pkg:]), le.Uint32(starts[4*pkg+4:])
+	grow := max(int(begin+id/64+1)-int(end), 0)
+	words := slices.Insert(slices.Clone(out[le.Uint64(col[8:]):][:le.Uint64(col[16:])]), int(end)*8, make([]byte, 8*grow)...)
+	for i := pkg + 1; i < int(n); i++ {
+		le.PutUint32(starts[4*i:], le.Uint32(starts[4*i:])+uint32(grow))
+	}
+	w := words[8*(begin+id/64):]
+	le.PutUint64(w, le.Uint64(w)|1<<(id%64))
+	le.PutUint64(col[8:], uint64(len(out)))
+	le.PutUint64(col[16:], uint64(len(words)))
+	return reseal(append(out, words...))
 }
 
 // reseal rewrites b's declared size and SHA-256 so Decode's parser, not
@@ -356,22 +398,16 @@ func TestEncodeRejectsKeySetMismatch(t *testing.T) {
 	}
 }
 
-func TestWriteBytesAtomic(t *testing.T) {
-	// A failed install must not leave temp litter behind the final file.
-	dir := t.TempDir()
-	path := filepath.Join(dir, "study.snap")
-	if err := WriteBytes(path, []byte("hello")); err != nil {
-		t.Fatalf("WriteBytes: %v", err)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil || string(got) != "hello" {
-		t.Fatalf("read back: %q, %v", got, err)
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 1 {
-		t.Fatalf("leftover temp files: %v", ents)
+// TestEncodeRejectsBitPastTable pins that Encode fails closed on a
+// footprint bit its own API table cannot name: such a file would pass
+// its checksum and then be rejected by every reader.
+func TestEncodeRejectsBitPastTable(t *testing.T) {
+	d := testData()
+	p := &d.Packages[0]
+	p.Footprint = p.Footprint.Clone()
+	p.Footprint.AddID(uint32(linuxapi.InternUniverse()) + 43)
+	if raw, err := Encode(d); err == nil {
+		_, derr := Decode(raw)
+		t.Fatalf("Encode accepted a footprint bit past its API table (Decode: %v)", derr)
 	}
 }

@@ -4,10 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 
 	"repro/internal/footprint"
 	"repro/internal/linuxapi"
@@ -142,13 +141,13 @@ func encode(d *Data, table []linuxapi.API) ([]byte, error) {
 			depRefs = append(depRefs, off, n)
 		}
 		depStart = append(depStart, uint32(len(depRefs)/2))
-		w, err := remapWords(p.Footprint, remap)
+		w, err := remapWords(p.Footprint, remap, len(table))
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: package %s footprint: %w", p.Name, err)
 		}
 		fpWords = append(fpWords, w...)
 		fpStart = append(fpStart, uint32(len(fpWords)))
-		w, err = remapWords(p.Direct, remap)
+		w, err = remapWords(p.Direct, remap, len(table))
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: package %s direct set: %w", p.Name, err)
 		}
@@ -276,14 +275,21 @@ func encode(d *Data, table []linuxapi.API) ([]byte, error) {
 	return file, nil
 }
 
+// errNotInTable rejects a bit the file's API table cannot name.
+var errNotInTable = errors.New("bit not representable in API table")
+
 // remapWords returns the file-space words of b: a trimmed copy under
-// the identity mapping (remap nil), or a rebuilt bitset otherwise.
-func remapWords(b *footprint.BitSet, remap []uint32) ([]uint64, error) {
+// the identity mapping (remap nil) into a table of nAPI entries, or a
+// rebuilt bitset otherwise.
+func remapWords(b *footprint.BitSet, remap []uint32, nAPI int) ([]uint64, error) {
 	if b == nil || b.Empty() {
 		return nil, nil
 	}
 	if remap == nil {
 		w := b.Words()
+		if !bitsBelow(w, uint32(nAPI)) {
+			return nil, errNotInTable
+		}
 		n := len(w)
 		for n > 0 && w[n-1] == 0 {
 			n--
@@ -302,7 +308,7 @@ func remapWords(b *footprint.BitSet, remap []uint32) ([]uint64, error) {
 		nb.AddID(remap[id])
 	})
 	if bad {
-		return nil, fmt.Errorf("bit not representable in API table")
+		return nil, errNotInTable
 	}
 	w := nb.Words()
 	n := len(w)
@@ -310,44 +316,4 @@ func remapWords(b *footprint.BitSet, remap []uint32) ([]uint64, error) {
 		n--
 	}
 	return w[:n], nil
-}
-
-// Write encodes d and atomically installs it at path via a temp file
-// and rename, so a crashed writer never leaves a half-written snapshot
-// where a replica could open it.
-func Write(path string, d *Data) error {
-	data, err := Encode(d)
-	if err != nil {
-		return err
-	}
-	return WriteBytes(path, data)
-}
-
-// WriteBytes atomically installs already-encoded snapshot bytes.
-func WriteBytes(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".snap-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return nil
 }

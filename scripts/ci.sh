@@ -14,8 +14,9 @@
 # the ELF reader (elfx.FuzzOpen), the x86 decoder (x86.FuzzDecode), the
 # snapshot reader (snapshot.FuzzDecode, which reads files into the heap
 # and must leave the intern table untouched on rejection), query
-# canonicalization (service.FuzzCanonicalQuery) and job spool recovery
-# (jobs.FuzzSpoolRecord) beyond the seeds the test run replays,
+# canonicalization (service.FuzzCanonicalQuery), job spool recovery
+# (jobs.FuzzSpoolRecord) and analysis-cache summary and verdict records
+# (anacache.FuzzRecord) beyond the seeds the test run replays,
 # with minimization capped at one second so the ten seconds go to new
 # inputs, a two-worker end-to-end fleet smoke test, a job-tier
 # smoke test (spool persistence across kill -9), an end-to-end load
@@ -28,6 +29,11 @@
 # analysis cache, live trend queries), and a stub-aware planning smoke
 # test (byte-stable plan, golden step ordering, warm serve with zero
 # emulator runs).
+# The test run includes the crash tests of internal/atomicfile, the one
+# temp-file-then-rename write every owner of files on disk calls: they
+# kill the job spool, the snapshot directory and the analysis cache's
+# summary and verdict records before each step of a write and check
+# what a restart recovers, and pin the fsync order of durable writes.
 # Run from the repository root; used by .github/workflows/ci.yml and
 # fine to run locally.
 set -eu
@@ -59,12 +65,13 @@ go test -race ./internal/core ./internal/linuxapi ./internal/footprint ./interna
     ./internal/loadgen ./internal/jobs ./internal/snapshot ./internal/proxy \
     ./internal/evolution ./internal/stubplan ./internal/obs
 
-echo "== go test -fuzz (ELF reader, x86 decoder, snapshot reader, query canonicalization, spool records; 10s each)"
+echo "== go test -fuzz (ELF reader, x86 decoder, snapshot reader, query canonicalization, spool records, analysis-cache records; 10s each)"
 go test -run '^$' -fuzz '^FuzzOpen$' -fuzztime 10s -fuzzminimizetime 1s ./internal/elfx
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s -fuzzminimizetime 1s ./internal/x86
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s -fuzzminimizetime 1s ./internal/snapshot
 go test -run '^$' -fuzz '^FuzzCanonicalQuery$' -fuzztime 10s -fuzzminimizetime 1s ./internal/service
 go test -run '^$' -fuzz '^FuzzSpoolRecord$' -fuzztime 10s -fuzzminimizetime 1s ./internal/jobs
+go test -run '^$' -fuzz '^FuzzRecord$' -fuzztime 10s -fuzzminimizetime 1s ./internal/anacache
 
 echo "== fleet smoke test (two-worker end-to-end)"
 sh scripts/fleet_smoke.sh

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/apt"
+	"repro/internal/atomicfile"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/footprint"
@@ -101,13 +102,14 @@ func (s *Study) EncodeSnapshot(generation uint64) ([]byte, error) {
 	return snapshot.Encode(d)
 }
 
-// WriteSnapshot atomically writes the study's snapshot file at path.
+// WriteSnapshot writes the study's snapshot file at path, atomically
+// and durably.
 func (s *Study) WriteSnapshot(path string, generation uint64) error {
-	d, err := s.SnapshotData(generation)
+	data, err := s.EncodeSnapshot(generation)
 	if err != nil {
 		return err
 	}
-	return snapshot.Write(path, d)
+	return atomicfile.WriteDurable(path, data)
 }
 
 // StudyFromSnapshot reconstructs a serving-ready study from decoded
