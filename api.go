@@ -467,7 +467,7 @@ func (s *Study) Emulate(pkg string) ([]*emu.Trace, error) {
 	}
 	static := s.core.Input.Footprints[pkg]
 	// Cache-hit libraries carry summaries only; the emulator needs their
-	// instruction streams, restored here on first use.
+	// full analyses, restored here on first use.
 	s.core.EnsureEmulatable()
 	m := emu.New(s.core.Resolver)
 	var traces []*emu.Trace

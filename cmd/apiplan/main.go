@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -45,7 +46,7 @@ func main() {
 	var targets []compat.System
 	switch {
 	case *all:
-		targets = append(append(targets, compat.Systems...), compat.GrapheneFixed)
+		targets = allSystems()
 	case *system != "":
 		sys, ok := compat.SystemByName(*system)
 		if !ok {
@@ -73,26 +74,41 @@ func main() {
 		log.Fatal(err)
 	}
 
-	m := stubplan.BuildMatrix(study.Core(), stubplan.Options{Cache: cache})
+	m, plans := buildPlans(study, cache, targets)
 	fmt.Fprintf(os.Stderr, "apiplan: matrix policy=%d binaries=%d emulations=%d steps=%d cache_hits=%d cache_misses=%d inconclusive=%d\n",
 		m.PolicyVersion, m.Stats.Binaries, m.Stats.Emulations, m.Stats.Steps,
 		m.Stats.CacheHits, m.Stats.CacheMisses, m.Stats.Inconclusive)
 
-	path := study.GreedyPath()
-	in := study.Core().Input
-	var out any
-	if *all {
-		plans := make([]*stubplan.Plan, 0, len(targets))
-		for _, sys := range targets {
-			plans = append(plans, stubplan.BuildPlan(in, path, sys, m))
-		}
-		out = plans
-	} else {
-		out = stubplan.BuildPlan(in, path, targets[0], m)
+	var out any = plans
+	if !*all {
+		out = plans[0]
 	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
+	if err := writeJSON(os.Stdout, out); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// allSystems lists what -all plans for: every modeled system, then
+// Graphene with its scheduler fix.
+func allSystems() []compat.System {
+	return append(append([]compat.System(nil), compat.Systems...), compat.GrapheneFixed)
+}
+
+// writeJSON writes v as the indented JSON apiplan prints.
+func writeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
+
+// buildPlans measures the verdict matrix over study's executables and
+// builds one plan per target, in order.
+func buildPlans(study *repro.Study, cache *repro.AnalysisCache, targets []compat.System) (*stubplan.Matrix, []*stubplan.Plan) {
+	m := stubplan.BuildMatrix(study.Core(), stubplan.Options{Cache: cache})
+	path := study.GreedyPath()
+	plans := make([]*stubplan.Plan, 0, len(targets))
+	for _, sys := range targets {
+		plans = append(plans, stubplan.BuildPlan(study.Core().Input, path, sys, m))
+	}
+	return m, plans
 }

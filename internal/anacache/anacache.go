@@ -9,10 +9,11 @@
 // changed.
 //
 // Records are self-validating: a hit requires the envelope tag (analysis
-// version + options) and content key to match, and any decode failure —
-// truncation, corruption, schema drift — degrades to a miss, never to a
-// wrong footprint. Writes go through atomicfile, so a reader racing a
-// writer sees either the old record or the new one, never a torn one.
+// version + options) and content key to match, and a summary naming only
+// what extraction can emit; any decode failure — truncation, corruption,
+// schema drift — degrades to a miss, never to a wrong footprint. Writes
+// go through atomicfile, so a reader racing a writer sees either the old
+// record or the new one, never a torn one.
 package anacache
 
 import (
@@ -28,6 +29,7 @@ import (
 
 	"repro/internal/atomicfile"
 	"repro/internal/footprint"
+	"repro/internal/linuxapi"
 	"repro/internal/obs"
 )
 
@@ -158,7 +160,7 @@ func (c *Cache) Get(data []byte) (*footprint.Summary, bool) {
 	}
 	var rec record
 	if err := json.Unmarshal(raw, &rec); err != nil ||
-		rec.Tag != c.tag || rec.Key != key || rec.Summary == nil {
+		rec.Tag != c.tag || rec.Key != key || rec.Summary == nil || !extractable(rec.Summary) {
 		c.invalidations.Add(1)
 		c.misses.Add(1)
 		return nil, false
@@ -166,6 +168,27 @@ func (c *Cache) Get(data []byte) (*footprint.Summary, bool) {
 	c.memoize(key, rec.Summary)
 	c.hits.Add(1)
 	return rec.Summary, true
+}
+
+// extractable reports whether sum names only what extraction can emit:
+// function APIs from the declared universe, and pseudo-file strings.
+// Resolving a summary interns its function APIs, and the corpus path
+// interns its strings, so a record naming anything else would grow the
+// process's API table and every later snapshot's.
+func extractable(sum *footprint.Summary) bool {
+	for _, f := range sum.Funcs {
+		for _, api := range f.APIs {
+			if !linuxapi.IsDeclared(api) {
+				return false
+			}
+		}
+	}
+	for _, s := range sum.Strings {
+		if s.Kind != linuxapi.KindPseudoFile || !linuxapi.IsPseudoPath(s.Name) {
+			return false
+		}
+	}
+	return true
 }
 
 func (c *Cache) memoize(key string, sum *footprint.Summary) {

@@ -223,6 +223,59 @@ func TestKeyMismatchInvalidates(t *testing.T) {
 	}
 }
 
+// A record whose summary names what extraction cannot emit is one
+// invalidation and one miss, and leaves the intern table alone.
+func TestUndeclaredAPIsInvalidate(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		spoil func(*footprint.Summary)
+	}{
+		{"unknown syscalls", func(s *footprint.Summary) {
+			s.Funcs[1].APIs = []linuxapi.API{linuxapi.Sys("anacache_unknown_a"), linuxapi.Sys("anacache_unknown_b")}
+		}},
+		{"verbatim path as a function API", func(s *footprint.Summary) {
+			s.Funcs[0].APIs = append(s.Funcs[0].APIs, linuxapi.Pseudo("/proc/self/anacache-verbatim"))
+		}},
+		{"string of another kind", func(s *footprint.Summary) {
+			s.Strings = append(s.Strings, linuxapi.Sys("read"))
+		}},
+		{"string outside the pseudo filesystems", func(s *footprint.Summary) {
+			s.Strings = append(s.Strings, linuxapi.Pseudo("/etc/passwd"))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			data := []byte(tc.name)
+			sum := testSummary()
+			tc.spoil(sum)
+			if err := mustOpen(t, dir, footprint.Options{}).Put(data, sum); err != nil {
+				t.Fatal(err)
+			}
+			universe := linuxapi.InternUniverse()
+			c := mustOpen(t, dir, footprint.Options{})
+			if _, ok := c.Get(data); ok {
+				t.Fatal("a summary naming undeclared APIs was a hit")
+			}
+			if st := c.Stats(); st.Invalidations != 1 || st.Misses != 1 || st.Hits != 0 {
+				t.Errorf("stats %+v, want one invalidation and one miss", st)
+			}
+			if n := linuxapi.InternUniverse(); n != universe {
+				t.Errorf("intern table grew from %d to %d", universe, n)
+			}
+		})
+	}
+	// The unspoiled record, with a verbatim pseudo-file string, still hits.
+	dir := t.TempDir()
+	sum := testSummary()
+	sum.Strings = append(sum.Strings, linuxapi.Pseudo("/proc/self/anacache-verbatim"))
+	if err := mustOpen(t, dir, footprint.Options{}).Put([]byte("clean"), sum); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := mustOpen(t, dir, footprint.Options{}).Get([]byte("clean")); !ok {
+		t.Error("a summary extraction could emit missed")
+	}
+}
+
 func TestMemoServesWithoutDisk(t *testing.T) {
 	dir := t.TempDir()
 	c := mustOpen(t, dir, footprint.Options{})

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/footprint"
+	"repro/internal/linuxapi"
 )
 
 // fuzzBinary is the binary whose records FuzzRecord replaces.
@@ -18,10 +19,12 @@ var fuzzBinary = []byte("\x7fELF fuzzed record")
 // nothing may panic; a hit needs an envelope whose tag and key match and
 // whose payload is not null; anything else is exactly one counted miss;
 // and a hit summary, registered as a library with a footprint.Resolver
-// and resolved both directly and through an importer, must not panic.
-// Seeds live in testdata/fuzz/FuzzRecord.
+// and resolved both directly and through an importer, must not panic or
+// grow the process's API intern table. Seeds live in
+// testdata/fuzz/FuzzRecord.
 func FuzzRecord(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		universe := linuxapi.InternUniverse()
 		c := mustOpen(t, t.TempDir(), footprint.Options{})
 		key := Key(fuzzBinary)
 		for _, p := range []string{c.path(key), c.verdictPath(key)} {
@@ -69,5 +72,8 @@ func FuzzRecord(f *testing.F) {
 			importer.Funcs[0].Imports = append(importer.Funcs[0].Imports, fn.Name)
 		}
 		r.FootprintBits(importer)
+		if n := linuxapi.InternUniverse(); n != universe {
+			t.Fatalf("resolving a hit summary grew the intern table from %d to %d: %q", universe, n, raw)
+		}
 	})
 }

@@ -8,6 +8,7 @@ package apt
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -125,6 +126,11 @@ func (r *Repository) WriteIndex(w io.Writer) error {
 	return bw.Flush()
 }
 
+// ErrMalformed is wrapped by every error ParseIndex returns for an index
+// it rejects: a line that is not a field, a package with no name, or a
+// package listed twice.
+var ErrMalformed = errors.New("apt: malformed index")
+
 // ParseIndex reads a control-file index produced by WriteIndex (or a plain
 // Debian Packages file; unknown fields are ignored). File entries carry
 // paths only; contents are attached separately by the corpus loader.
@@ -133,15 +139,18 @@ func ParseIndex(rd io.Reader) (*Repository, error) {
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var cur *Package
+	lineno := 0
 	flush := func() error {
 		if cur == nil {
 			return nil
 		}
 		err := repo.Add(cur)
 		cur = nil
-		return err
+		if err != nil {
+			return fmt.Errorf("%w: line %d: %w", ErrMalformed, lineno, err)
+		}
+		return nil
 	}
-	lineno := 0
 	for sc.Scan() {
 		lineno++
 		line := sc.Text()
@@ -156,7 +165,7 @@ func ParseIndex(rd io.Reader) (*Repository, error) {
 		}
 		key, value, ok := strings.Cut(line, ":")
 		if !ok {
-			return nil, fmt.Errorf("apt: line %d: malformed field %q", lineno, line)
+			return nil, fmt.Errorf("%w: line %d: not a field: %q", ErrMalformed, lineno, line)
 		}
 		value = strings.TrimSpace(value)
 		switch key {

@@ -2,6 +2,7 @@ package apt
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -133,11 +134,14 @@ Package: second
 }
 
 func TestParseIndexErrors(t *testing.T) {
-	if _, err := ParseIndex(strings.NewReader("garbage line no colon\n")); err == nil {
-		t.Error("malformed field must error")
-	}
-	if _, err := ParseIndex(strings.NewReader("Package: a\n\nPackage: a\n")); err == nil {
-		t.Error("duplicate package must error")
+	for _, in := range []string{
+		"garbage line no colon\n",    // malformed field
+		"Package: a\n\nPackage: a\n", // duplicate package
+		"Package: \nVersion: 1\n",    // package with no name
+	} {
+		if _, err := ParseIndex(strings.NewReader(in)); !errors.Is(err, ErrMalformed) {
+			t.Errorf("ParseIndex(%q) = %v, want ErrMalformed", in, err)
+		}
 	}
 }
 

@@ -23,8 +23,6 @@ type Node struct {
 	Addr, Size uint64
 	// Exported marks dynamic-symbol exports (library entry points).
 	Exported bool
-	// Insts are the decoded instructions of the body, in address order.
-	Insts []x86.Inst
 	// Calls are direct local callees (calls and tail jumps).
 	Calls []*Node
 	// Imports are the names of imported symbols this function calls
@@ -47,7 +45,14 @@ type Graph struct {
 }
 
 // Build decodes the binary's text and constructs the graph.
-func Build(bin *elfx.Binary) *Graph {
+func Build(bin *elfx.Binary) *Graph { return BuildScan(bin, nil) }
+
+// BuildScan is Build that also hands each decoded instruction of every
+// function body to scan (when non-nil) as the one decode pass wires its
+// edges: by value, in address order within a function, and function by
+// function in .text order (the order of Graph.Funcs). The graph keeps no
+// instructions, so nothing decoded outlives the pass.
+func BuildScan(bin *elfx.Binary, scan func(n *Node, inst x86.Inst)) *Graph {
 	g := &Graph{
 		Bin:     bin,
 		byName:  make(map[string]*Node),
@@ -55,12 +60,13 @@ func Build(bin *elfx.Binary) *Graph {
 	}
 
 	// Resolve PLT stubs: decode .plt, map stub VA -> import name.
-	if len(bin.Plt.Data) > 0 {
-		for _, inst := range x86.DecodeAll(bin.Plt.Data, bin.Plt.Addr) {
-			if inst.Op == x86.OpJmpIndirect && inst.HasTarget {
-				if sym, ok := bin.PLTSlots[inst.Target]; ok {
-					g.pltSyms[inst.Addr] = sym
-				}
+	plt := bin.Plt
+	for pos := 0; pos < len(plt.Data); {
+		inst := x86.Decode(plt.Data[pos:], plt.Addr+uint64(pos))
+		pos += inst.Len
+		if inst.Op == x86.OpJmpIndirect && inst.HasTarget {
+			if sym, ok := bin.PLTSlots[inst.Target]; ok {
+				g.pltSyms[inst.Addr] = sym
 			}
 		}
 	}
@@ -119,22 +125,22 @@ func Build(bin *elfx.Binary) *Graph {
 		g.byName[n.Name] = n
 	}
 
-	// Decode each function body and wire edges.
+	// Decode each function body once, wiring edges and scanning as it
+	// goes.
 	for _, n := range g.Funcs {
 		lo := n.Addr - text.Addr
-		hi := lo + n.Size
-		n.Insts = x86.DecodeAll(text.Data[lo:hi], n.Addr)
-		for _, inst := range n.Insts {
+		code := text.Data[lo : lo+n.Size]
+		for pos := 0; pos < len(code); {
+			inst := x86.Decode(code[pos:], n.Addr+uint64(pos))
+			pos += inst.Len
 			switch inst.Op {
 			case x86.OpCallRel, x86.OpJmpRel:
 				if !inst.HasTarget {
-					continue
+					break
 				}
 				if sym, ok := g.pltSyms[inst.Target]; ok {
 					n.Imports = appendUnique(n.Imports, sym)
-					continue
-				}
-				if callee := g.NodeAt(inst.Target); callee != nil && callee != n {
+				} else if callee := g.NodeAt(inst.Target); callee != nil && callee != n {
 					n.Calls = appendNode(n.Calls, callee)
 				}
 			case x86.OpLeaRIP:
@@ -143,6 +149,9 @@ func Build(bin *elfx.Binary) *Graph {
 					// into the middle of a function is data arithmetic.
 					n.Taken = appendNode(n.Taken, callee)
 				}
+			}
+			if scan != nil {
+				scan(n, inst)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package callgraph
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/elfx"
@@ -268,6 +269,35 @@ func TestEveryTextByteBelongsToOneFunction(t *testing.T) {
 	}
 }
 
+// TestBuildScanDecodesEachBodyOnce checks what BuildScan hands its scan
+// callback: every function's instructions as a linear sweep of its own
+// bytes decodes them, function by function in .text order, and nothing
+// else.
+func TestBuildScanDecodesEachBodyOnce(t *testing.T) {
+	bin := buildGraphExec(t).Bin
+	type seen struct {
+		fn   string
+		inst x86.Inst
+	}
+	var got []seen
+	g := BuildScan(bin, func(n *Node, inst x86.Inst) {
+		got = append(got, seen{n.Name, inst})
+	})
+	var want []seen
+	for _, n := range g.Funcs {
+		lo := n.Addr - bin.Text.Addr
+		for _, inst := range x86.DecodeAll(bin.Text.Data[lo:lo+n.Size], n.Addr) {
+			want = append(want, seen{n.Name, inst})
+		}
+	}
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("scan saw %d instructions, a per-function sweep decodes %d; sequences differ", len(got), len(want))
+	}
+	if plain := Build(bin); !reflect.DeepEqual(names(plain.Funcs), names(g.Funcs)) {
+		t.Errorf("Build funcs %v, BuildScan funcs %v", names(plain.Funcs), names(g.Funcs))
+	}
+}
+
 // TestStrippedBinary simulates a binary with no symbols at all (the
 // analyzer must handle stripped real-world binaries): the whole .text
 // becomes one synthetic function rooted at the entry point.
@@ -282,7 +312,12 @@ func TestStrippedBinary(t *testing.T) {
 		Entry: 0x401000,
 		Text:  elfx.Section{Addr: 0x401000, Data: code},
 	}
-	g := Build(bin)
+	syscalls := make(map[*Node]int)
+	g := BuildScan(bin, func(n *Node, inst x86.Inst) {
+		if inst.Op == x86.OpSyscall {
+			syscalls[n]++
+		}
+	})
 	if len(g.Funcs) != 1 {
 		t.Fatalf("funcs = %d, want 1 synthetic", len(g.Funcs))
 	}
@@ -294,13 +329,7 @@ func TestStrippedBinary(t *testing.T) {
 	if len(reach) != 1 {
 		t.Errorf("reachable = %d", len(reach))
 	}
-	var sys int
-	for _, inst := range reach[0].Insts {
-		if inst.Op == x86.OpSyscall {
-			sys++
-		}
-	}
-	if sys != 1 {
+	if sys := syscalls[reach[0]]; sys != 1 {
 		t.Errorf("syscalls in synthetic function = %d", sys)
 	}
 }

@@ -86,12 +86,13 @@ func retainedResultsHeap(t *testing.T, jobs []BinaryJob, analyze JobAnalyzer) ui
 }
 
 // TestRunReleasesExecAnalyses asserts the memory win of dropping
-// executable analyses at summarization time: the live analysis state is
-// dominated by decoded instruction streams, and executables vastly
-// outnumber libraries, so summary-only results for executables must
-// retain well under half the heap of the old keep-everything behavior.
-// CodeBulk restores a realistic ratio of instruction bytes to summary
-// bytes so the difference dominates measurement noise.
+// executable analyses at summarization time: an analysis keeps its
+// binary, call graph and per-function maps (no instructions; those are
+// scanned during the decode pass), and executables vastly outnumber
+// libraries, so summary-only results for executables must retain well
+// under half the heap of the old keep-everything behavior (about a
+// quarter on this corpus). CodeBulk gives the binaries realistic .text
+// volume.
 func TestRunReleasesExecAnalyses(t *testing.T) {
 	c, err := corpus.Generate(corpus.Config{
 		Packages: 40, Installations: 100000, Seed: 29, CodeBulk: 48 << 10,

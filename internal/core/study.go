@@ -95,7 +95,7 @@ type Study struct {
 
 	// pendingEmu lists shared libraries whose records came from the
 	// cache: their summaries aggregate footprints fine, but the emulator
-	// needs instruction streams, re-analyzed lazily by EnsureEmulatable.
+	// needs their full analyses, re-analyzed lazily by EnsureEmulatable.
 	pendingEmu []pendingLib
 	emuMu      sync.Mutex
 }
@@ -148,12 +148,11 @@ type JobAnalyzer func(jobs []BinaryJob, opts footprint.Options) []JobResult
 
 // AnalyzeJobsLocal analyzes jobs in process on all cores (the paper's
 // own run took three days over 30,976 packages — §7), consulting cache
-// (may be nil) before disassembling each binary. The instruction-level
-// Analysis is retained only for shared libraries — the resolver needs it
-// for emulation — while executables keep just their Summary, so the
-// decoded instruction streams of the (far more numerous) executables are
-// garbage-collected as soon as each one is summarized instead of living
-// until the study completes.
+// (may be nil) before disassembling each binary. The full Analysis (the
+// binary and its call graph) is retained only for shared libraries — the
+// resolver needs it for emulation — while executables keep just their
+// Summary. No analysis keeps decoded instructions: footprint.Analyze
+// scans each one inside the decode pass that builds the call graph.
 func AnalyzeJobsLocal(jobs []BinaryJob, opts footprint.Options, cache *anacache.Cache) []JobResult {
 	results := make([]JobResult, len(jobs))
 	var wg sync.WaitGroup

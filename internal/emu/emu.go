@@ -18,8 +18,10 @@
 // Fault injection runs one program many times under policies that depart
 // from the recording-only default at a few system calls. Record runs it
 // once and keeps the machine state at its syscall instructions; Replay
-// then returns exactly the trace Run would, executing instructions only
-// where the policy's results make the run differ from the recording.
+// then calls the policy exactly as Run would and returns the same Steps
+// and Stopped, executing instructions only where the policy's results
+// make the run differ from the recording. A replay keeps no events: the
+// policy sees each one.
 package emu
 
 import (
@@ -143,9 +145,9 @@ type SyscallResult struct {
 }
 
 // SyscallPolicy intercepts the syscall instruction and supplies its
-// return value instead of the recording-only default (RAX=0). The event
-// is recorded in the trace either way; fault-injection policies use Stop
-// to declare the entry path dead at this occurrence.
+// return value instead of the recording-only default (RAX=0). Run keeps
+// the event in its trace either way (a Replay keeps none); fault-injection
+// policies use Stop to declare the entry path dead at this occurrence.
 type SyscallPolicy func(SyscallContext) SyscallResult
 
 // Machine emulates one program against a resolver holding its shared
@@ -337,32 +339,32 @@ func (m *Machine) RunExport(a *footprint.Analysis, export string) (*Trace, error
 func (m *Machine) run(a *footprint.Analysis, entry uint64, sym string) *Trace {
 	tr := &Trace{}
 	st := state{cur: frame{a: a, pc: entry, sym: sym}}
-	m.drive(&st, tr, m.Policy, nil)
+	m.drive(&st, tr, 0, m.Policy, func(st *state, _ int) bool {
+		tr.Events = append(tr.Events, st.event())
+		return false
+	})
 	return tr
 }
 
 // drive runs st to the end of the run one system call at a time,
-// appending each event to tr and taking its result from policy (nil:
-// the recording-only default). At each syscall instruction, before
-// anything is recorded, at (when non-nil) may take st back: drive then
-// returns true with st standing on that instruction. Otherwise it
-// returns false once the run has ended, with tr.Steps and tr.Stopped
-// set.
-func (m *Machine) drive(st *state, tr *Trace, policy SyscallPolicy, at func(st *state, idx int) bool) bool {
-	for {
+// numbering events from idx and taking each one's result from policy
+// (nil: the recording-only default). At each syscall instruction, before
+// policy sees it, at (when non-nil) may take st back: drive then returns
+// true with st standing on that instruction. Otherwise it returns false
+// once the run has ended, with tr.Steps and tr.Stopped set. drive keeps
+// no events; an at that returns false may.
+func (m *Machine) drive(st *state, tr *Trace, idx int, policy SyscallPolicy, at func(st *state, idx int) bool) bool {
+	for ; ; idx++ {
 		if stop := m.next(st); stop != "" {
 			tr.Steps, tr.Stopped = st.steps, stop
 			return false
 		}
-		idx := len(tr.Events)
 		if at != nil && at(st, idx) {
 			return true
 		}
-		ev := st.event()
-		tr.Events = append(tr.Events, ev)
 		var res SyscallResult
 		if policy != nil {
-			res = policy(SyscallContext{Event: ev, Sym: st.cur.sym, Index: idx})
+			res = policy(SyscallContext{Event: st.event(), Sym: st.cur.sym, Index: idx})
 			if res.Stop != "" {
 				tr.Steps, tr.Stopped = st.steps, res.Stop
 				return false

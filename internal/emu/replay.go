@@ -56,7 +56,8 @@ func (m *Machine) Record(a *footprint.Analysis) (*Recording, error) {
 		maxSteps: m.MaxSteps, maxDepth: m.MaxDepth, stride: 1,
 	}
 	st := state{cur: frame{a: a, pc: a.Bin.Entry}}
-	m.drive(&st, rec.Trace, nil, func(st *state, idx int) bool {
+	m.drive(&st, rec.Trace, 0, nil, func(st *state, idx int) bool {
+		rec.Trace.Events = append(rec.Trace.Events, st.event())
 		rec.at = append(rec.at, eventAt{steps: st.steps, sym: st.cur.sym})
 		rec.keep(idx, st)
 		return false
@@ -93,10 +94,12 @@ func (rec *Recording) checkpoint(idx int) *state {
 	return &rec.cps[idx/rec.stride]
 }
 
-// Replay returns exactly the trace Run would return from rec's entry
-// point under policy (the Policy field is ignored): the same Events,
-// Steps and Stopped, with policy called on the same contexts in the same
-// order, once each.
+// Replay answers the run Run would make from rec's entry point under
+// policy (the Policy field is ignored): it calls policy on the same
+// contexts, in the same order, once each, and returns the same Steps and
+// Stopped. The returned trace's Events is nil; a caller that needs the
+// events reads them from the contexts policy is called with. A nil
+// policy answers the recording itself.
 //
 // While its state matches the recording's, a replay executes nothing: it
 // hands the recorded events to policy in order. When a result departs
@@ -111,18 +114,14 @@ func (m *Machine) Replay(rec *Recording, policy SyscallPolicy) (*Trace, error) {
 	}
 	base := rec.Trace
 	tr := &Trace{}
-	if len(base.Events) > 0 {
-		tr.Events = make([]SyscallEvent, 0, len(base.Events))
+	if policy == nil {
+		tr.Steps, tr.Stopped = base.Steps, base.Stopped
+		return tr, nil
 	}
 	for i := 0; ; {
 		var res SyscallResult
 		for ; i < len(base.Events); i++ {
-			ev := base.Events[i]
-			tr.Events = append(tr.Events, ev)
-			if policy == nil {
-				continue
-			}
-			res = policy(SyscallContext{Event: ev, Sym: rec.at[i].sym, Index: i})
+			res = policy(SyscallContext{Event: base.Events[i], Sym: rec.at[i].sym, Index: i})
 			if res.Stop != "" {
 				tr.Steps, tr.Stopped = rec.at[i].steps, res.Stop
 				return tr, nil
@@ -140,7 +139,7 @@ func (m *Machine) Replay(rec *Recording, policy SyscallPolicy) (*Trace, error) {
 			return nil, err
 		}
 		m.sysret(&st, res.Ret)
-		rejoined := m.drive(&st, tr, policy, func(st *state, j int) bool {
+		rejoined := m.drive(&st, tr, i+1, policy, func(st *state, j int) bool {
 			if cp := rec.checkpoint(j); cp != nil && cp.equal(st) {
 				i = j
 				return true

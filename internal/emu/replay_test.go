@@ -2,6 +2,7 @@ package emu
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/elfx"
@@ -27,15 +28,14 @@ func buildExec(t *testing.T, main func(a *x86.Asm)) *footprint.Analysis {
 }
 
 // checkReplay runs a from its entry point under a fresh policy from
-// newPolicy, replays rec under another fresh one, and requires the two
-// traces and the two sequences of policy calls to be deep-equal. It
-// returns Run's trace and the instructions the replay executed.
+// newPolicy, replays rec under another fresh one, and requires the same
+// Steps and Stopped from both and deep-equal sequences of policy calls.
+// Each context carries its event, and the run's contexts must carry
+// exactly the run's events, so every event is compared. It returns Run's
+// trace and the instructions the replay executed.
 func checkReplay(t *testing.T, m *Machine, a *footprint.Analysis, rec *Recording, newPolicy func() SyscallPolicy) (*Trace, uint64) {
 	t.Helper()
 	watch := func(seen *[]SyscallContext) SyscallPolicy {
-		if newPolicy == nil {
-			return nil
-		}
 		p := newPolicy()
 		return func(ctx SyscallContext) SyscallResult {
 			*seen = append(*seen, ctx)
@@ -55,9 +55,17 @@ func checkReplay(t *testing.T, m *Machine, a *footprint.Analysis, rec *Recording
 		t.Fatal(err)
 	}
 	executed := m.Executed() - before
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("replay differs from run:\nreplay: stopped=%q steps=%d events=%d\nrun:    stopped=%q steps=%d events=%d",
-			got.Stopped, got.Steps, len(got.Events), want.Stopped, want.Steps, len(want.Events))
+	if got.Steps != want.Steps || got.Stopped != want.Stopped || got.Events != nil {
+		t.Errorf("replay differs from run:\nreplay: stopped=%q steps=%d events=%d\nrun:    stopped=%q steps=%d",
+			got.Stopped, got.Steps, len(got.Events), want.Stopped, want.Steps)
+	}
+	if len(runSeen) != len(want.Events) {
+		t.Fatalf("run called the policy %d times for %d events", len(runSeen), len(want.Events))
+	}
+	for i, ctx := range runSeen {
+		if ctx.Index != i || ctx.Event != want.Events[i] {
+			t.Fatalf("run context %d = %+v, event %+v", i, ctx, want.Events[i])
+		}
 	}
 	if !reflect.DeepEqual(replaySeen, runSeen) {
 		t.Errorf("policy saw %d calls in the replay, %d in the run; sequences differ", len(replaySeen), len(runSeen))
@@ -72,6 +80,11 @@ func record(t *testing.T, m *Machine, a *footprint.Analysis) *Recording {
 		t.Fatal(err)
 	}
 	return rec
+}
+
+// passThrough answers the recording-only default everywhere.
+func passThrough() SyscallPolicy {
+	return func(SyscallContext) SyscallResult { return SyscallResult{} }
 }
 
 // at answers ret at event index idx and the default elsewhere.
@@ -111,7 +124,11 @@ func TestRecordMatchesRun(t *testing.T) {
 	if len(rec.cps) != len(want.Events) {
 		t.Errorf("%d checkpoints for %d events", len(rec.cps), len(want.Events))
 	}
-	checkReplay(t, m, app, rec, nil)
+	checkReplay(t, m, app, rec, passThrough)
+	got, err := m.Replay(rec, nil)
+	if err != nil || got.Steps != want.Steps || got.Stopped != want.Stopped || got.Events != nil {
+		t.Errorf("nil-policy replay: %v, %+v; want steps %d, stopped %q, no events", err, got, want.Steps, want.Stopped)
+	}
 }
 
 // An injected return value that flows into a later syscall's number: the
@@ -300,13 +317,7 @@ func TestReplayStatefulPolicy(t *testing.T) {
 // recording may checkpoint. The count must stay within the cap, and
 // replays must stay exact whichever events kept a checkpoint.
 func TestRecordingCheckpointCap(t *testing.T) {
-	app := buildExec(t, func(a *x86.Asm) {
-		a.Label("main.spin")
-		a.Nop()
-		a.MovRegImm32(x86.RAX, 39)
-		a.Syscall()
-		a.JmpLabel("main.spin")
-	})
+	app := budgetLoop(t)
 	m := New(footprint.NewResolver())
 	rec := record(t, m, app)
 	n := len(rec.Trace.Events)
@@ -337,6 +348,57 @@ func TestRecordingCheckpointCap(t *testing.T) {
 	sparse.stride = 1 << 30
 	checkReplay(t, m, app, &sparse, at(late, -38))
 	checkReplay(t, m, app, &sparse, at(3, -38))
+}
+
+// budgetLoop issues a syscall every four instructions until the step
+// budget: 262,144 events under the default budget.
+func budgetLoop(t *testing.T) *footprint.Analysis {
+	t.Helper()
+	return buildExec(t, func(a *x86.Asm) {
+		a.Label("main.spin")
+		a.Nop()
+		a.MovRegImm32(x86.RAX, 39)
+		a.Syscall()
+		a.JmpLabel("main.spin")
+	})
+}
+
+// A replay hands the recorded events to its policy and keeps none, so
+// what it allocates must not grow with the recording: over 262,144
+// events, a replay in step throughout and one that departs late and
+// rejoins each allocate a few small objects.
+func TestReplayAllocationsStayFlat(t *testing.T) {
+	app := budgetLoop(t)
+	m := New(footprint.NewResolver())
+	rec := record(t, m, app)
+	n := len(rec.Trace.Events)
+	if n < 1<<18 {
+		t.Fatalf("recording has %d events; the fixture must be long", n)
+	}
+	for _, tc := range []struct {
+		name   string
+		policy SyscallPolicy
+	}{
+		{"in step", passThrough()},
+		{"late departure", at(n-rec.stride/2-1, -38)()},
+	} {
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(runs, func() {
+			if _, err := m.Replay(rec, tc.policy); err != nil {
+				t.Fatal(err)
+			}
+		})
+		runtime.ReadMemStats(&after)
+		// AllocsPerRun counts objects; one slice the length of the
+		// recording is one object, so bound the bytes too.
+		bytes := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+		if allocs > 8 || bytes > 4<<10 {
+			t.Errorf("%s: a replay of %d events allocates %.0f objects, %d bytes; want a few small objects",
+				tc.name, n, allocs, bytes)
+		}
+	}
 }
 
 func TestReplayRejectsOtherLimits(t *testing.T) {

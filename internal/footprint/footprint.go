@@ -63,116 +63,125 @@ type Analysis struct {
 	Sites int
 }
 
-// Analyze disassembles and extracts one binary.
+// Analyze disassembles and extracts one binary. The scan runs inside the
+// pass that decodes each function and wires the call graph, so every
+// instruction is decoded once and none is kept.
 func Analyze(bin *elfx.Binary, opts Options) *Analysis {
 	a := &Analysis{
 		Bin:           bin,
-		Graph:         callgraph.Build(bin),
 		opts:          opts,
 		direct:        make(map[*callgraph.Node][]linuxapi.API),
 		calledImports: make(map[*callgraph.Node][]string),
 	}
-	for _, n := range a.Graph.Funcs {
-		a.scanFunc(n)
-	}
+	sc := scanner{a: a}
+	a.Graph = callgraph.BuildScan(bin, sc.step)
 	if !opts.NoStrings {
 		a.scanStrings()
 	}
 	return a
 }
 
-// scanFunc runs constant propagation over one function body and extracts
-// call-site APIs.
-func (a *Analysis) scanFunc(n *callgraph.Node) {
-	var st x86.RegState
-	pltSym := func(target uint64) (string, bool) {
-		if !a.Bin.Plt.Contains(target) {
-			return "", false
-		}
-		// Decode the stub at the target to find its GOT slot.
-		off := target - a.Bin.Plt.Addr
-		inst := x86.Decode(a.Bin.Plt.Data[off:], target)
-		if inst.Op == x86.OpJmpIndirect && inst.HasTarget {
-			sym, ok := a.Bin.PLTSlots[inst.Target]
-			return sym, ok
-		}
-		return "", false
-	}
+// scanner runs constant propagation over each function body and extracts
+// call-site APIs. The graph build hands it the instructions of one
+// function after another; the register state restarts at each function.
+type scanner struct {
+	a  *Analysis
+	n  *callgraph.Node
+	st x86.RegState
+}
 
-	add := func(api linuxapi.API) {
-		a.direct[n] = append(a.direct[n], api)
+// step scans one instruction of n's body.
+func (s *scanner) step(n *callgraph.Node, inst x86.Inst) {
+	if n != s.n {
+		s.n, s.st = n, x86.RegState{}
 	}
-
-	// vectored records the opcode API for a vectored call when the opcode
-	// register holds a known constant.
-	vectored := func(kind linuxapi.Kind, reg x86.Reg) {
-		if v, ok := st.Get(reg); ok {
-			if def := linuxapi.OpcodeByCode(kind, uint64(v)); def != nil {
-				add(linuxapi.API{Kind: kind, Name: def.Name})
-			}
+	a := s.a
+	switch inst.Op {
+	case x86.OpSyscall, x86.OpInt80, x86.OpSysenter:
+		a.Sites++
+		num, ok := s.st.Get(x86.RAX)
+		if !ok {
+			a.Unresolved++
+			break
 		}
-	}
-
-	for _, inst := range n.Insts {
-		switch inst.Op {
-		case x86.OpSyscall, x86.OpInt80, x86.OpSysenter:
-			a.Sites++
-			num, ok := st.Get(x86.RAX)
-			if !ok {
-				a.Unresolved++
-				st.Step(inst)
-				continue
-			}
-			def := linuxapi.SyscallByNum(int(num))
-			if def == nil {
-				a.Unresolved++
-				st.Step(inst)
-				continue
-			}
-			add(linuxapi.Sys(def.Name))
-			switch def.Num {
-			case sysIoctl, sysFcntl:
-				vectored(kindFor(def.Num), x86.RSI)
-			case sysPrctl:
-				vectored(linuxapi.KindPrctl, x86.RDI)
-			}
-		case x86.OpCallRel:
-			if inst.HasTarget {
-				if sym, ok := pltSym(inst.Target); ok {
-					a.calledImports[n] = appendUnique(a.calledImports[n], sym)
-					switch sym {
-					case "syscall":
-						// syscall(number, ...): number in rdi.
-						a.Sites++
-						if v, ok := st.Get(x86.RDI); ok {
-							if def := linuxapi.SyscallByNum(int(v)); def != nil {
-								add(linuxapi.Sys(def.Name))
-							} else {
-								a.Unresolved++
-							}
+		def := linuxapi.SyscallByNum(int(num))
+		if def == nil {
+			a.Unresolved++
+			break
+		}
+		s.add(linuxapi.Sys(def.Name))
+		switch def.Num {
+		case sysIoctl, sysFcntl:
+			s.vectored(kindFor(def.Num), x86.RSI)
+		case sysPrctl:
+			s.vectored(linuxapi.KindPrctl, x86.RDI)
+		}
+	case x86.OpCallRel:
+		if inst.HasTarget {
+			if sym, ok := s.pltSym(inst.Target); ok {
+				a.calledImports[n] = appendUnique(a.calledImports[n], sym)
+				switch sym {
+				case "syscall":
+					// syscall(number, ...): number in rdi.
+					a.Sites++
+					if v, ok := s.st.Get(x86.RDI); ok {
+						if def := linuxapi.SyscallByNum(int(v)); def != nil {
+							s.add(linuxapi.Sys(def.Name))
 						} else {
 							a.Unresolved++
 						}
-					case "ioctl":
-						vectored(linuxapi.KindIoctl, x86.RSI)
-					case "fcntl", "fcntl64":
-						vectored(linuxapi.KindFcntl, x86.RSI)
-					case "prctl":
-						vectored(linuxapi.KindPrctl, x86.RDI)
+					} else {
+						a.Unresolved++
 					}
-				}
-			}
-		case x86.OpJmpRel:
-			// Tail call into the PLT: same treatment, minus argument
-			// extraction for brevity of real-world tail-call shapes.
-			if inst.HasTarget {
-				if sym, ok := pltSym(inst.Target); ok {
-					a.calledImports[n] = appendUnique(a.calledImports[n], sym)
+				case "ioctl":
+					s.vectored(linuxapi.KindIoctl, x86.RSI)
+				case "fcntl", "fcntl64":
+					s.vectored(linuxapi.KindFcntl, x86.RSI)
+				case "prctl":
+					s.vectored(linuxapi.KindPrctl, x86.RDI)
 				}
 			}
 		}
-		st.Step(inst)
+	case x86.OpJmpRel:
+		// Tail call into the PLT: same treatment, minus argument
+		// extraction for brevity of real-world tail-call shapes.
+		if inst.HasTarget {
+			if sym, ok := s.pltSym(inst.Target); ok {
+				a.calledImports[n] = appendUnique(a.calledImports[n], sym)
+			}
+		}
 	}
+	s.st.Step(inst)
+}
+
+func (s *scanner) add(api linuxapi.API) {
+	s.a.direct[s.n] = append(s.a.direct[s.n], api)
+}
+
+// vectored records the opcode API for a vectored call when the opcode
+// register holds a known constant.
+func (s *scanner) vectored(kind linuxapi.Kind, reg x86.Reg) {
+	if v, ok := s.st.Get(reg); ok {
+		if def := linuxapi.OpcodeByCode(kind, uint64(v)); def != nil {
+			s.add(linuxapi.API{Kind: kind, Name: def.Name})
+		}
+	}
+}
+
+// pltSym returns the imported symbol the PLT stub at target forwards to.
+func (s *scanner) pltSym(target uint64) (string, bool) {
+	bin := s.a.Bin
+	if !bin.Plt.Contains(target) {
+		return "", false
+	}
+	// Decode the stub at the target to find its GOT slot.
+	off := target - bin.Plt.Addr
+	inst := x86.Decode(bin.Plt.Data[off:], target)
+	if inst.Op == x86.OpJmpIndirect && inst.HasTarget {
+		sym, ok := bin.PLTSlots[inst.Target]
+		return sym, ok
+	}
+	return "", false
 }
 
 func kindFor(num int) linuxapi.Kind {
@@ -246,10 +255,10 @@ func (s Set) Clone() Set {
 
 // Resolver resolves imported symbols to the shared libraries that export
 // them, following DT_NEEDED edges the way the dynamic linker does. All
-// closure computation runs over instruction-free Summary records, so a
-// library restored from the persistent analysis cache aggregates exactly
-// like a freshly disassembled one; the full Analysis, when available, is
-// retained alongside for the instruction-level consumers (internal/emu).
+// closure computation runs over Summary records, so a library restored
+// from the persistent analysis cache aggregates exactly like a freshly
+// disassembled one; the full Analysis, when available, is retained
+// alongside for the emulator (internal/emu).
 type Resolver struct {
 	// mu serializes closure computation; AddLibrary and Footprint are
 	// safe for concurrent use (binary analysis itself parallelizes; the
@@ -341,8 +350,8 @@ func (r *Resolver) AddSummary(sum *Summary) {
 
 // AttachAnalysis supplies the full analysis for a library previously
 // registered from a cached summary, without disturbing the summary the
-// memoized closures key on. The emulator needs instruction streams; the
-// footprint aggregation never does.
+// memoized closures key on. The emulator needs the binary and its call
+// graph; the footprint aggregation never does.
 func (r *Resolver) AttachAnalysis(a *Analysis) {
 	name := a.Bin.Soname
 	if name == "" {

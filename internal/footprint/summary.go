@@ -36,7 +36,8 @@ type FuncSummary struct {
 }
 
 // Summary is the persistent form of an Analysis: the per-binary
-// extraction result with the instruction stream stripped away. It is
+// extraction result as per-function records, without the binary or its
+// call graph. It is
 // exactly what the cross-library footprint aggregation consumes, so a
 // cached Summary substitutes for re-disassembling the binary, and it
 // serializes to JSON for the content-addressed analysis cache.

@@ -62,10 +62,14 @@ func TestServeGracefulDrain(t *testing.T) {
 	// fast while the old request is still being served.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		_, err := net.DialTimeout("tcp", ln.Addr().String(), 200*time.Millisecond)
+		c, err := net.DialTimeout("tcp", ln.Addr().String(), 200*time.Millisecond)
 		if err != nil {
 			break
 		}
+		// A probe that got in before the listener closed must not stay
+		// open: the server would count it as a new connection and the
+		// drain would wait out the grace period for it.
+		c.Close()
 		if time.Now().After(deadline) {
 			t.Fatal("listener still accepting connections after shutdown began")
 		}

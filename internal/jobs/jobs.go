@@ -11,7 +11,9 @@
 // Durability: every job record and every result is a JSON file in a
 // spool directory written by atomicfile.WriteDurable, so a reader races
 // a writer onto the old record or the new one, never a torn one, and a
-// record is on disk before Submit answers. A restart rescans the spool:
+// record whose write succeeded is on disk before Submit answers. A
+// failed write is counted (Stats.SpoolWriteErrors) and logged, and the
+// job runs on from memory. A restart rescans the spool:
 // queued and interrupted-while-running jobs are re-enqueued under their
 // original IDs, finished results keep serving until their TTL expires,
 // and unreadable records are counted, logged and skipped.
@@ -394,13 +396,23 @@ func (m *Manager) runnableLocked(j *Job) bool {
 	return false
 }
 
+// spoolWrote counts and logs a failed spool write (m.mu held). The
+// failure is deliberately non-fatal to the job: the in-memory state
+// machine stays authoritative, and only durability degrades.
+func (m *Manager) spoolWrote(err error) {
+	if err != nil {
+		m.stats.spoolWriteErrors++
+		m.cfg.Logf("jobs: spool write failed: %v", err)
+	}
+}
+
 // adoptLocked re-admits a recovered queued job (m.mu held).
 func (m *Manager) adoptLocked(j *Job, now time.Time) {
 	m.seq++
 	j.seq = m.seq
 	m.jobs[j.ID] = j
 	m.stats.resumed++
-	m.spool.putJob(j)
+	m.spoolWrote(m.spool.putJob(j))
 	if j.NotBefore.After(now) {
 		m.scheduleRetryLocked(j.ID, j.NotBefore.Sub(now))
 		return
@@ -461,7 +473,7 @@ func (m *Manager) Submit(typ string, params json.RawMessage, opt SubmitOptions) 
 	m.jobs[id] = j
 	delete(m.results, id)
 	m.stats.submitted++
-	m.spool.putJob(j)
+	m.spoolWrote(m.spool.putJob(j))
 	m.queue.push(j)
 	m.wakeDispatcher()
 	return j.clone(), false, nil
@@ -629,7 +641,7 @@ func (m *Manager) run(id string) {
 	j.Attempts++
 	j.StartedAt = time.Now()
 	j.NotBefore = time.Time{}
-	m.spool.putJob(j)
+	m.spoolWrote(m.spool.putJob(j))
 	params := j.Params
 	m.mu.Unlock()
 
@@ -644,7 +656,7 @@ func (m *Manager) run(id string) {
 		m.mu.Lock()
 		j.State = StateQueued
 		j.Attempts--
-		m.spool.putJob(j)
+		m.spoolWrote(m.spool.putJob(j))
 		m.mu.Unlock()
 		return
 	}
@@ -666,7 +678,7 @@ func (m *Manager) run(id string) {
 		j.Error = ""
 		j.FinishedAt = time.Now()
 		m.results[id] = raw
-		m.spool.putResult(id, raw)
+		m.spoolWrote(m.spool.putResult(id, raw))
 		m.stats.completed++
 	case errors.Is(err, ErrPermanent):
 		j.State = StateFailed
@@ -687,12 +699,12 @@ func (m *Manager) run(id string) {
 		m.stats.retries++
 		m.cfg.Logf("jobs: %s (%s) attempt %d/%d failed, retrying in %s: %v",
 			id, j.Type, j.Attempts, j.MaxAttempts, backoff.Round(time.Millisecond), err)
-		m.spool.putJob(j)
+		m.spoolWrote(m.spool.putJob(j))
 		m.scheduleRetryLocked(id, backoff)
 		return
 	}
 	m.stats.observe(j.Type, elapsed)
-	m.spool.putJob(j)
+	m.spoolWrote(m.spool.putJob(j))
 	m.notifyLocked(id)
 }
 

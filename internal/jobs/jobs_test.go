@@ -655,6 +655,77 @@ func TestSpoolCountsSkippedRecords(t *testing.T) {
 	}
 }
 
+// TestSpoolWriteFailuresAreCounted puts a directory where a job's record
+// goes: Submit still answers with the job, the failed write is counted
+// in Stats and on /metrics and logged once, and the job still runs to
+// done from memory.
+func TestSpoolWriteFailuresAreCounted(t *testing.T) {
+	dir := t.TempDir()
+	var mu sync.Mutex
+	var logs []string
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	gate := make(chan struct{})
+	ex := fnExec{typ: "work", fn: func(ctx context.Context, p json.RawMessage) (any, error) {
+		if string(p) == `{"n":0}` {
+			select {
+			case <-gate:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		return json.RawMessage(p), nil
+	}}
+	m := newTestManager(t, Config{SpoolDir: dir, Workers: 1, Logf: logf}, ex)
+	blocker, _, err := m.Submit("work", json.RawMessage(`{"n":0}`), SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, blocker.ID, StateRunning) // the job below stays queued
+
+	params := json.RawMessage(`{"n":1}`)
+	canon, err := Canonicalize(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := IDFor(Fingerprint("work", canon))
+	if err := os.Mkdir(filepath.Join(dir, "jobs", id+".json"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	j, _, err := m.Submit("work", params, SubmitOptions{})
+	if err != nil || j.ID != id {
+		t.Fatalf("Submit = %+v, %v; want job %s despite the failed write", j, err, id)
+	}
+	if st := m.Stats(); st.SpoolWriteErrors != 1 {
+		t.Errorf("SpoolWriteErrors = %d, want 1", st.SpoolWriteErrors)
+	}
+	var w obs.Writer
+	m.WriteMetrics(&w)
+	if page := w.String(); !strings.Contains(page, "\napiserved_jobs_spool_write_errors_total 1\n") {
+		t.Errorf("spool write errors not exported:\n%s", page)
+	}
+	mu.Lock()
+	var failed []string
+	for _, l := range logs {
+		if strings.Contains(l, "spool write failed") {
+			failed = append(failed, l)
+		}
+	}
+	mu.Unlock()
+	if len(failed) != 1 || !strings.Contains(failed[0], id) {
+		t.Errorf("spool write log lines = %q, want one naming %s", failed, id)
+	}
+
+	close(gate)
+	waitState(t, m, id, StateDone)
+	if raw, _, err := m.Result(id); err != nil || string(raw) != string(params) {
+		t.Errorf("Result = %s, %v; want the job's result from memory", raw, err)
+	}
+}
+
 // TestSpoolLeavesUnregisteredTypeOnDisk recovers a spool holding
 // records of a type this process has no executor for (a process with a
 // different registry shares the spool, or the type was renamed): the

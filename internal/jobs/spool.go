@@ -19,7 +19,8 @@ import (
 // restart after a crash at any point of a write, sees the old complete
 // file or the new complete file, never a torn one; and a record a 202
 // answered, or a result a done record points to, is on disk before the
-// caller moves on. All methods are nil-receiver safe: a Manager without
+// caller moves on, unless its write failed (the Manager counts and logs
+// each failed write). All methods are nil-receiver safe: a Manager without
 // a SpoolDir simply calls into no-ops, keeping the hot paths free of
 // "if persistent" branches.
 type spool struct {
@@ -40,26 +41,30 @@ func openSpool(dir string) (*spool, error) {
 	return s, nil
 }
 
-// putJob persists the current job record. Spool write failures are
-// deliberately non-fatal to the job itself (the in-memory state
-// machine stays authoritative); durability degrades, execution does
-// not.
-func (s *spool) putJob(j *Job) {
+// putJob persists the current job record.
+func (s *spool) putJob(j *Job) error {
 	if s == nil {
-		return
+		return nil
 	}
 	data, err := json.Marshal(j)
-	if err != nil {
-		return
+	if err == nil {
+		err = atomicfile.WriteDurable(filepath.Join(s.jobsDir, j.ID+".json"), data)
 	}
-	atomicfile.WriteDurable(filepath.Join(s.jobsDir, j.ID+".json"), data)
+	if err != nil {
+		return fmt.Errorf("job record %s: %w", j.ID, err)
+	}
+	return nil
 }
 
-func (s *spool) putResult(id string, raw json.RawMessage) {
+// putResult persists a done job's result document.
+func (s *spool) putResult(id string, raw json.RawMessage) error {
 	if s == nil {
-		return
+		return nil
 	}
-	atomicfile.WriteDurable(filepath.Join(s.resultsDir, id+".json"), raw)
+	if err := atomicfile.WriteDurable(filepath.Join(s.resultsDir, id+".json"), raw); err != nil {
+		return fmt.Errorf("result %s: %w", id, err)
+	}
+	return nil
 }
 
 func (s *spool) getResult(id string) (json.RawMessage, error) {

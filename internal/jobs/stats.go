@@ -25,6 +25,9 @@ type statsCounters struct {
 	resumed   uint64 // jobs re-admitted from the spool at Start
 	expired   uint64 // terminal records swept by TTL
 	skipped   uint64 // unreadable spool records passed over at Start
+	// spoolWriteErrors counts job records and results that did not
+	// reach the spool.
+	spoolWriteErrors uint64
 
 	durations map[string]*obs.Histogram // by job type, once one has run
 }
@@ -60,6 +63,9 @@ type Stats struct {
 	// SpoolSkipped counts spool records recovery could not read, parse
 	// or match to their file name.
 	SpoolSkipped uint64
+	// SpoolWriteErrors counts job records and results whose spool write
+	// failed.
+	SpoolWriteErrors uint64
 }
 
 // Stats returns a consistent snapshot of counters and gauges.
@@ -83,7 +89,8 @@ func (m *Manager) Stats() Stats {
 		Resumed:    m.stats.resumed,
 		Expired:    m.stats.expired,
 
-		SpoolSkipped: m.stats.skipped,
+		SpoolSkipped:     m.stats.skipped,
+		SpoolWriteErrors: m.stats.spoolWriteErrors,
 	}
 	for _, j := range m.jobs {
 		st.States[j.State]++
@@ -115,6 +122,7 @@ func (m *Manager) WriteMetrics(w *obs.Writer) {
 	obs.Counter(w, "apiserved_jobs_resumed_total", "Jobs re-admitted from the spool at startup.", st.Resumed)
 	obs.Counter(w, "apiserved_jobs_expired_total", "Terminal records swept by the result TTL.", st.Expired)
 	obs.Counter(w, "apiserved_jobs_spool_skipped_total", "Unreadable spool records skipped at startup.", st.SpoolSkipped)
+	obs.Counter(w, "apiserved_jobs_spool_write_errors_total", "Job records and results whose spool write failed.", st.SpoolWriteErrors)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	w.Family("apiserved_jobs_duration_ms", obs.TypeHistogram, "Job execution wall time, by type.")

@@ -145,6 +145,23 @@ func InternedAPIs() []API {
 	return apis
 }
 
+// IsDeclared reports whether a is in the declared universe, the static
+// region of the intern table. It reads only the declaring tables' own
+// maps, so it takes no lock and never grows the table.
+func IsDeclared(a API) bool {
+	switch a.Kind {
+	case KindSyscall:
+		return SyscallByName(a.Name) != nil
+	case KindIoctl, KindFcntl, KindPrctl:
+		return OpcodeByName(a.Kind, a.Name) != nil
+	case KindPseudoFile:
+		return PseudoFileByPath(a.Name) != nil
+	case KindLibcSym:
+		return IsLibcExport(a.Name)
+	}
+	return false
+}
+
 // InternUniverse reports the current number of assigned IDs (static +
 // dynamic).
 func InternUniverse() int { return len(InternedAPIs()) }

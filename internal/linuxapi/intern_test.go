@@ -57,6 +57,24 @@ func TestInternStaticDeterminism(t *testing.T) {
 	}
 }
 
+// IsDeclared must hold for exactly the static region: every API in it,
+// and nothing outside it, whatever its kind.
+func TestIsDeclaredMatchesStaticRegion(t *testing.T) {
+	for _, a := range rebuildExpectedStatic() {
+		if !IsDeclared(a) {
+			t.Fatalf("%v is in the static region but not declared", a)
+		}
+	}
+	for _, a := range []API{
+		Sys("no_such_syscall"), Ioctl("openat"), Fcntl("NO_SUCH_OP"), Prctl("TIOCGWINSZ"),
+		Pseudo("/proc/self/verbatim-tail"), LibcSym("no_such_symbol"), {Kind: Kind(99), Name: "read"},
+	} {
+		if IsDeclared(a) {
+			t.Errorf("%v is outside the static region but declared", a)
+		}
+	}
+}
+
 func TestInternKindRanges(t *testing.T) {
 	// KindSyscall sorts first and every syscall name is unique, so the
 	// syscall table is exactly the prefix [0, SyscallCount).

@@ -6,6 +6,7 @@ package popcon
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -101,6 +102,11 @@ func (s *Survey) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
+// ErrMalformed is wrapped by every error Parse returns for a survey it
+// rejects: a total or count that is not a non-negative integer, a line
+// with too few fields, or a package reported twice.
+var ErrMalformed = errors.New("popcon: malformed survey")
+
 // Parse reads the by_inst format written by Write. Lines starting with '#'
 // are comments except "#total N", which sets the installation population;
 // files without it fall back to the largest single count observed.
@@ -120,7 +126,10 @@ func Parse(rd io.Reader) (*Survey, error) {
 			if rest, ok := strings.CutPrefix(line, "#total "); ok {
 				total, err := strconv.ParseInt(strings.TrimSpace(rest), 10, 64)
 				if err != nil {
-					return nil, fmt.Errorf("popcon: line %d: bad total: %w", lineno, err)
+					return nil, fmt.Errorf("%w: line %d: bad total: %w", ErrMalformed, lineno, err)
+				}
+				if total < 0 {
+					return nil, fmt.Errorf("%w: line %d: negative total %d", ErrMalformed, lineno, total)
 				}
 				s.Total = total
 			}
@@ -128,11 +137,17 @@ func Parse(rd io.Reader) (*Survey, error) {
 		}
 		fields := strings.Fields(line)
 		if len(fields) < 3 {
-			return nil, fmt.Errorf("popcon: line %d: too few fields: %q", lineno, line)
+			return nil, fmt.Errorf("%w: line %d: too few fields: %q", ErrMalformed, lineno, line)
 		}
 		count, err := strconv.ParseInt(fields[2], 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("popcon: line %d: bad count %q: %w", lineno, fields[2], err)
+			return nil, fmt.Errorf("%w: line %d: bad count %q: %w", ErrMalformed, lineno, fields[2], err)
+		}
+		if count < 0 {
+			return nil, fmt.Errorf("%w: line %d: negative count %d", ErrMalformed, lineno, count)
+		}
+		if _, dup := s.counts[fields[1]]; dup {
+			return nil, fmt.Errorf("%w: line %d: package %q reported twice", ErrMalformed, lineno, fields[1])
 		}
 		s.counts[fields[1]] = count
 		if count > maxCount {

@@ -2,6 +2,7 @@ package popcon
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -106,14 +107,18 @@ func TestParseRealWorldFormat(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	if _, err := Parse(strings.NewReader("1 foo notanumber\n")); err == nil {
-		t.Error("bad count must error")
-	}
-	if _, err := Parse(strings.NewReader("#total xyz\n")); err == nil {
-		t.Error("bad total must error")
-	}
-	if _, err := Parse(strings.NewReader("1 foo\n")); err == nil {
-		t.Error("short line must error")
+	for _, in := range []string{
+		"1 foo notanumber\n",           // bad count
+		"#total xyz\n",                 // bad total
+		"1 foo\n",                      // short line
+		"1 foo -5\n",                   // negative count
+		"#total -1\n1 foo 5\n",         // negative total
+		"1 foo 99999999999999999999\n", // overflowing count
+		"1 foo 5\n2 foo 3\n",           // duplicate package
+	} {
+		if _, err := Parse(strings.NewReader(in)); !errors.Is(err, ErrMalformed) {
+			t.Errorf("Parse(%q) = %v, want ErrMalformed", in, err)
+		}
 	}
 }
 

@@ -15,8 +15,10 @@
 # snapshot reader (snapshot.FuzzDecode, which reads files into the heap
 # and must leave the intern table untouched on rejection), query
 # canonicalization (service.FuzzCanonicalQuery), job spool recovery
-# (jobs.FuzzSpoolRecord) and analysis-cache summary and verdict records
-# (anacache.FuzzRecord) beyond the seeds the test run replays,
+# (jobs.FuzzSpoolRecord), analysis-cache summary and verdict records
+# (anacache.FuzzRecord, which must also leave the intern table
+# untouched), the APT Packages index (apt.FuzzParseIndex) and the popcon
+# survey (popcon.FuzzParse) beyond the seeds the test run replays,
 # with minimization capped at one second so the ten seconds go to new
 # inputs, a two-worker end-to-end fleet smoke test, a job-tier
 # smoke test (spool persistence across kill -9), an end-to-end load
@@ -65,13 +67,15 @@ go test -race ./internal/core ./internal/linuxapi ./internal/footprint ./interna
     ./internal/loadgen ./internal/jobs ./internal/snapshot ./internal/proxy \
     ./internal/evolution ./internal/stubplan ./internal/obs
 
-echo "== go test -fuzz (ELF reader, x86 decoder, snapshot reader, query canonicalization, spool records, analysis-cache records; 10s each)"
+echo "== go test -fuzz (ELF reader, x86 decoder, snapshot reader, query canonicalization, spool records, analysis-cache records, APT index, popcon survey; 10s each)"
 go test -run '^$' -fuzz '^FuzzOpen$' -fuzztime 10s -fuzzminimizetime 1s ./internal/elfx
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s -fuzzminimizetime 1s ./internal/x86
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s -fuzzminimizetime 1s ./internal/snapshot
 go test -run '^$' -fuzz '^FuzzCanonicalQuery$' -fuzztime 10s -fuzzminimizetime 1s ./internal/service
 go test -run '^$' -fuzz '^FuzzSpoolRecord$' -fuzztime 10s -fuzzminimizetime 1s ./internal/jobs
 go test -run '^$' -fuzz '^FuzzRecord$' -fuzztime 10s -fuzzminimizetime 1s ./internal/anacache
+go test -run '^$' -fuzz '^FuzzParseIndex$' -fuzztime 10s -fuzzminimizetime 1s ./internal/apt
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s -fuzzminimizetime 1s ./internal/popcon
 
 echo "== fleet smoke test (two-worker end-to-end)"
 sh scripts/fleet_smoke.sh
