@@ -466,8 +466,8 @@ func (s *Study) Emulate(pkg string) ([]*emu.Trace, error) {
 		return nil, fmt.Errorf("repro: unknown package %q", pkg)
 	}
 	static := s.core.Input.Footprints[pkg]
-	// Cache-hit libraries carry summaries only; the emulator needs their
-	// full analyses, restored here on first use.
+	// The study keeps library summaries; the emulator runs the libraries'
+	// images, opened here on first use.
 	s.core.EnsureEmulatable()
 	m := emu.New(s.core.Resolver)
 	var traces []*emu.Trace
@@ -480,7 +480,7 @@ func (s *Study) Emulate(pkg string) ([]*emu.Trace, error) {
 		if err != nil {
 			return nil, err
 		}
-		tr, err := m.Run(footprint.Analyze(bin, s.core.Opts))
+		tr, err := m.RunImage(bin)
 		if err != nil {
 			return nil, err
 		}

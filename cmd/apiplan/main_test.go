@@ -18,7 +18,10 @@ var update = flag.Bool("update", false, "rewrite the golden file from current ou
 // TestAllPlansGolden pins the stub-aware plans `apiplan -all -packages
 // 200` prints: the SHA-256 of the whole output, and per system the
 // summary fields (presence, stub-aware and final completeness, and the
-// implement/fake/stub counts), so a drift names the system it hit.
+// implement/fake/stub counts), so a drift names the system it hit. It
+// also pins the matrix build's deterministic counts: a change to the
+// emulator that executes other instructions moves steps or emulations
+// even where no verdict changes.
 func TestAllPlansGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("emulates every executable of a 200-package corpus")
@@ -27,13 +30,20 @@ func TestAllPlansGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, plans := buildPlans(study, nil, allSystems())
+	m, plans := buildPlans(study, nil, allSystems())
+	// §2.3: every API a baseline run observed is in its package's static
+	// footprint.
+	if m.Stats.StaticMisses != 0 {
+		t.Errorf("%d dynamically observed APIs fall outside their static footprints", m.Stats.StaticMisses)
+	}
 	var out bytes.Buffer
 	if err := writeJSON(&out, plans); err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "sha256 %x\n", sha256.Sum256(out.Bytes()))
+	fmt.Fprintf(&b, "matrix binaries=%d emulations=%d steps=%d inconclusive=%d\n",
+		m.Stats.Binaries, m.Stats.Emulations, m.Stats.Steps, m.Stats.Inconclusive)
 	for _, p := range plans {
 		fmt.Fprintf(&b, "%s%s presence=%v stub_aware=%v final=%v implement=%d fake=%d stub=%d\n",
 			p.System, p.Version, p.PresenceCompleteness, p.StubAwareCompleteness, p.FinalCompleteness,

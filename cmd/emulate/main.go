@@ -45,6 +45,8 @@ func main() {
 		log.Fatalf("no such package %q", *pkg)
 	}
 
+	// The study keeps library summaries; the emulator runs their images.
+	study.Core().EnsureEmulatable()
 	m := emu.New(study.Core().Resolver)
 	for _, f := range p.Files {
 		class, _ := elfx.Classify(f.Data)
@@ -55,8 +57,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		a := footprint.Analyze(bin, footprint.Options{})
-		tr, err := m.Run(a)
+		tr, err := m.RunImage(bin)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -83,7 +84,7 @@ func main() {
 			fmt.Printf("  %-18s(%s) = 0    [%s]\n", name, strings.Join(args, ", "), from)
 		}
 		if *verify {
-			static := study.Core().Resolver.Footprint(a)
+			static := study.Core().Resolver.Footprint(footprint.Analyze(bin, footprint.Options{}))
 			missing := 0
 			for api := range tr.APIs() {
 				if !static.APIs.Contains(api) {

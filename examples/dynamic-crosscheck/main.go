@@ -24,6 +24,8 @@ func main() {
 		log.Fatal(err)
 	}
 	resolver := study.Core().Resolver
+	// The study keeps library summaries; the emulator runs their images.
+	study.Core().EnsureEmulatable()
 	machine := emu.New(resolver)
 
 	var checked, supersets, equal int
@@ -39,12 +41,11 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			a := footprint.Analyze(bin, footprint.Options{})
-			trace, err := machine.Run(a)
+			trace, err := machine.RunImage(bin)
 			if err != nil || trace.Stopped != "ret from entry" {
 				continue
 			}
-			static := resolver.Footprint(a)
+			static := resolver.Footprint(footprint.Analyze(bin, footprint.Options{}))
 
 			dynamic := trace.APIs()
 			violated := false

@@ -10,7 +10,7 @@
 //
 // Records are self-validating: a hit requires the envelope tag (analysis
 // version + options) and content key to match, and a summary naming only
-// what extraction can emit; any decode failure — truncation, corruption,
+// what extraction can emit (footprint's Summary.Check); any decode failure — truncation, corruption,
 // schema drift — degrades to a miss, never to a wrong footprint. Writes
 // go through atomicfile, so a reader racing a writer sees either the old
 // record or the new one, never a torn one.
@@ -29,7 +29,6 @@ import (
 
 	"repro/internal/atomicfile"
 	"repro/internal/footprint"
-	"repro/internal/linuxapi"
 	"repro/internal/obs"
 )
 
@@ -160,7 +159,7 @@ func (c *Cache) Get(data []byte) (*footprint.Summary, bool) {
 	}
 	var rec record
 	if err := json.Unmarshal(raw, &rec); err != nil ||
-		rec.Tag != c.tag || rec.Key != key || rec.Summary == nil || !extractable(rec.Summary) {
+		rec.Tag != c.tag || rec.Key != key || rec.Summary == nil || rec.Summary.Check() != nil {
 		c.invalidations.Add(1)
 		c.misses.Add(1)
 		return nil, false
@@ -168,27 +167,6 @@ func (c *Cache) Get(data []byte) (*footprint.Summary, bool) {
 	c.memoize(key, rec.Summary)
 	c.hits.Add(1)
 	return rec.Summary, true
-}
-
-// extractable reports whether sum names only what extraction can emit:
-// function APIs from the declared universe, and pseudo-file strings.
-// Resolving a summary interns its function APIs, and the corpus path
-// interns its strings, so a record naming anything else would grow the
-// process's API table and every later snapshot's.
-func extractable(sum *footprint.Summary) bool {
-	for _, f := range sum.Funcs {
-		for _, api := range f.APIs {
-			if !linuxapi.IsDeclared(api) {
-				return false
-			}
-		}
-	}
-	for _, s := range sum.Strings {
-		if s.Kind != linuxapi.KindPseudoFile || !linuxapi.IsPseudoPath(s.Name) {
-			return false
-		}
-	}
-	return true
 }
 
 func (c *Cache) memoize(key string, sum *footprint.Summary) {

@@ -71,62 +71,16 @@ func BuildScan(bin *elfx.Binary, scan func(n *Node, inst x86.Inst)) *Graph {
 		}
 	}
 
-	// Function ranges: symbols inside .text, sorted; gaps (including an
-	// uncovered entry point and fully-stripped binaries) become synthetic
-	// nodes so every byte of .text belongs to exactly one function.
-	text := bin.Text
-	type rng struct {
-		name     string
-		addr     uint64
-		exported bool
-	}
-	var starts []rng
-	for _, f := range bin.Funcs {
-		if text.Contains(f.Addr) {
-			starts = append(starts, rng{f.Name, f.Addr, f.Exported})
-		}
-	}
-	if bin.Entry != 0 && text.Contains(bin.Entry) {
-		covered := false
-		for _, s := range starts {
-			if s.addr == bin.Entry {
-				covered = true
-			}
-		}
-		if !covered {
-			starts = append(starts, rng{"entry", bin.Entry, true})
-		}
-	}
-	if len(starts) == 0 && len(text.Data) > 0 {
-		starts = append(starts, rng{"text", text.Addr, true})
-	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i].addr < starts[j].addr })
-	// Deduplicate identical start addresses (dynsym ∪ symtab aliases).
-	dedup := starts[:0]
-	for _, s := range starts {
-		if len(dedup) > 0 && dedup[len(dedup)-1].addr == s.addr {
-			if s.exported {
-				dedup[len(dedup)-1].exported = true
-			}
-			continue
-		}
-		dedup = append(dedup, s)
-	}
-	starts = dedup
-
-	textEnd := text.Addr + uint64(len(text.Data))
-	for i, s := range starts {
-		end := textEnd
-		if i+1 < len(starts) {
-			end = starts[i+1].addr
-		}
-		n := &Node{Name: s.name, Addr: s.addr, Size: end - s.addr, Exported: s.exported}
+	// One node per function range; a recurring name binds its last node.
+	for _, f := range Funcs(bin) {
+		n := &Node{Name: f.Name, Addr: f.Addr, Size: f.Size, Exported: f.Exported}
 		g.Funcs = append(g.Funcs, n)
 		g.byName[n.Name] = n
 	}
 
 	// Decode each function body once, wiring edges and scanning as it
 	// goes.
+	text := bin.Text
 	for _, n := range g.Funcs {
 		lo := n.Addr - text.Addr
 		code := text.Data[lo : lo+n.Size]
@@ -156,6 +110,65 @@ func BuildScan(bin *elfx.Binary, scan func(n *Node, inst x86.Inst)) *Graph {
 		}
 	}
 	return g
+}
+
+// Func is one function's range in .text, as the graph's node for it
+// carries it.
+type Func struct {
+	Name       string
+	Addr, Size uint64
+	Exported   bool
+}
+
+// Funcs splits bin's .text into the graph's functions, in address order:
+// symbols inside .text, with gaps (including an uncovered entry point
+// and fully-stripped binaries) becoming synthetic functions, so every
+// byte of .text belongs to exactly one function. Aliases at one address
+// (dynsym ∪ symtab) become one function that keeps the first name and
+// is exported when any alias is. A name can still recur at different
+// addresses; Graph.NodeNamed answers the last of them.
+func Funcs(bin *elfx.Binary) []Func {
+	text := bin.Text
+	var starts []Func
+	for _, f := range bin.Funcs {
+		if text.Contains(f.Addr) {
+			starts = append(starts, Func{Name: f.Name, Addr: f.Addr, Exported: f.Exported})
+		}
+	}
+	if bin.Entry != 0 && text.Contains(bin.Entry) {
+		covered := false
+		for _, s := range starts {
+			if s.Addr == bin.Entry {
+				covered = true
+			}
+		}
+		if !covered {
+			starts = append(starts, Func{Name: "entry", Addr: bin.Entry, Exported: true})
+		}
+	}
+	if len(starts) == 0 && len(text.Data) > 0 {
+		starts = append(starts, Func{Name: "text", Addr: text.Addr, Exported: true})
+	}
+	sort.Slice(starts, func(i, j int) bool { return starts[i].Addr < starts[j].Addr })
+	dedup := starts[:0]
+	for _, s := range starts {
+		if len(dedup) > 0 && dedup[len(dedup)-1].Addr == s.Addr {
+			if s.Exported {
+				dedup[len(dedup)-1].Exported = true
+			}
+			continue
+		}
+		dedup = append(dedup, s)
+	}
+	textEnd := text.Addr + uint64(len(text.Data))
+	for i := range dedup {
+		end := textEnd
+		if i+1 < len(dedup) {
+			end = dedup[i+1].Addr
+		}
+		dedup[i].Size = end - dedup[i].Addr
+	}
+	return dedup
 }
 
 func appendUnique(ss []string, s string) []string {

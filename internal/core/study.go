@@ -93,9 +93,11 @@ type Study struct {
 	// sharing the cache.
 	Cache *anacache.Cache
 
-	// pendingEmu lists shared libraries whose records came from the
-	// cache: their summaries aggregate footprints fine, but the emulator
-	// needs their full analyses, re-analyzed lazily by EnsureEmulatable.
+	// pendingEmu lists every shared library that produced a summary,
+	// however the study was built (cold, from the cache or by a fleet):
+	// the summaries aggregate footprints, and the emulator needs the
+	// libraries' ELF images, opened lazily by EnsureEmulatable. The study
+	// keeps no analysis.
 	pendingEmu []pendingLib
 	emuMu      sync.Mutex
 }
@@ -132,13 +134,10 @@ type BinaryJob struct {
 }
 
 // JobResult is the outcome of one BinaryJob. Exactly one of Summary or
-// Err is set. Analysis is attached only for shared libraries analyzed in
-// process; remote analyzers return summaries alone, and the emulator
-// re-disassembles lazily through EnsureEmulatable.
+// Err is set.
 type JobResult struct {
-	Summary  *footprint.Summary
-	Analysis *footprint.Analysis
-	Err      error
+	Summary *footprint.Summary
+	Err     error
 }
 
 // JobAnalyzer maps every job to exactly one result, index for index.
@@ -148,11 +147,9 @@ type JobAnalyzer func(jobs []BinaryJob, opts footprint.Options) []JobResult
 
 // AnalyzeJobsLocal analyzes jobs in process on all cores (the paper's
 // own run took three days over 30,976 packages — §7), consulting cache
-// (may be nil) before disassembling each binary. The full Analysis (the
-// binary and its call graph) is retained only for shared libraries — the
-// resolver needs it for emulation — while executables keep just their
-// Summary. No analysis keeps decoded instructions: footprint.Analyze
-// scans each one inside the decode pass that builds the call graph.
+// (may be nil) before disassembling each binary. Every binary, library
+// or executable, comes back as its Summary alone; its analysis is
+// garbage as soon as it is summarized.
 func AnalyzeJobsLocal(jobs []BinaryJob, opts footprint.Options, cache *anacache.Cache) []JobResult {
 	results := make([]JobResult, len(jobs))
 	var wg sync.WaitGroup
@@ -185,11 +182,7 @@ func AnalyzeJobsLocal(jobs []BinaryJob, opts footprint.Options, cache *anacache.
 					results[i].Err = err
 					continue
 				}
-				a := footprint.Analyze(bin, opts)
-				results[i].Summary = footprint.Summarize(a)
-				if j.Lib {
-					results[i].Analysis = a
-				}
+				results[i].Summary = footprint.Summarize(footprint.Analyze(bin, opts))
 				if cache != nil {
 					// Best effort: a failed write only costs a future
 					// re-analysis, and the cache counts it.
@@ -263,11 +256,10 @@ func RunWith(c *corpus.Corpus, opts footprint.Options, cache *anacache.Cache, an
 		}
 	}
 
-	// Pass 1: register every shared library with the resolver so imports
-	// resolve regardless of package analysis order. Libraries analyzed in
-	// process keep the full analysis too, so the emulator can execute
-	// them without extra work; cached or remotely analyzed ones register
-	// their summaries and re-disassemble lazily.
+	// Pass 1: register every shared library's summary with the resolver
+	// so imports resolve regardless of package analysis order, and note
+	// its bytes for the emulator, which opens the images only when asked
+	// (EnsureEmulatable).
 	for i := range jobs {
 		j := &jobs[i]
 		sum := results[i].Summary
@@ -276,11 +268,7 @@ func RunWith(c *corpus.Corpus, opts footprint.Options, cache *anacache.Cache, an
 		}
 		if j.Lib {
 			s.Resolver.AddSummary(sum)
-			if results[i].Analysis != nil {
-				s.Resolver.AttachAnalysis(results[i].Analysis)
-			} else {
-				s.pendingEmu = append(s.pendingEmu, pendingLib{path: j.Path, data: j.Data})
-			}
+			s.pendingEmu = append(s.pendingEmu, pendingLib{path: j.Path, data: j.Data})
 		}
 	}
 
@@ -464,25 +452,25 @@ func resolveFootprints(r *footprint.Resolver, results []JobResult, out []*footpr
 // PackageFor returns the package metadata for a name.
 func (s *Study) PackageFor(name string) *apt.Package { return s.Corpus.Repo.Get(name) }
 
-// EnsureEmulatable re-analyzes the shared libraries whose records came
-// from the analysis cache, attaching their instruction-level analyses to
-// the resolver so the user-mode emulator can execute across PLT
-// boundaries. For studies built without cache hits it is a no-op; with
-// hits it pays the disassembly cost only when (and if) emulation is
-// requested, keeping the footprint pipeline itself incremental.
+// EnsureEmulatable opens the ELF image of every shared library the study
+// summarized and registers it with the resolver, so the user-mode
+// emulator can execute across PLT boundaries. It disassembles nothing:
+// the emulator decodes what it runs. The first call pays the opening,
+// and only when (and if) emulation is requested; later calls do
+// nothing.
 func (s *Study) EnsureEmulatable() {
 	s.emuMu.Lock()
 	defer s.emuMu.Unlock()
 	for _, p := range s.pendingEmu {
 		bin, err := elfx.Open(p.path, p.data)
 		if err != nil {
-			// A cached record for an unparseable file cannot exist (failures
-			// are never cached); if the bytes rotted since, emulation simply
-			// fails to resolve into this library, as it would for any
-			// missing dependency.
+			// A summary for an unparseable file cannot exist (failures are
+			// never summarized or cached); if the bytes rotted since,
+			// emulation simply fails to resolve into this library, as it
+			// would for any missing dependency.
 			continue
 		}
-		s.Resolver.AttachAnalysis(footprint.Analyze(bin, s.Opts))
+		s.Resolver.AddImage(bin)
 	}
 	s.pendingEmu = nil
 }

@@ -15,20 +15,24 @@
 // those, emulation stops at the first unmodeled instruction and reports how
 // far it got.
 //
-// Fault injection runs one program many times under policies that depart
-// from the recording-only default at a few system calls. Record runs it
-// once and keeps the machine state at its syscall instructions; Replay
-// then calls the policy exactly as Run would and returns the same Steps
-// and Stopped, executing instructions only where the policy's results
-// make the run differ from the recording. A replay keeps no events: the
-// policy sees each one.
+// The emulator runs ELF images (elfx.Binary) as the loader sees them; it
+// needs no static analysis of the code it executes.
+//
+// Fault injection runs one program many times, each time under a policy
+// that departs from the recording-only default at the occurrences of one
+// system call. Record runs it once, keeps the machine state at its
+// syscall instructions and indexes its events by system-call number;
+// Replay then visits only the occurrences of the one call it faults,
+// calls the policy there exactly as Run would, and returns the same
+// Steps and Stopped, executing instructions only where the policy's
+// results make the run differ from the recording. A replay keeps no
+// events: the policy sees each one it decides.
 package emu
 
 import (
 	"fmt"
 	"slices"
 
-	"repro/internal/callgraph"
 	"repro/internal/elfx"
 	"repro/internal/footprint"
 	"repro/internal/linuxapi"
@@ -145,9 +149,11 @@ type SyscallResult struct {
 }
 
 // SyscallPolicy intercepts the syscall instruction and supplies its
-// return value instead of the recording-only default (RAX=0). Run keeps
-// the event in its trace either way (a Replay keeps none); fault-injection
-// policies use Stop to declare the entry path dead at this occurrence.
+// return value instead of the recording-only default (RAX=0). Run calls
+// it at every event and keeps the event in its trace either way; a
+// Replay calls it only at the occurrences of the one system call it
+// faults and keeps no events. Fault-injection policies use Stop to
+// declare the entry path dead at this occurrence.
 type SyscallPolicy func(SyscallContext) SyscallResult
 
 // Machine emulates one program against a resolver holding its shared
@@ -159,27 +165,36 @@ type Machine struct {
 	// MaxDepth bounds the call stack (default 256).
 	MaxDepth int
 	// Policy, when non-nil, decides every system call's return value
-	// (and may abort the run) in Run and RunExport. Nil preserves the
-	// recording-only behavior: every call "succeeds" with RAX=0. Record
-	// and Replay ignore it.
+	// (and may abort the run) in Run, RunImage and RunExport. Nil
+	// preserves the recording-only behavior: every call "succeeds" with
+	// RAX=0. Record and Replay ignore it.
 	Policy SyscallPolicy
 
-	// dcache memoizes decoded instructions per analysis as dense
-	// per-section arrays indexed by code offset. Code bytes are immutable
-	// for the life of an Analysis, so the cache is exact. A recording and
-	// all its replays decode each instruction once, and the libraries every
-	// executable calls into stay decoded from one executable to the next;
-	// Forget drops an analysis nothing will run again. The step loop
-	// keeps the current frame's arrays at hand, so its per-step fast path
-	// is a pointer compare, a bounds check and a slice index.
-	dcache map[*footprint.Analysis]*decoded
+	// dcache memoizes decoded instructions per binary as dense
+	// per-section arrays indexed by code offset, and where each of its
+	// PLT stubs leads. Code bytes are immutable for the life of a Binary,
+	// so the cache is exact. A recording and all its replays decode each
+	// instruction once, and the libraries every executable calls into
+	// stay decoded from one executable to the next; Forget drops a binary
+	// nothing will run again. The step loop keeps the current frame's
+	// arrays at hand, so its per-step fast path is a pointer compare, a
+	// bounds check and a slice index.
+	dcache map[*elfx.Binary]*decoded
 
 	// executed counts the instructions the step loop has executed.
 	executed uint64
 }
 
-// decoded holds one binary's decode arrays, for .text and .plt.
-type decoded [2]section
+// decoded holds one binary's decode arrays, for .text and .plt, and its
+// resolved PLT stubs.
+type decoded struct {
+	secs [2]section
+	// stubs maps a PLT stub's address to the frame a call through it
+	// enters (the zero frame: the import resolves nowhere). The machine
+	// asks its resolver once per stub, so libraries must be registered
+	// before the machine first runs a binary that calls into them.
+	stubs map[uint64]frame
+}
 
 // section caches decoded instructions: insts[i] is the instruction
 // starting at byte i (valid when ok[i]).
@@ -199,29 +214,29 @@ func newSection(sec elfx.Section) section {
 	}
 }
 
-func (m *Machine) decodedFor(a *footprint.Analysis) *decoded {
-	if dc, ok := m.dcache[a]; ok {
+func (m *Machine) decodedFor(bin *elfx.Binary) *decoded {
+	if dc, ok := m.dcache[bin]; ok {
 		return dc
 	}
-	dc := &decoded{newSection(a.Bin.Text), newSection(a.Bin.Plt)}
+	dc := &decoded{secs: [2]section{newSection(bin.Text), newSection(bin.Plt)}}
 	if m.dcache == nil {
-		m.dcache = make(map[*footprint.Analysis]*decoded)
+		m.dcache = make(map[*elfx.Binary]*decoded)
 	}
-	m.dcache[a] = dc
+	m.dcache[bin] = dc
 	return dc
 }
 
-// Forget drops a's decode arrays. Callers done with an analysis call it
-// so a long-lived machine holds only what later runs share; running a
-// again just decodes it again.
-func (m *Machine) Forget(a *footprint.Analysis) { delete(m.dcache, a) }
+// Forget drops bin's decode arrays and resolved PLT stubs. Callers done
+// with a binary call it so a long-lived machine holds only what later
+// runs share; running bin again just decodes it again.
+func (m *Machine) Forget(bin *elfx.Binary) { delete(m.dcache, bin) }
 
-// Decoded lists the analyses whose decode arrays the machine holds, in
+// Decoded lists the binaries whose decode arrays the machine holds, in
 // no particular order.
-func (m *Machine) Decoded() []*footprint.Analysis {
-	out := make([]*footprint.Analysis, 0, len(m.dcache))
-	for a := range m.dcache {
-		out = append(out, a)
+func (m *Machine) Decoded() []*elfx.Binary {
+	out := make([]*elfx.Binary, 0, len(m.dcache))
+	for bin := range m.dcache {
+		out = append(out, bin)
 	}
 	return out
 }
@@ -235,8 +250,8 @@ func (m *Machine) Executed() uint64 { return m.executed }
 // when pc is outside both sections. It points into the arrays, so a step
 // copies no instruction.
 func (dc *decoded) fetch(pc uint64) *x86.Inst {
-	for i := range dc {
-		s := &dc[i]
+	for i := range dc.secs {
+		s := &dc.secs[i]
 		if off := pc - s.addr; off < uint64(len(s.insts)) {
 			if !s.ok[off] {
 				s.insts[off] = x86.Decode(s.data[off:], pc)
@@ -257,7 +272,7 @@ func New(r *footprint.Resolver) *Machine {
 // export symbol through which control entered the context (for policy
 // attribution; "" in the entry binary's own code).
 type frame struct {
-	a   *footprint.Analysis
+	bin *elfx.Binary
 	pc  uint64
 	sym string
 }
@@ -310,7 +325,7 @@ func (s *state) equal(o *state) bool {
 
 // event reads the system call issued by the instruction s stands on.
 func (s *state) event() SyscallEvent {
-	ev := SyscallEvent{Binary: s.cur.a.Bin.Path}
+	ev := SyscallEvent{Binary: s.cur.bin.Path}
 	ev.Num, ev.KnownNum = s.r.get(x86.RAX)
 	ev.Args[0], ev.ArgsKnown[0] = s.r.get(x86.RDI)
 	ev.Args[1], ev.ArgsKnown[1] = s.r.get(x86.RSI)
@@ -318,28 +333,31 @@ func (s *state) event() SyscallEvent {
 	return ev
 }
 
-// Run emulates from the binary's entry point.
-func (m *Machine) Run(a *footprint.Analysis) (*Trace, error) {
-	bin := a.Bin
+// Run emulates an analyzed binary from its entry point: RunImage on
+// a.Bin.
+func (m *Machine) Run(a *footprint.Analysis) (*Trace, error) { return m.RunImage(a.Bin) }
+
+// RunImage emulates bin from its entry point.
+func (m *Machine) RunImage(bin *elfx.Binary) (*Trace, error) {
 	if bin.Entry == 0 {
 		return nil, fmt.Errorf("emu: %s has no entry point", bin.Path)
 	}
-	return m.run(a, bin.Entry, ""), nil
+	return m.run(bin, bin.Entry, ""), nil
 }
 
-// RunExport emulates one exported function of a library.
-func (m *Machine) RunExport(a *footprint.Analysis, export string) (*Trace, error) {
-	sym := a.Bin.FuncNamed(export)
+// RunExport emulates one exported function of a library image.
+func (m *Machine) RunExport(bin *elfx.Binary, export string) (*Trace, error) {
+	sym := bin.FuncNamed(export)
 	if sym == nil {
-		return nil, fmt.Errorf("emu: %s does not define %s", a.Bin.Path, export)
+		return nil, fmt.Errorf("emu: %s does not define %s", bin.Path, export)
 	}
-	return m.run(a, sym.Addr, export), nil
+	return m.run(bin, sym.Addr, export), nil
 }
 
-func (m *Machine) run(a *footprint.Analysis, entry uint64, sym string) *Trace {
+func (m *Machine) run(bin *elfx.Binary, entry uint64, sym string) *Trace {
 	tr := &Trace{}
-	st := state{cur: frame{a: a, pc: entry, sym: sym}}
-	m.drive(&st, tr, 0, m.Policy, func(st *state, _ int) bool {
+	st := state{cur: frame{bin: bin, pc: entry, sym: sym}}
+	m.drive(&st, tr, 0, m.Policy, nil, func(st *state, _ int) bool {
 		tr.Events = append(tr.Events, st.event())
 		return false
 	})
@@ -347,13 +365,16 @@ func (m *Machine) run(a *footprint.Analysis, entry uint64, sym string) *Trace {
 }
 
 // drive runs st to the end of the run one system call at a time,
-// numbering events from idx and taking each one's result from policy
-// (nil: the recording-only default). At each syscall instruction, before
-// policy sees it, at (when non-nil) may take st back: drive then returns
-// true with st standing on that instruction. Otherwise it returns false
-// once the run has ended, with tr.Steps and tr.Stopped set. drive keeps
-// no events; an at that returns false may.
-func (m *Machine) drive(st *state, tr *Trace, idx int, policy SyscallPolicy, at func(st *state, idx int) bool) bool {
+// numbering events from idx and taking each one's result from policy:
+// every event's (Run) when only is nil, else only those of the events
+// that issue system call *only with a known number (Replay). Every other
+// event, and every event under a nil policy, gets the recording-only
+// default. At each syscall instruction, before policy sees it, at (when
+// non-nil) may take st back: drive then returns true with st standing on
+// that instruction. Otherwise it returns false once the run has ended,
+// with tr.Steps and tr.Stopped set. drive keeps no events; an at that
+// returns false may.
+func (m *Machine) drive(st *state, tr *Trace, idx int, policy SyscallPolicy, only *int64, at func(st *state, idx int) bool) bool {
 	for ; ; idx++ {
 		if stop := m.next(st); stop != "" {
 			tr.Steps, tr.Stopped = st.steps, stop
@@ -363,7 +384,7 @@ func (m *Machine) drive(st *state, tr *Trace, idx int, policy SyscallPolicy, at 
 			return true
 		}
 		var res SyscallResult
-		if policy != nil {
+		if policy != nil && (only == nil || st.r.known[x86.RAX] && st.r.val[x86.RAX] == *only) {
 			res = policy(SyscallContext{Event: st.event(), Sym: st.cur.sym, Index: idx})
 			if res.Stop != "" {
 				tr.Steps, tr.Stopped = st.steps, res.Stop
@@ -377,7 +398,7 @@ func (m *Machine) drive(st *state, tr *Trace, idx int, policy SyscallPolicy, at 
 // sysret executes the syscall instruction st stands on, with ret as the
 // value the program sees in RAX.
 func (m *Machine) sysret(st *state, ret int64) {
-	inst := m.decodedFor(st.cur.a).fetch(st.cur.pc)
+	inst := m.decodedFor(st.cur.bin).fetch(st.cur.pc)
 	st.r.set(x86.RAX, ret)
 	st.r.clobber(x86.RCX)
 	st.r.clobber(x86.R11)
@@ -392,17 +413,17 @@ func (m *Machine) sysret(st *state, ret int64) {
 func (m *Machine) next(st *state) string {
 	r, cur, stack, steps := st.r, st.cur, st.stack, st.steps
 	maxSteps, maxDepth := m.MaxSteps, m.MaxDepth
-	var dcFor *footprint.Analysis
+	var dcFor *elfx.Binary
 	var dc *decoded
 	stop := "step budget"
 loop:
 	for ; steps < maxSteps; steps++ {
-		if cur.a != dcFor {
-			dc, dcFor = m.decodedFor(cur.a), cur.a
+		if cur.bin != dcFor {
+			dc, dcFor = m.decodedFor(cur.bin), cur.bin
 		}
 		inst := dc.fetch(cur.pc)
 		if inst == nil {
-			stop = fmt.Sprintf("pc %#x outside code in %s", cur.pc, cur.a.Bin.Path)
+			stop = fmt.Sprintf("pc %#x outside code in %s", cur.pc, cur.bin.Path)
 			break
 		}
 		switch inst.Op {
@@ -433,10 +454,10 @@ loop:
 				stop = "call depth exceeded"
 				break loop
 			}
-			ret := frame{a: cur.a, pc: cur.pc + uint64(inst.Len), sym: cur.sym}
-			next, ok := m.enter(cur, inst.Target)
+			ret := frame{bin: cur.bin, pc: cur.pc + uint64(inst.Len), sym: cur.sym}
+			next, ok := m.enter(dc, cur, inst.Target)
 			if !ok {
-				stop = fmt.Sprintf("unresolved call target %#x in %s", inst.Target, cur.a.Bin.Path)
+				stop = fmt.Sprintf("unresolved call target %#x in %s", inst.Target, cur.bin.Path)
 				break loop
 			}
 			stack = append(stack, ret)
@@ -447,9 +468,9 @@ loop:
 				stop = "jump without target"
 				break loop
 			}
-			next, ok := m.enter(cur, inst.Target)
+			next, ok := m.enter(dc, cur, inst.Target)
 			if !ok {
-				stop = fmt.Sprintf("unresolved jump target %#x in %s", inst.Target, cur.a.Bin.Path)
+				stop = fmt.Sprintf("unresolved jump target %#x in %s", inst.Target, cur.bin.Path)
 				break loop
 			}
 			cur = next
@@ -485,41 +506,44 @@ loop:
 	return stop
 }
 
-// enter resolves a control transfer target: straight into this binary's
-// text (inheriting the caller's entry symbol), or through a PLT stub
-// into the defining library (the resolved import becomes the new
-// frame's entry symbol — the context fault-injection policies key on).
-func (m *Machine) enter(from frame, target uint64) (frame, bool) {
-	a := from.a
-	bin := a.Bin
+// enter resolves a control transfer target from a frame of the binary
+// dc decodes: straight into this binary's text (inheriting the caller's
+// entry symbol), or through a PLT stub into the defining library (the
+// resolved import becomes the new frame's entry symbol — the context
+// fault-injection policies key on).
+func (m *Machine) enter(dc *decoded, from frame, target uint64) (frame, bool) {
+	bin := from.bin
 	if bin.Text.Contains(target) {
-		return frame{a: a, pc: target, sym: from.sym}, true
+		return frame{bin: bin, pc: target, sym: from.sym}, true
 	}
-	if bin.Plt.Contains(target) {
+	if !bin.Plt.Contains(target) {
+		return frame{}, false
+	}
+	to, ok := dc.stubs[target]
+	if !ok {
 		// Decode the stub: jmp [rip+d] whose slot names the import.
 		off := target - bin.Plt.Addr
 		inst := x86.Decode(bin.Plt.Data[off:], target)
-		if inst.Op != x86.OpJmpIndirect || !inst.HasTarget {
-			return frame{}, false
+		if inst.Op == x86.OpJmpIndirect && inst.HasTarget {
+			if sym, ok := bin.PLTSlots[inst.Target]; ok {
+				if lib, addr := m.resolver.ResolveImport(bin, sym); lib != nil {
+					to = frame{bin: lib, pc: addr, sym: sym}
+				}
+			}
 		}
-		sym, ok := bin.PLTSlots[inst.Target]
-		if !ok {
-			return frame{}, false
+		if dc.stubs == nil {
+			dc.stubs = make(map[uint64]frame, len(bin.PLTSlots))
 		}
-		lib, node := m.resolver.ResolveImport(a, sym)
-		if lib == nil {
-			return frame{}, false
-		}
-		return frame{a: lib, pc: nodeAddr(node), sym: sym}, true
+		dc.stubs[target] = to
 	}
-	return frame{}, false
+	return to, to.bin != nil
 }
 
 // locate renders a frame's position as binary path plus section-relative
 // offset — stable across runs, unlike raw virtual addresses shared by
 // every library loaded at the same synthetic base.
 func locate(f frame) string {
-	bin := f.a.Bin
+	bin := f.bin
 	switch {
 	case bin.Text.Contains(f.pc):
 		return fmt.Sprintf("%s .text+%#x", bin.Path, f.pc-bin.Text.Addr)
@@ -528,5 +552,3 @@ func locate(f frame) string {
 	}
 	return fmt.Sprintf("%s pc %#x", bin.Path, f.pc)
 }
-
-func nodeAddr(n *callgraph.Node) uint64 { return n.Addr }

@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -11,8 +12,8 @@ import (
 	"repro/internal/x86"
 )
 
-// buildPair assembles a libc-like library and an executable using it.
-func buildPair(t *testing.T) (*footprint.Resolver, *footprint.Analysis) {
+// buildLibc assembles a libc-like library exporting write and ioctl.
+func buildLibc(t *testing.T) *elfx.Binary {
 	t.Helper()
 	lib := elfx.NewLib("libc.so.6")
 	lib.Func("write", true, func(a *x86.Asm) {
@@ -33,7 +34,14 @@ func buildPair(t *testing.T) (*footprint.Resolver, *footprint.Analysis) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return libBin
+}
 
+// buildPair assembles buildLibc's library, registered with a resolver,
+// and an executable using it.
+func buildPair(t *testing.T) (*footprint.Resolver, *elfx.Binary) {
+	t.Helper()
+	libBin := buildLibc(t)
 	b := elfx.NewExec()
 	b.Needed("libc.so.6")
 	writePLT := b.Import("write")
@@ -64,14 +72,19 @@ func buildPair(t *testing.T) (*footprint.Resolver, *footprint.Analysis) {
 
 	r := footprint.NewResolver()
 	r.AddLibrary(footprint.Analyze(libBin, footprint.Options{}))
-	return r, footprint.Analyze(bin, footprint.Options{})
+	return r, bin
 }
 
 func TestEmulateCrossLibraryCalls(t *testing.T) {
 	r, app := buildPair(t)
-	tr, err := New(r).Run(app)
+	tr, err := New(r).RunImage(app)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Run is RunImage on the analysis's binary.
+	viaAnalysis, err := New(r).Run(footprint.Analyze(app, footprint.Options{}))
+	if err != nil || !reflect.DeepEqual(viaAnalysis, tr) {
+		t.Errorf("Run on the analysis = %+v, %v; RunImage = %+v", viaAnalysis, err, tr)
 	}
 	if tr.Stopped != "ret from entry" {
 		t.Fatalf("stopped: %s after %d steps", tr.Stopped, tr.Steps)
@@ -197,7 +210,7 @@ func TestEmulateUnresolvedNumber(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := New(footprint.NewResolver()).Run(footprint.Analyze(bin, footprint.Options{}))
+	tr, err := New(footprint.NewResolver()).RunImage(bin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +240,7 @@ func TestEmulateInfiniteLoopBudget(t *testing.T) {
 	}
 	m := New(footprint.NewResolver())
 	m.MaxSteps = 1000
-	tr, err := m.Run(m2a(bin))
+	tr, err := m.RunImage(bin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,13 +249,9 @@ func TestEmulateInfiniteLoopBudget(t *testing.T) {
 	}
 }
 
-func m2a(bin *elfx.Binary) *footprint.Analysis {
-	return footprint.Analyze(bin, footprint.Options{})
-}
-
 func TestRunExport(t *testing.T) {
 	r, _ := buildPair(t)
-	lib := r.Library("libc.so.6")
+	lib := buildLibc(t)
 	tr, err := New(r).RunExport(lib, "write")
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +281,7 @@ func TestDeepRecursionGuard(t *testing.T) {
 	}
 	m := New(footprint.NewResolver())
 	m.MaxDepth = 16
-	tr, err := m.Run(m2a(bin))
+	tr, err := m.RunImage(bin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +301,7 @@ func TestEmulateNoEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(footprint.NewResolver()).Run(footprint.Analyze(bin, footprint.Options{})); err == nil {
+	if _, err := New(footprint.NewResolver()).RunImage(bin); err == nil {
 		t.Error("library without entry must error")
 	}
 }
@@ -315,7 +324,7 @@ func TestEmulateUnresolvedImport(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No library registered: the call into the PLT cannot resolve.
-	tr, err := New(footprint.NewResolver()).Run(footprint.Analyze(bin, footprint.Options{}))
+	tr, err := New(footprint.NewResolver()).RunImage(bin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +346,7 @@ func TestSyscallPolicyInjection(t *testing.T) {
 		ctxs = append(ctxs, ctx)
 		return SyscallResult{Ret: int64(100 + ctx.Index)}
 	}
-	tr, err := m.Run(app)
+	tr, err := m.RunImage(app)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +396,7 @@ func TestSyscallPolicyReturnObserved(t *testing.T) {
 	m.Policy = func(ctx SyscallContext) SyscallResult {
 		return SyscallResult{Ret: 7}
 	}
-	tr, err := m.Run(m2a(bin))
+	tr, err := m.RunImage(bin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +420,7 @@ func TestSyscallPolicyStop(t *testing.T) {
 		}
 		return SyscallResult{}
 	}
-	tr, err := m.Run(app)
+	tr, err := m.RunImage(app)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +475,7 @@ func TestStopReasonNamesBinary(t *testing.T) {
 
 	r := footprint.NewResolver()
 	r.AddLibrary(footprint.Analyze(libBin, footprint.Options{}))
-	tr, err := New(r).Run(footprint.Analyze(bin, footprint.Options{}))
+	tr, err := New(r).RunImage(bin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +509,7 @@ func TestEmulateHalts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := New(footprint.NewResolver()).Run(footprint.Analyze(bin, footprint.Options{}))
+	tr, err := New(footprint.NewResolver()).RunImage(bin)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/elfx"
 	"repro/internal/footprint"
 )
 
@@ -15,8 +16,9 @@ import (
 const maxCheckpoints = 1 << 10
 
 // Recording is a policy-free run from an executable's entry point that
-// also kept the machine's state at its system-call instructions. Replay
-// answers any policy's run from it, executing only where the policy's
+// also kept the machine's state at its system-call instructions and the
+// positions of each system call's occurrences. Replay answers a run
+// faulting one system call from it, executing only where the policy's
 // results differ from the baseline's.
 //
 // A recording is valid on the machine that made it, while that
@@ -26,13 +28,16 @@ type Recording struct {
 	// Callers must not modify it.
 	Trace *Trace
 
-	a                  *footprint.Analysis
+	bin                *elfx.Binary
 	resolver           *footprint.Resolver
 	maxSteps, maxDepth int
 	// at holds, per event, what a replay needs there while it is in
 	// step with the recording: the step count and frame symbol at the
 	// event's syscall instruction.
 	at []eventAt
+	// byNum lists, per system-call number, the indices of the events
+	// that issued it with a known number, in order.
+	byNum map[int64][]int
 	// cps holds the state at every stride-th event's syscall
 	// instruction: cps[k] is event k*stride. Event 0 always has one.
 	cps    []state
@@ -44,25 +49,52 @@ type eventAt struct {
 	sym   string
 }
 
-// Record runs a from its entry point with every system call returning
+// Record runs bin from its entry point with every system call returning
 // the recording-only default (RAX=0) and keeps the machine state at its
 // syscall instructions for Replay. The Policy field is ignored.
-func (m *Machine) Record(a *footprint.Analysis) (*Recording, error) {
-	if a.Bin.Entry == 0 {
-		return nil, fmt.Errorf("emu: %s has no entry point", a.Bin.Path)
+func (m *Machine) Record(bin *elfx.Binary) (*Recording, error) {
+	if bin.Entry == 0 {
+		return nil, fmt.Errorf("emu: %s has no entry point", bin.Path)
 	}
 	rec := &Recording{
-		Trace: &Trace{}, a: a, resolver: m.resolver,
+		Trace: &Trace{}, bin: bin, resolver: m.resolver,
 		maxSteps: m.MaxSteps, maxDepth: m.MaxDepth, stride: 1,
 	}
-	st := state{cur: frame{a: a, pc: a.Bin.Entry}}
-	m.drive(&st, rec.Trace, 0, nil, func(st *state, idx int) bool {
+	st := state{cur: frame{bin: bin, pc: bin.Entry}}
+	m.drive(&st, rec.Trace, 0, nil, nil, func(st *state, idx int) bool {
 		rec.Trace.Events = append(rec.Trace.Events, st.event())
 		rec.at = append(rec.at, eventAt{steps: st.steps, sym: st.cur.sym})
 		rec.keep(idx, st)
 		return false
 	})
+	rec.byNum = byNum(rec.Trace.Events)
 	return rec, nil
+}
+
+// byNum lists, per system-call number, the indices of the events that
+// issued it with a known number, in order. The lists share one array.
+func byNum(events []SyscallEvent) map[int64][]int {
+	counts := make(map[int64]int)
+	known := 0
+	for _, ev := range events {
+		if ev.KnownNum {
+			counts[ev.Num]++
+			known++
+		}
+	}
+	all := make([]int, known)
+	out := make(map[int64][]int, len(counts))
+	off := 0
+	for num, n := range counts {
+		out[num] = all[off : off : off+n]
+		off += n
+	}
+	for i, ev := range events {
+		if ev.KnownNum {
+			out[ev.Num] = append(out[ev.Num], i)
+		}
+	}
+	return out
 }
 
 // keep checkpoints event idx's state when idx falls on the stride.
@@ -95,32 +127,39 @@ func (rec *Recording) checkpoint(idx int) *state {
 }
 
 // Replay answers the run Run would make from rec's entry point under
-// policy (the Policy field is ignored): it calls policy on the same
-// contexts, in the same order, once each, and returns the same Steps and
-// Stopped. The returned trace's Events is nil; a caller that needs the
-// events reads them from the contexts policy is called with. A nil
-// policy answers the recording itself.
+// policy filtered to system call num: policy decides the known-number
+// occurrences of num, and every other event gets the recording-only
+// default (Ret 0, no Stop). Replay(rec, num, policy) returns the Steps
+// and Stopped that Run returns under that filtered policy (the Policy
+// field is ignored), and calls policy on the same contexts, in the same
+// order, once each. The returned trace's Events is nil; a caller that
+// needs the events reads them from the contexts policy is called with.
+// A nil policy answers the recording itself.
 //
-// While its state matches the recording's, a replay executes nothing: it
-// hands the recorded events to policy in order. When a result departs
-// from the baseline's default (Ret 0, no Stop), it restores that
-// event's state and steps the interpreter loop, until its whole state
-// equals the recording's checkpoint at the same event index again. A
+// While its state matches the recording's, a replay executes nothing and
+// visits only num's occurrences: it hands each one's recorded event to
+// policy, starting at the first. When a result departs from the
+// baseline's default, it restores that event's state and steps the
+// interpreter loop, asking policy about num's occurrences only, until
+// its whole state equals the recording's checkpoint at some event index
+// j again; it then resumes at num's first occurrence at or after j. A
 // stretch without checkpoints is simply stepped through, so the result
 // never depends on which events have one.
-func (m *Machine) Replay(rec *Recording, policy SyscallPolicy) (*Trace, error) {
+func (m *Machine) Replay(rec *Recording, num int64, policy SyscallPolicy) (*Trace, error) {
 	if rec.resolver != m.resolver || rec.maxSteps != m.MaxSteps || rec.maxDepth != m.MaxDepth {
-		return nil, fmt.Errorf("emu: recording of %s was made under another resolver or other limits", rec.a.Bin.Path)
+		return nil, fmt.Errorf("emu: recording of %s was made under another resolver or other limits", rec.bin.Path)
 	}
 	base := rec.Trace
 	tr := &Trace{}
+	occ := rec.byNum[num]
 	if policy == nil {
-		tr.Steps, tr.Stopped = base.Steps, base.Stopped
-		return tr, nil
+		occ = nil
 	}
-	for i := 0; ; {
+	for k := 0; ; {
 		var res SyscallResult
-		for ; i < len(base.Events); i++ {
+		i := 0
+		for ; k < len(occ); k++ {
+			i = occ[k]
 			res = policy(SyscallContext{Event: base.Events[i], Sym: rec.at[i].sym, Index: i})
 			if res.Stop != "" {
 				tr.Steps, tr.Stopped = rec.at[i].steps, res.Stop
@@ -130,7 +169,7 @@ func (m *Machine) Replay(rec *Recording, policy SyscallPolicy) (*Trace, error) {
 				break
 			}
 		}
-		if i == len(base.Events) {
+		if k == len(occ) {
 			tr.Steps, tr.Stopped = base.Steps, base.Stopped
 			return tr, nil
 		}
@@ -139,9 +178,11 @@ func (m *Machine) Replay(rec *Recording, policy SyscallPolicy) (*Trace, error) {
 			return nil, err
 		}
 		m.sysret(&st, res.Ret)
-		rejoined := m.drive(&st, tr, i+1, policy, func(st *state, j int) bool {
+		rejoined := m.drive(&st, tr, i+1, policy, &num, func(st *state, j int) bool {
 			if cp := rec.checkpoint(j); cp != nil && cp.equal(st) {
-				i = j
+				for k < len(occ) && occ[k] < j {
+					k++
+				}
 				return true
 			}
 			return false
@@ -164,7 +205,7 @@ func (m *Machine) restore(rec *Recording, i int) (state, error) {
 	for n := k * rec.stride; n < i; n++ {
 		m.sysret(&st, 0)
 		if stop := m.next(&st); stop != "" {
-			return state{}, fmt.Errorf("emu: replay of %s left its recording before event %d: %s", rec.a.Bin.Path, n+1, stop)
+			return state{}, fmt.Errorf("emu: replay of %s left its recording before event %d: %s", rec.bin.Path, n+1, stop)
 		}
 	}
 	return st, nil

@@ -578,14 +578,11 @@ func (c *Coordinator) callWorker(url string, req *ShardRequest) (_ *ShardRespons
 		return nil, false, fmt.Errorf("fleet: shard %d: worker returned %s: %s",
 			req.Shard, httpResp.Status, bytes.TrimSpace(msg))
 	}
-	var resp ShardResponse
-	if err := json.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
-		return nil, true, fmt.Errorf("fleet: shard %d: decoding response: %w", req.Shard, err)
-	}
-	if err := resp.validate(req); err != nil {
+	resp, err := decodeResponse(httpResp.Body, req)
+	if err != nil {
 		return nil, true, err
 	}
-	return &resp, false, nil
+	return resp, false, nil
 }
 
 func (c *Coordinator) probe(url string) bool {

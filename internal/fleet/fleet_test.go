@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/footprint"
+	"repro/internal/linuxapi"
 	"repro/internal/obs"
 )
 
@@ -198,6 +201,68 @@ func TestFleetCorruptWorker(t *testing.T) {
 	st := coord.Stats()
 	if st.CorruptResponses == 0 {
 		t.Errorf("no corrupt responses recorded: %+v", st)
+	}
+}
+
+// TestFleetLyingWorker pairs a slow healthy worker with one that proxies
+// a real worker and appends an undeclared system call to every summary
+// it returns. Validation must reject each such response as corrupt, the
+// shard must be retried elsewhere, the study must come out identical,
+// and no lie may reach the process's API intern table.
+func TestFleetLyingWorker(t *testing.T) {
+	c := fleetTestCorpus(t)
+	local, err := core.Run(c, footprint.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	goodWorker := NewWorker(WorkerConfig{})
+	good := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Slow but correct, so the liar answers its share of shards.
+		time.Sleep(20 * time.Millisecond)
+		goodWorker.ServeHTTP(w, r)
+	}))
+	t.Cleanup(good.Close)
+	real := NewWorker(WorkerConfig{})
+	var lies atomic.Int64
+	liar := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != AnalyzePath {
+			real.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		real.ServeHTTP(rec, r)
+		var resp ShardResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		for i := range resp.Results {
+			if sum := resp.Results[i].Summary; sum != nil && len(sum.Funcs) > 0 {
+				lie := linuxapi.Sys(fmt.Sprintf("fleet_lie_%d", lies.Add(1)))
+				sum.Funcs[0].APIs = append(sum.Funcs[0].APIs, lie)
+			}
+		}
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(&resp)
+	}))
+	t.Cleanup(liar.Close)
+
+	universe := linuxapi.InternUniverse()
+	coord := New(testConfig(good.URL, liar.URL))
+	dist, err := core.RunWith(c, footprint.Options{}, nil, coord.AnalyzeJobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameStudy(t, local, dist)
+	if n := linuxapi.InternUniverse(); n != universe {
+		t.Errorf("the fleet run grew the intern table from %d to %d", universe, n)
+	}
+	if lies.Load() == 0 {
+		t.Fatal("the lying worker answered no shard")
+	}
+	if st := coord.Stats(); st.CorruptResponses == 0 {
+		t.Errorf("no corrupt responses recorded after %d lies: %+v", lies.Load(), st)
 	}
 }
 

@@ -1,7 +1,10 @@
 package fleet
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 
 	"repro/internal/footprint"
 )
@@ -42,27 +45,57 @@ type ShardResponse struct {
 	Results []FileResult `json:"results"`
 }
 
-// validate checks a response against its request. Workers are part of
-// the unreliable fleet: a truncated, mis-routed, or corrupt payload must
-// read as a dispatch failure (and be retried elsewhere), never as
-// analysis results.
+// ErrCorruptResponse marks a worker response the coordinator rejects as
+// malformed: undecodable, mis-routed, or carrying summaries that do not
+// match the request or that extraction cannot have produced.
+var ErrCorruptResponse = errors.New("fleet: corrupt shard response")
+
+// decodeResponse reads a worker's response to req and validates it.
+// Workers are part of the unreliable fleet: a truncated, mis-routed, or
+// corrupt payload must read as a dispatch failure (and be retried
+// elsewhere), never as analysis results. Every error wraps
+// ErrCorruptResponse.
+func decodeResponse(body io.Reader, req *ShardRequest) (*ShardResponse, error) {
+	var resp ShardResponse
+	if err := json.NewDecoder(body).Decode(&resp); err != nil {
+		return nil, fmt.Errorf("%w: shard %d: decoding: %w", ErrCorruptResponse, req.Shard, err)
+	}
+	if err := resp.validate(req); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorruptResponse, err)
+	}
+	return &resp, nil
+}
+
+// validate checks a response against its request: the shard it answers,
+// one result per file, and for each summary the file's path, the
+// request's options, and footprint's Summary.Check.
 func (resp *ShardResponse) validate(req *ShardRequest) error {
 	if resp.Shard != req.Shard {
-		return fmt.Errorf("fleet: response for shard %d, want %d", resp.Shard, req.Shard)
+		return fmt.Errorf("response for shard %d, want %d", resp.Shard, req.Shard)
 	}
 	if len(resp.Results) != len(req.Files) {
-		return fmt.Errorf("fleet: shard %d: %d results for %d files",
+		return fmt.Errorf("shard %d: %d results for %d files",
 			req.Shard, len(resp.Results), len(req.Files))
 	}
 	for i := range resp.Results {
 		r := &resp.Results[i]
 		if (r.Summary == nil) == (r.Err == "") {
-			return fmt.Errorf("fleet: shard %d: file %d: want exactly one of summary or error",
+			return fmt.Errorf("shard %d: file %d: want exactly one of summary or error",
 				req.Shard, i)
 		}
-		if r.Summary != nil && r.Summary.Path != req.Files[i].Path {
-			return fmt.Errorf("fleet: shard %d: file %d: summary for %q, want %q",
+		if r.Summary == nil {
+			continue
+		}
+		if r.Summary.Path != req.Files[i].Path {
+			return fmt.Errorf("shard %d: file %d: summary for %q, want %q",
 				req.Shard, i, r.Summary.Path, req.Files[i].Path)
+		}
+		if r.Summary.Opts != req.Opts {
+			return fmt.Errorf("shard %d: file %d: summary extracted under %+v, want %+v",
+				req.Shard, i, r.Summary.Opts, req.Opts)
+		}
+		if err := r.Summary.Check(); err != nil {
+			return fmt.Errorf("shard %d: file %d: %w", req.Shard, i, err)
 		}
 	}
 	return nil

@@ -257,8 +257,8 @@ func (s Set) Clone() Set {
 // them, following DT_NEEDED edges the way the dynamic linker does. All
 // closure computation runs over Summary records, so a library restored
 // from the persistent analysis cache aggregates exactly like a freshly
-// disassembled one; the full Analysis, when available, is retained
-// alongside for the emulator (internal/emu).
+// disassembled one. A library's ELF image, when registered, serves the
+// emulator (internal/emu); no analysis is kept.
 type Resolver struct {
 	// mu serializes closure computation; AddLibrary and Footprint are
 	// safe for concurrent use (binary analysis itself parallelizes; the
@@ -281,11 +281,29 @@ type Resolver struct {
 	sonames []string
 }
 
-// libEntry is one registered shared library: its summary (always) and
-// its full analysis (only when the library was analyzed live this run).
+// libEntry is one registered shared library: its summary (always), and
+// its ELF image with the exports the emulator binds imports to (once
+// AddLibrary or AddImage supplied them).
 type libEntry struct {
 	sum *Summary
-	a   *Analysis
+	bin *elfx.Binary
+	// exports maps each name to the address of its function, for exactly
+	// the names whose callgraph node is exported: Graph.NodeNamed binds a
+	// recurring name to its last function, and aliases at one address
+	// share the first alias's name.
+	exports map[string]uint64
+}
+
+func exportTable(bin *elfx.Binary) map[string]uint64 {
+	exports := make(map[string]uint64)
+	for _, f := range callgraph.Funcs(bin) {
+		if f.Exported {
+			exports[f.Name] = f.Addr
+		} else {
+			delete(exports, f.Name)
+		}
+	}
+	return exports
 }
 
 type closureKey struct {
@@ -321,12 +339,14 @@ func libName(sum *Summary) string {
 	return sum.Path
 }
 
-// AddLibrary registers an analyzed shared library under its soname.
+// AddLibrary registers an analyzed shared library under its soname, with
+// its image. The analysis itself is not kept.
 func (r *Resolver) AddLibrary(a *Analysis) {
 	sum := Summarize(a)
+	exports := exportTable(a.Bin)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.register(libName(sum), &libEntry{sum: sum, a: a})
+	r.register(libName(sum), &libEntry{sum: sum, bin: a.Bin, exports: exports})
 }
 
 // register stores an entry and drops the resolution caches a changed
@@ -348,35 +368,25 @@ func (r *Resolver) AddSummary(sum *Summary) {
 	r.register(libName(sum), &libEntry{sum: sum})
 }
 
-// AttachAnalysis supplies the full analysis for a library previously
-// registered from a cached summary, without disturbing the summary the
-// memoized closures key on. The emulator needs the binary and its call
-// graph; the footprint aggregation never does.
-func (r *Resolver) AttachAnalysis(a *Analysis) {
-	name := a.Bin.Soname
+// AddImage supplies the ELF image of a library registered from its
+// summary, so the emulator can execute it, without disturbing the
+// summary the memoized closures key on. Like a summary, the image
+// registered last under a name wins. It reports false, and keeps
+// nothing, when no library is registered under the image's soname (or
+// path, for a soname-less library).
+func (r *Resolver) AddImage(bin *elfx.Binary) bool {
+	name := bin.Soname
 	if name == "" {
-		name = a.Bin.Path
+		name = bin.Path
 	}
+	exports := exportTable(bin)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e, ok := r.bySoname[name]; ok {
-		if e.a == nil {
-			e.a = a
-		}
-		return
+	e, ok := r.bySoname[name]
+	if ok {
+		e.bin, e.exports = bin, exports
 	}
-	r.register(name, &libEntry{sum: Summarize(a), a: a})
-}
-
-// Library returns the full analysis registered under soname, or nil when
-// the library is unknown or present only as a cached summary.
-func (r *Resolver) Library(soname string) *Analysis {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.bySoname[soname]; ok {
-		return e.a
-	}
-	return nil
+	return ok
 }
 
 // LibrarySummary returns the summary registered under soname, or nil.
@@ -389,17 +399,17 @@ func (r *Resolver) LibrarySummary(soname string) *Summary {
 	return nil
 }
 
-// ResolveImport finds the library exporting sym and the function node
-// bound to it, using the same search the footprint closure uses. It is
-// exported for the dynamic-analysis cross-check (internal/emu), which
-// needs to follow calls across binaries the way the dynamic linker would
-// — and therefore only considers libraries whose full analysis is
-// present (see AttachAnalysis).
-func (r *Resolver) ResolveImport(from *Analysis, sym string) (*Analysis, *callgraph.Node) {
+// ResolveImport finds the library image exporting sym to the binary from
+// and the address bound to it, with the search the footprint closure
+// uses, over the libraries whose image is registered. It returns a nil
+// image when none exports sym. The dynamic-analysis cross-check
+// (internal/emu) follows calls across binaries with it, the way the
+// dynamic linker would.
+func (r *Resolver) ResolveImport(from *elfx.Binary, sym string) (*elfx.Binary, uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	seen := map[string]bool{}
-	queue := append([]string(nil), from.Bin.Needed...)
+	queue := append([]string(nil), from.Needed...)
 	for len(queue) > 0 {
 		soname := queue[0]
 		queue = queue[1:]
@@ -411,21 +421,18 @@ func (r *Resolver) ResolveImport(from *Analysis, sym string) (*Analysis, *callgr
 		if e == nil {
 			continue
 		}
-		if e.a != nil {
-			if n := e.a.Graph.NodeNamed(sym); n != nil && n.Exported {
-				return e.a, n
-			}
+		if addr, ok := e.exports[sym]; ok {
+			return e.bin, addr
 		}
 		queue = append(queue, e.sum.Needed...)
 	}
 	for _, name := range r.sortedSonames() {
-		if e := r.bySoname[name]; e.a != nil {
-			if n := e.a.Graph.NodeNamed(sym); n != nil && n.Exported {
-				return e.a, n
-			}
+		e := r.bySoname[name]
+		if addr, ok := e.exports[sym]; ok {
+			return e.bin, addr
 		}
 	}
-	return nil, nil
+	return nil, 0
 }
 
 // resolveImport finds the library exporting sym, searching the needed list

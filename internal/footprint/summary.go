@@ -1,6 +1,8 @@
 package footprint
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"sync"
 
@@ -67,6 +69,51 @@ type Summary struct {
 	byName   map[string]int
 	nkOnce   sync.Once
 	nk       string
+}
+
+// ErrInvalidSummary marks a summary that extraction cannot have produced.
+// Summaries read back from disk or from another process (the analysis
+// cache, the fleet's workers) are checked before anything resolves them.
+var ErrInvalidSummary = errors.New("footprint: invalid summary")
+
+// Check reports whether s names only what extraction can emit, with an
+// error wrapping ErrInvalidSummary when it does not: every function API
+// must be declared in the static universe, every string must be a
+// pseudo-file path, and every Calls, Taken and Entry index must fall
+// within Funcs. Resolving a summary interns its function APIs, and the
+// corpus path interns its strings, so a summary naming anything else
+// would grow the process's API table and every later snapshot's; an
+// index outside Funcs would name a function the binary does not have.
+func (s *Summary) Check() error {
+	n := len(s.Funcs)
+	inRange := func(idx []int) bool {
+		for _, i := range idx {
+			if i < 0 || i >= n {
+				return false
+			}
+		}
+		return true
+	}
+	for i := range s.Funcs {
+		f := &s.Funcs[i]
+		for _, api := range f.APIs {
+			if !linuxapi.IsDeclared(api) {
+				return fmt.Errorf("%w: %q: function %q names undeclared %q", ErrInvalidSummary, s.Path, f.Name, api.String())
+			}
+		}
+		if !inRange(f.Calls) || !inRange(f.Taken) {
+			return fmt.Errorf("%w: %q: function %q has an edge outside its %d functions", ErrInvalidSummary, s.Path, f.Name, n)
+		}
+	}
+	if !inRange(s.Entry) {
+		return fmt.Errorf("%w: %q: an entry index falls outside its %d functions", ErrInvalidSummary, s.Path, n)
+	}
+	for _, str := range s.Strings {
+		if str.Kind != linuxapi.KindPseudoFile || !linuxapi.IsPseudoPath(str.Name) {
+			return fmt.Errorf("%w: %q: string %q is not a pseudo-file path", ErrInvalidSummary, s.Path, str.String())
+		}
+	}
+	return nil
 }
 
 // neededKey canonicalizes the needed list for resolution memoization:

@@ -272,6 +272,10 @@ type Stats struct {
 	StubCacheHits    uint64
 	StubCacheMisses  uint64
 	StubInconclusive uint64
+	// StubStaticMisses counts the APIs the resident matrix's baseline
+	// runs observed outside their packages' static footprints (§2.3:
+	// zero).
+	StubStaticMisses uint64
 }
 
 // HitRatio returns byte-cache hits over lookups (0 when idle).
@@ -339,6 +343,7 @@ func (s *Service) Stats() Stats {
 		StubCacheHits:    stubStats.CacheHits,
 		StubCacheMisses:  stubStats.CacheMisses,
 		StubInconclusive: stubStats.Inconclusive,
+		StubStaticMisses: stubStats.StaticMisses,
 
 		ByteCacheHits:      bc.Hits,
 		ByteCacheMisses:    bc.Misses,
@@ -424,6 +429,7 @@ func (s *Service) WriteMetrics(w *obs.Writer) {
 	obs.Sample(w, st.StubCacheHits, "outcome", "hit")
 	obs.Sample(w, st.StubCacheMisses, "outcome", "miss")
 	obs.Gauge(w, "apiserved_stubplan_inconclusive", "Binaries whose baseline emulation did not complete (no waivers granted).", st.StubInconclusive)
+	obs.Gauge(w, "apiserved_stubplan_static_misses", "APIs the resident matrix's baseline runs observed outside their package's static footprint (the static-superset invariant: zero).", st.StubStaticMisses)
 }
 
 // normalizeSyscalls dedups and sorts names, splitting off any not in the

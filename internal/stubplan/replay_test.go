@@ -2,24 +2,25 @@ package stubplan
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/elfx"
 	"repro/internal/emu"
-	"repro/internal/footprint"
+	"repro/internal/linuxapi"
 )
 
-func analyses(t *testing.T, s *core.Study) []*footprint.Analysis {
+func images(t *testing.T, s *core.Study) []*elfx.Binary {
 	t.Helper()
-	var out []*footprint.Analysis
+	var out []*elfx.Binary
 	for _, j := range executables(s) {
 		bin, err := elfx.Open(j.path, j.data)
 		if err != nil {
 			t.Fatalf("%s: %v", j.path, err)
 		}
-		out = append(out, footprint.Analyze(bin, s.Opts))
+		out = append(out, bin)
 	}
 	if len(out) == 0 {
 		t.Fatal("no executables in the fixture")
@@ -35,29 +36,34 @@ func watched(p emu.SyscallPolicy, seen *[]emu.SyscallContext) emu.SyscallPolicy 
 	}
 }
 
-// sameEvents reports whether seen carries exactly events, in order.
-func sameEvents(seen []emu.SyscallContext, events []emu.SyscallEvent) bool {
-	if len(seen) != len(events) {
-		return false
-	}
-	for i, ctx := range seen {
-		if ctx.Index != i || ctx.Event != events[i] {
+// sameEvents reports whether seen carries exactly the events that issued
+// num, in order, each with its index.
+func sameEvents(seen []emu.SyscallContext, events []emu.SyscallEvent, num int64) bool {
+	k := 0
+	for i, ev := range events {
+		if !ev.KnownNum || ev.Num != num {
+			continue
+		}
+		if k >= len(seen) || seen[k].Index != i || seen[k].Event != ev {
 			return false
 		}
+		k++
 	}
-	return true
+	return k == len(seen)
 }
 
-// Replaying a recording must give exactly what a run from the entry
-// point gives, for every executable of the fixture, every syscall its
-// baseline observed, and every treatment: the stub and fake policies the
-// matrix uses, and a non-zero return that flows on into later registers.
-// A replay keeps no events, so they are compared as the policy sees
-// them: the run's contexts carry the run's events, and the replay's
+// Replaying a recording at a syscall's number must give exactly what a
+// run from the entry point gives, for every executable of the fixture,
+// every syscall its baseline observed, and every treatment: the stub and
+// fake policies the matrix uses, and a non-zero return that flows on
+// into later registers. Each policy answers the default at every other
+// number, so the run is the run filtered to that number. A replay keeps
+// no events, so they are compared as the policy sees them: the run's
+// contexts carry the run's events of that number, and the replay's
 // contexts must equal the run's.
 func TestReplayMatchesRun(t *testing.T) {
 	s, _ := fixture(t)
-	execs := analyses(t, s)
+	execs := images(t, s)
 	never := func(emu.SyscallContext, string) bool { return false }
 	treatments := []struct {
 		name   string
@@ -79,43 +85,50 @@ func TestReplayMatchesRun(t *testing.T) {
 			m := emu.New(s.Resolver)
 			n := 0
 			for i := w; i < len(execs); i += workers {
-				a := execs[i]
-				rec, err := m.Record(a)
+				bin := execs[i]
+				rec, err := m.Record(bin)
 				if err != nil {
-					t.Errorf("%s: %v", a.Bin.Path, err)
+					t.Errorf("%s: %v", bin.Path, err)
 					continue
 				}
 				for _, name := range faultTargets(rec.Trace) {
+					num := int64(linuxapi.SyscallByName(name).Num)
 					for _, tc := range treatments {
 						var runSeen, replaySeen []emu.SyscallContext
 						m.Policy = watched(tc.policy(name), &runSeen)
-						want, err := m.Run(a)
+						want, err := m.RunImage(bin)
 						m.Policy = nil
 						if err != nil {
-							t.Errorf("%s: %v", a.Bin.Path, err)
+							t.Errorf("%s: %v", bin.Path, err)
 							continue
 						}
-						got, err := m.Replay(rec, watched(tc.policy(name), &replaySeen))
+						got, err := m.Replay(rec, num, watched(tc.policy(name), &replaySeen))
 						if err != nil {
-							t.Errorf("%s: %v", a.Bin.Path, err)
+							t.Errorf("%s: %v", bin.Path, err)
 							continue
 						}
 						if got.Steps != want.Steps || got.Stopped != want.Stopped || got.Events != nil {
 							t.Errorf("%s %s %s: replay (stopped %q, %d steps, %d events) differs from run (stopped %q, %d steps)",
-								a.Bin.Path, tc.name, name, got.Stopped, got.Steps, len(got.Events), want.Stopped, want.Steps)
+								bin.Path, tc.name, name, got.Stopped, got.Steps, len(got.Events), want.Stopped, want.Steps)
 						}
-						if !sameEvents(runSeen, want.Events) {
-							t.Errorf("%s %s %s: the run's %d policy contexts do not carry its %d events",
-								a.Bin.Path, tc.name, name, len(runSeen), len(want.Events))
+						// The policy answers the default at other numbers
+						// but still sees them in the run; keep only its
+						// number's contexts.
+						runSeen = slices.DeleteFunc(runSeen, func(ctx emu.SyscallContext) bool {
+							return !ctx.Event.KnownNum || ctx.Event.Num != num
+						})
+						if !sameEvents(runSeen, want.Events, num) {
+							t.Errorf("%s %s %s: the run's %d policy contexts do not carry its events of number %d",
+								bin.Path, tc.name, name, len(runSeen), num)
 						}
 						if !reflect.DeepEqual(replaySeen, runSeen) {
 							t.Errorf("%s %s %s: policy saw %d contexts in the replay, %d in the run; sequences differ",
-								a.Bin.Path, tc.name, name, len(replaySeen), len(runSeen))
+								bin.Path, tc.name, name, len(replaySeen), len(runSeen))
 						}
 						n++
 					}
 				}
-				m.Forget(a)
+				m.Forget(bin)
 			}
 			mu.Lock()
 			replays += n
@@ -135,8 +148,8 @@ func TestMatrixStepsNearBaseline(t *testing.T) {
 	s, m := fixture(t)
 	machine := emu.New(s.Resolver)
 	var baseline uint64
-	for _, a := range analyses(t, s) {
-		tr, err := machine.Run(a)
+	for _, bin := range images(t, s) {
+		tr, err := machine.RunImage(bin)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,15 +168,15 @@ func TestWorkerMachineKeepsOnlyLibraries(t *testing.T) {
 	s, _ := fixture(t)
 	machine := emu.New(s.Resolver)
 	for _, j := range executables(s) {
-		emulateOne(machine, j.path, j.data, s.Opts)
+		emulateOne(machine, j.path, j.data, s.Input.Footprints[j.pkg])
 	}
 	decoded := machine.Decoded()
 	if len(decoded) == 0 {
 		t.Fatal("worker machine decoded nothing")
 	}
-	for _, a := range decoded {
-		if a.Bin.Class != elfx.ClassELFLib {
-			t.Errorf("worker machine still holds decode arrays for %s (class %v)", a.Bin.Path, a.Bin.Class)
+	for _, bin := range decoded {
+		if bin.Class != elfx.ClassELFLib {
+			t.Errorf("worker machine still holds decode arrays for %s (class %v)", bin.Path, bin.Class)
 		}
 	}
 }

@@ -14,10 +14,16 @@
 //
 // A binary needs a few hundred such runs, but none re-executes from the
 // entry point: the baseline is recorded once (emu.Record) and every stub
-// or fake run is an emu.Replay of it, which executes instructions only
-// from an injected fault until its state rejoins the baseline's. All of
-// a binary's fault runs together cost about half a baseline run more
-// (Matrix.Stats.Steps counts every executed instruction).
+// or fake run is an emu.Replay of it that visits only the occurrences of
+// the one call it faults, and executes instructions only from an
+// injected fault until its state rejoins the baseline's. All of a
+// binary's fault runs together cost about half a baseline run more
+// (Matrix.Stats.Steps counts every executed instruction). The emulator
+// runs the binaries' ELF images; nothing here analyzes them.
+//
+// Each baseline doubles as the paper's §2.3 spot check: every API it
+// observes must lie in its package's static footprint
+// (Matrix.Stats.StaticMisses counts those that do not).
 //
 // Like Loupe's hand-written per-syscall stub/fake tables, the policy
 // encodes failure semantics the binary alone cannot express: a fault is
@@ -169,48 +175,52 @@ func VerdictTag(opts footprint.Options) string {
 	return fmt.Sprintf("%s policy=%d", anacache.Tag(opts), PolicyVersion)
 }
 
-// EmulateVerdicts measures one executable's verdict set: a baseline run,
-// then per observed syscall a stub run (-ENOSYS injected for every
-// occurrence) and, only if the stub run dies, a fake run (success
-// injected). The baseline is an emu.Record and every stub and fake run
-// an emu.Replay of it. runs counts the baseline plus every stub and fake
-// run.
+// EmulateVerdicts measures one analyzed executable's verdict set: the
+// verdicts of its binary, a.Bin. runs counts the baseline plus every stub
+// and fake run.
 func EmulateVerdicts(m *emu.Machine, a *footprint.Analysis) (*BinaryVerdicts, int) {
-	rec, err := m.Record(a)
+	bv, runs, _ := emulateVerdicts(m, a.Bin)
+	return bv, runs
+}
+
+// emulateVerdicts measures one executable image's verdict set: a
+// baseline run, then per observed syscall a stub run (-ENOSYS injected
+// for every occurrence) and, only if the stub run dies, a fake run
+// (success injected). The baseline is an emu.Record and every stub and
+// fake run an emu.Replay of it at the faulted call's number. It also
+// returns the baseline's trace (nil when the binary cannot be recorded).
+func emulateVerdicts(m *emu.Machine, bin *elfx.Binary) (*BinaryVerdicts, int, *emu.Trace) {
+	rec, err := m.Record(bin)
 	if err != nil {
-		return &BinaryVerdicts{Stopped: "run error: " + err.Error()}, 1
+		return &BinaryVerdicts{Stopped: "run error: " + err.Error()}, 1, nil
 	}
 	runs := 1
-	replay := func(policy emu.SyscallPolicy) *emu.Trace {
+	replay := func(name string, policy func(string) emu.SyscallPolicy) bool {
 		runs++
-		tr, err := m.Replay(rec, policy)
-		if err != nil {
-			return &emu.Trace{Stopped: "run error: " + err.Error()}
-		}
-		return tr
+		tr, err := m.Replay(rec, int64(linuxapi.SyscallByName(name).Num), policy(name))
+		return err == nil && tr.Completed()
 	}
 
 	base := rec.Trace
 	out := &BinaryVerdicts{Completed: base.Completed(), Stopped: base.Stopped}
 	if !out.Completed {
-		return out, runs
+		return out, runs, base
 	}
 	out.Stopped = ""
 
 	targets := faultTargets(base)
 	out.Verdicts = make(map[string]Verdict, len(targets))
 	for _, name := range targets {
-		if replay(stubPolicy(name)).Completed() {
+		switch {
+		case replay(name, stubPolicy):
 			out.Verdicts[name] = VerdictStubbable
-			continue
-		}
-		if replay(fakePolicy(name)).Completed() {
+		case replay(name, fakePolicy):
 			out.Verdicts[name] = VerdictFakeable
-		} else {
+		default:
 			out.Verdicts[name] = VerdictRequired
 		}
 	}
-	return out, runs
+	return out, runs, base
 }
 
 // faultTargets lists, sorted, every syscall the baseline observed with a
@@ -246,7 +256,8 @@ func fakePolicy(name string) emu.SyscallPolicy {
 
 // inject returns a policy answering ret at every occurrence of syscall
 // name, or stopping the run with a fault where fatal says the program
-// cannot absorb the injected result; every other call gets the default.
+// cannot absorb the injected result; every other call gets the default
+// (a replay at name's number never asks about one).
 func inject(name string, ret int64, fatal func(emu.SyscallContext, string) bool, what string) emu.SyscallPolicy {
 	num := linuxapi.SyscallByName(name).Num
 	return func(ctx emu.SyscallContext) emu.SyscallResult {
@@ -288,6 +299,12 @@ type Stats struct {
 	// Inconclusive counts executables whose baseline run did not
 	// complete; their packages get no waivers.
 	Inconclusive uint64 `json:"inconclusive"`
+	// StaticMisses counts, over the executables this build emulated,
+	// the APIs a baseline run observed outside its package's static
+	// footprint. The paper's §2.3 invariant (static ⊇ dynamic) makes it
+	// zero; executables whose verdicts came from the cache are not
+	// emulated and not checked.
+	StaticMisses uint64 `json:"static_misses"`
 }
 
 // Matrix aggregates per-binary verdicts to per-package waiver sets — the
@@ -338,11 +355,11 @@ func BuildMatrix(s *core.Study, opts Options) *Matrix {
 	m.Stats.Binaries = uint64(len(jobs))
 
 	results := make([]*BinaryVerdicts, len(jobs))
-	var emulations, steps, hits, misses atomic.Uint64
+	var emulations, steps, hits, misses, staticMisses atomic.Uint64
 
 	// Cache-resolved binaries never touch the emulator or the resolver;
-	// the lazy re-analysis of cache-hit libraries (EnsureEmulatable) is
-	// paid only when at least one binary actually needs emulating.
+	// opening the library images (EnsureEmulatable) is paid only when at
+	// least one binary actually needs emulating.
 	var emuOnce sync.Once
 	prepare := func() { s.EnsureEmulatable() }
 
@@ -373,9 +390,10 @@ func BuildMatrix(s *core.Study, opts Options) *Matrix {
 					misses.Add(1)
 				}
 				emuOnce.Do(prepare)
-				bv, runs, n := emulateOne(machine, j.path, j.data, s.Opts)
+				bv, runs, n, outside := emulateOne(machine, j.path, j.data, s.Input.Footprints[j.pkg])
 				emulations.Add(uint64(runs))
 				steps.Add(n)
+				staticMisses.Add(uint64(outside))
 				if cache != nil {
 					cache.PutVerdicts(key, tag, bv)
 				}
@@ -393,6 +411,7 @@ func BuildMatrix(s *core.Study, opts Options) *Matrix {
 	m.Stats.Steps = steps.Load()
 	m.Stats.CacheHits = hits.Load()
 	m.Stats.CacheMisses = misses.Load()
+	m.Stats.StaticMisses = staticMisses.Load()
 
 	// Aggregate per package in job order (sorted by package): the worst
 	// verdict across a package's binaries decides each API's class; an
@@ -447,19 +466,27 @@ func BuildMatrix(s *core.Study, opts Options) *Matrix {
 }
 
 // emulateOne measures one executable on a worker's machine and returns
-// its verdicts, emulator runs and executed instructions. The analysis is
-// built here and never run again, so its decode arrays are dropped; the
-// libraries' arrays stay for the worker's next executable.
-func emulateOne(m *emu.Machine, path string, data []byte, opts footprint.Options) (*BinaryVerdicts, int, uint64) {
+// its verdicts, emulator runs, executed instructions, and the number of
+// APIs its baseline observed outside static, its package's footprint.
+// The image is opened here and never run again, so its decode arrays are
+// dropped; the libraries' arrays stay for the worker's next executable.
+func emulateOne(m *emu.Machine, path string, data []byte, static *footprint.BitSet) (*BinaryVerdicts, int, uint64, int) {
 	bin, err := elfx.Open(path, data)
 	if err != nil {
-		return &BinaryVerdicts{Completed: false, Stopped: "unparseable: " + err.Error()}, 0, 0
+		return &BinaryVerdicts{Completed: false, Stopped: "unparseable: " + err.Error()}, 0, 0, 0
 	}
-	a := footprint.Analyze(bin, opts)
 	before := m.Executed()
-	bv, runs := EmulateVerdicts(m, a)
-	m.Forget(a)
-	return bv, runs, m.Executed() - before
+	bv, runs, base := emulateVerdicts(m, bin)
+	m.Forget(bin)
+	outside := 0
+	if base != nil {
+		for api := range base.APIs() {
+			if !static.Contains(api) {
+				outside++
+			}
+		}
+	}
+	return bv, runs, m.Executed() - before, outside
 }
 
 // job is one executable of the corpus.

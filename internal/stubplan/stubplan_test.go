@@ -87,6 +87,11 @@ func TestMatrixClassesNonEmpty(t *testing.T) {
 	if m.Stats.Inconclusive == m.Stats.Binaries {
 		t.Fatal("every baseline run failed to complete")
 	}
+	// §2.3: every API a baseline observed is in its package's static
+	// footprint.
+	if m.Stats.StaticMisses != 0 {
+		t.Errorf("%d dynamically observed APIs fall outside their static footprints", m.Stats.StaticMisses)
+	}
 	if len(m.Waivable) == 0 {
 		t.Fatal("no package earned any waiver")
 	}
@@ -386,6 +391,9 @@ func TestColdWarmByteIdentical(t *testing.T) {
 	mCold := BuildMatrix(cold, Options{})
 	if mCold.Stats.Emulations == 0 {
 		t.Fatal("cold build performed no emulations")
+	}
+	if mCold.Stats.StaticMisses != 0 {
+		t.Errorf("cold build: %d dynamically observed APIs outside their static footprints", mCold.Stats.StaticMisses)
 	}
 
 	// Fresh cache instance over the same directory: defeats the in-memory

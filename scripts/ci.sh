@@ -17,8 +17,10 @@
 # canonicalization (service.FuzzCanonicalQuery), job spool recovery
 # (jobs.FuzzSpoolRecord), analysis-cache summary and verdict records
 # (anacache.FuzzRecord, which must also leave the intern table
-# untouched), the APT Packages index (apt.FuzzParseIndex) and the popcon
-# survey (popcon.FuzzParse) beyond the seeds the test run replays,
+# untouched), the APT Packages index (apt.FuzzParseIndex), the popcon
+# survey (popcon.FuzzParse) and fleet workers' shard responses
+# (fleet.FuzzShardResponse, which must reject with a typed error and
+# leave the intern table untouched) beyond the seeds the test run replays,
 # with minimization capped at one second so the ten seconds go to new
 # inputs, a two-worker end-to-end fleet smoke test, a job-tier
 # smoke test (spool persistence across kill -9), an end-to-end load
@@ -36,6 +38,9 @@
 # kill the job spool, the snapshot directory and the analysis cache's
 # summary and verdict records before each step of a write and check
 # what a restart recovers, and pin the fsync order of durable writes.
+# The benchmark module (perfbench/, its own go.mod) is vetted and tested
+# too, so a signature change that breaks the benchmark's build fails
+# here.
 # Run from the repository root; used by .github/workflows/ci.yml and
 # fine to run locally.
 set -eu
@@ -58,6 +63,9 @@ go vet ./...
 echo "== go test"
 go test ./...
 
+echo "== perfbench module: go vet, go test"
+(cd perfbench && GOWORK=off go vet ./... && GOWORK=off go test ./...)
+
 echo "== go test -shuffle (order-independence)"
 go test -count=1 -shuffle=on ./...
 
@@ -67,7 +75,7 @@ go test -race ./internal/core ./internal/linuxapi ./internal/footprint ./interna
     ./internal/loadgen ./internal/jobs ./internal/snapshot ./internal/proxy \
     ./internal/evolution ./internal/stubplan ./internal/obs
 
-echo "== go test -fuzz (ELF reader, x86 decoder, snapshot reader, query canonicalization, spool records, analysis-cache records, APT index, popcon survey; 10s each)"
+echo "== go test -fuzz (ELF reader, x86 decoder, snapshot reader, query canonicalization, spool records, analysis-cache records, APT index, popcon survey, fleet shard responses; 10s each)"
 go test -run '^$' -fuzz '^FuzzOpen$' -fuzztime 10s -fuzzminimizetime 1s ./internal/elfx
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s -fuzzminimizetime 1s ./internal/x86
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s -fuzzminimizetime 1s ./internal/snapshot
@@ -76,6 +84,7 @@ go test -run '^$' -fuzz '^FuzzSpoolRecord$' -fuzztime 10s -fuzzminimizetime 1s .
 go test -run '^$' -fuzz '^FuzzRecord$' -fuzztime 10s -fuzzminimizetime 1s ./internal/anacache
 go test -run '^$' -fuzz '^FuzzParseIndex$' -fuzztime 10s -fuzzminimizetime 1s ./internal/apt
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s -fuzzminimizetime 1s ./internal/popcon
+go test -run '^$' -fuzz '^FuzzShardResponse$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fleet
 
 echo "== fleet smoke test (two-worker end-to-end)"
 sh scripts/fleet_smoke.sh
