@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/anacache"
 	"repro/internal/apt"
@@ -152,47 +153,47 @@ type JobAnalyzer func(jobs []BinaryJob, opts footprint.Options) []JobResult
 // garbage as soon as it is summarized.
 func AnalyzeJobsLocal(jobs []BinaryJob, opts footprint.Options, cache *anacache.Cache) []JobResult {
 	results := make([]JobResult, len(jobs))
+	forEach(len(jobs), func(i int) {
+		j := jobs[i]
+		if cache != nil {
+			if sum, ok := cache.Get(j.Data); ok {
+				results[i].Summary = sum
+				return
+			}
+		}
+		bin, err := elfx.Open(j.Path, j.Data)
+		if err != nil {
+			// Malformed ELF: skip the file, keep the study going.
+			// Failures are never cached, so a repaired file is picked up
+			// by the next run.
+			results[i].Err = err
+			return
+		}
+		results[i].Summary = footprint.Summarize(footprint.Analyze(bin, opts))
+		if cache != nil {
+			// Best effort: a failed write only costs a future
+			// re-analysis, and the cache counts it.
+			_ = cache.Put(j.Data, results[i].Summary)
+		}
+	})
+	return results
+}
+
+// forEach calls fn(i) for every i in [0, n) on a pool of one worker per
+// core.
+func forEach(n int, fn func(i int)) {
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	next := make(chan int, len(jobs))
-	for i := range jobs {
-		next <- i
-	}
-	close(next)
-	workers := runtime.NumCPU()
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	for w := 0; w < workers; w++ {
+	for w := min(runtime.NumCPU(), n); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				j := jobs[i]
-				if cache != nil {
-					if sum, ok := cache.Get(j.Data); ok {
-						results[i].Summary = sum
-						continue
-					}
-				}
-				bin, err := elfx.Open(j.Path, j.Data)
-				if err != nil {
-					// Malformed ELF: skip the file, keep the study going.
-					// Failures are never cached, so a repaired file is
-					// picked up by the next run.
-					results[i].Err = err
-					continue
-				}
-				results[i].Summary = footprint.Summarize(footprint.Analyze(bin, opts))
-				if cache != nil {
-					// Best effort: a failed write only costs a future
-					// re-analysis, and the cache counts it.
-					_ = cache.Put(j.Data, results[i].Summary)
-				}
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				fn(i)
 			}
 		}()
 	}
 	wg.Wait()
-	return results
 }
 
 // RunWith executes the pipeline with a pluggable per-binary analyzer: a
@@ -273,10 +274,14 @@ func RunWith(c *corpus.Corpus, opts footprint.Options, cache *anacache.Cache, an
 	}
 
 	// Pass 2a: resolve every analyzed binary's aggregated footprint,
-	// fanned out across a worker pool. Results are pure per-binary
+	// fanned out across the worker pool. Results are pure per-binary
 	// bitsets; all Stats/map writes stay on this goroutine, below.
 	bitResults := make([]*footprint.BitResult, len(jobs))
-	resolveFootprints(s.Resolver, results, bitResults)
+	forEach(len(jobs), func(i int) {
+		if sum := results[i].Summary; sum != nil {
+			bitResults[i] = s.Resolver.FootprintBits(sum)
+		}
+	})
 
 	// Pass 2b: collect per-binary results into package footprints, in
 	// corpus order.
@@ -399,54 +404,6 @@ func directSet(br *footprint.BitResult) footprint.Set {
 		out.Add(api)
 	}
 	return out
-}
-
-// resolveFootprints computes the aggregated footprint of every job that
-// produced a summary, fanning the work out across a pool. The pure
-// phases of each resolution (reachability walk, closure unions) run in
-// parallel; the phase that touches the resolver's shared closure memos
-// is sequenced in job order through a chain of gates, so the memos fill
-// in exactly the order the serial pipeline would produce — closure
-// memoization is order-sensitive under library cycles, and the study
-// promises byte-identical output regardless of worker count.
-func resolveFootprints(r *footprint.Resolver, results []JobResult, out []*footprint.BitResult) {
-	var tasks []int
-	for i := range results {
-		if results[i].Summary != nil {
-			tasks = append(tasks, i)
-		}
-	}
-	if len(tasks) == 0 {
-		return
-	}
-	gates := make([]chan struct{}, len(tasks)+1)
-	for i := range gates {
-		gates[i] = make(chan struct{})
-	}
-	close(gates[0])
-	next := make(chan int, len(tasks))
-	for k := range tasks {
-		next <- k
-	}
-	close(next)
-	workers := runtime.NumCPU()
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range next {
-				i := tasks[k]
-				out[i] = r.FootprintBitsOrdered(results[i].Summary,
-					func() { <-gates[k] },
-					func() { close(gates[k+1]) })
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // PackageFor returns the package metadata for a name.

@@ -194,6 +194,83 @@ func TestStaticIsSupersetOfDynamic(t *testing.T) {
 	t.Logf("emulated %d executables; static strictly larger for %d", ran, strictSuper)
 }
 
+// TestStaticCoversDynamicOnLibraryCycle checks §2.3's static ⊇ dynamic
+// across a library cycle, whichever member's closure is computed first.
+// liba's a_fn issues read and takes the address of a callback that calls
+// libb's b_fn (the callback never runs); b_fn issues write and calls
+// a_fn. An importer of a_fn is resolved first, and then an importer of
+// b_fn is emulated: it executes both calls, so its static footprint must
+// name both.
+func TestStaticCoversDynamicOnLibraryCycle(t *testing.T) {
+	build := func(b *elfx.Builder, path string) *elfx.Binary {
+		data, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bin, err := elfx.Open(path, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bin
+	}
+	a := elfx.NewLib("liba.so")
+	a.Needed("libb.so")
+	bPLT := a.Import("b_fn")
+	a.Func("a_fn", true, func(as *x86.Asm) {
+		as.MovRegImm32(x86.RAX, 0) // read
+		as.Syscall()
+		as.LeaRIPLabel(x86.RBX, "fn.callback")
+		as.Ret()
+	})
+	a.Func("callback", false, func(as *x86.Asm) {
+		as.CallLabel(bPLT)
+		as.Ret()
+	})
+	b := elfx.NewLib("libb.so")
+	b.Needed("liba.so")
+	aPLT := b.Import("a_fn")
+	b.Func("b_fn", true, func(as *x86.Asm) {
+		as.MovRegImm32(x86.RAX, 1) // write
+		as.Syscall()
+		as.CallLabel(aPLT)
+		as.Ret()
+	})
+	importer := func(soname, fn string) *elfx.Binary {
+		e := elfx.NewExec()
+		e.Needed(soname)
+		plt := e.Import(fn)
+		e.Func("main", true, func(as *x86.Asm) {
+			as.CallLabel(plt)
+			as.Ret()
+		})
+		e.Entry("main")
+		return build(e, "app-"+fn)
+	}
+
+	r := footprint.NewResolver()
+	r.AddLibrary(footprint.Analyze(build(a, "liba.so"), footprint.Options{}))
+	r.AddLibrary(footprint.Analyze(build(b, "libb.so"), footprint.Options{}))
+	r.Footprint(footprint.Analyze(importer("liba.so", "a_fn"), footprint.Options{}))
+
+	app := importer("libb.so", "b_fn")
+	tr, err := New(r).RunImage(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Stopped != "ret from entry" {
+		t.Fatalf("stopped: %s after %d steps", tr.Stopped, tr.Steps)
+	}
+	if got := tr.Syscalls(); !got["read"] || !got["write"] {
+		t.Fatalf("trace issued %v, want read and write", got)
+	}
+	static := r.Footprint(footprint.Analyze(app, footprint.Options{}))
+	for api := range tr.APIs() {
+		if !static.APIs.Contains(api) {
+			t.Errorf("dynamic %v not in static footprint %v", api, static.APIs.Sorted())
+		}
+	}
+}
+
 func TestEmulateUnresolvedNumber(t *testing.T) {
 	b := elfx.NewExec()
 	b.Func("main", true, func(a *x86.Asm) {

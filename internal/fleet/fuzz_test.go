@@ -2,9 +2,11 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -56,14 +58,41 @@ func FuzzShardResponse(f *testing.F) {
 	})
 }
 
-// The seeds are the cases the response check exists for: the coordinator
-// must accept exactly the ones named valid.
-func TestShardResponseSeeds(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzShardResponse")
+// FuzzShardRequest reads arbitrary bytes as a shard request, the way a
+// worker reads every request, on its HTTP endpoint and as job params. It
+// must fail closed: nothing may panic, every rejection is an error
+// wrapping ErrMalformedRequest, and an accepted request re-encodes to
+// bytes that read back as an equal request. Seeds live in
+// testdata/fuzz/FuzzShardRequest.
+func FuzzShardRequest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		req, err := decodeRequest(raw)
+		if err != nil {
+			if !errors.Is(err, ErrMalformedRequest) || req != nil {
+				t.Fatalf("rejection %v (request %v) does not wrap ErrMalformedRequest: %q", err, req, raw)
+			}
+			return
+		}
+		again, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := decodeRequest(again)
+		if err != nil || !reflect.DeepEqual(back, req) {
+			t.Fatalf("accepted %q; re-encoded as %q it reads back as %+v, %v", raw, again, back, err)
+		}
+	})
+}
+
+// seeds returns the inputs of a fuzz target's seed corpus by file name.
+func seeds(t *testing.T, target string) map[string][]byte {
+	t.Helper()
+	dir := filepath.Join("testdata", "fuzz", target)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := make(map[string][]byte, len(entries))
 	for _, e := range entries {
 		text, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
@@ -74,10 +103,29 @@ func TestShardResponseSeeds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
+		out[e.Name()] = []byte(raw)
+	}
+	return out
+}
+
+// The seeds are the cases the response check exists for: the coordinator
+// must accept exactly the ones named valid.
+func TestShardResponseSeeds(t *testing.T) {
+	for name, raw := range seeds(t, "FuzzShardResponse") {
 		req := fuzzRequest
-		_, err = decodeResponse(strings.NewReader(raw), &req)
-		if valid := strings.HasPrefix(e.Name(), "valid"); (err == nil) != valid {
-			t.Errorf("%s: accepted %v, want %v (%v)", e.Name(), err == nil, valid, err)
+		_, err := decodeResponse(bytes.NewReader(raw), &req)
+		if valid := strings.HasPrefix(name, "valid"); (err == nil) != valid {
+			t.Errorf("%s: accepted %v, want %v (%v)", name, err == nil, valid, err)
+		}
+	}
+}
+
+// A worker accepts exactly the request seeds named valid.
+func TestShardRequestSeeds(t *testing.T) {
+	for name, raw := range seeds(t, "FuzzShardRequest") {
+		_, err := decodeRequest(raw)
+		if valid := strings.HasPrefix(name, "valid"); (err == nil) != valid {
+			t.Errorf("%s: accepted %v, want %v (%v)", name, err == nil, valid, err)
 		}
 	}
 }

@@ -45,6 +45,25 @@ type ShardResponse struct {
 	Results []FileResult `json:"results"`
 }
 
+// ErrMalformedRequest marks a shard request a worker rejects: anything
+// but exactly one JSON object of the ShardRequest form, or a request
+// carrying no files.
+var ErrMalformedRequest = errors.New("fleet: malformed shard request")
+
+// decodeRequest is the one reader of a ShardRequest, for the worker's
+// HTTP endpoint and its job executor alike. Every error wraps
+// ErrMalformedRequest.
+func decodeRequest(raw []byte) (*ShardRequest, error) {
+	var req ShardRequest
+	if err := json.Unmarshal(raw, &req); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrMalformedRequest, err)
+	}
+	if len(req.Files) == 0 {
+		return nil, fmt.Errorf("%w: shard %d carries no files", ErrMalformedRequest, req.Shard)
+	}
+	return &req, nil
+}
+
 // ErrCorruptResponse marks a worker response the coordinator rejects as
 // malformed: undecodable, mis-routed, or carrying summaries that do not
 // match the request or that extraction cannot have produced.

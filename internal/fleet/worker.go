@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"sync/atomic"
@@ -104,9 +105,12 @@ func (w *Worker) logf(format string, args ...any) {
 
 func (w *Worker) handleAnalyze(rw http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	var req ShardRequest
-	body := http.MaxBytesReader(rw, r.Body, w.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	raw, err := io.ReadAll(http.MaxBytesReader(rw, r.Body, w.cfg.MaxBodyBytes))
+	var req *ShardRequest
+	if err == nil {
+		req, err = decodeRequest(raw)
+	}
+	if err != nil {
 		w.badShards.Add(1)
 		var tooBig *http.MaxBytesError
 		code := http.StatusBadRequest
@@ -126,7 +130,7 @@ func (w *Worker) handleAnalyze(rw http.ResponseWriter, r *http.Request) {
 			http.StatusServiceUnavailable)
 		return
 	}
-	resp, fileErrs := analyzeShard(&req, w.cfg.Opts, w.cfg.Cache)
+	resp, fileErrs := analyzeShard(req, w.cfg.Opts, w.cfg.Cache)
 	release()
 
 	w.shards.Add(1)
@@ -160,16 +164,12 @@ type shardExecutor struct {
 func (e shardExecutor) Type() string { return JobShardAnalyze }
 
 func (e shardExecutor) Execute(ctx context.Context, params json.RawMessage) (any, error) {
-	var req ShardRequest
-	if err := json.Unmarshal(params, &req); err != nil {
+	req, err := decodeRequest(params)
+	if err != nil {
 		e.w.badShards.Add(1)
-		return nil, jobs.Permanent(fmt.Errorf("decoding shard request: %w", err))
+		return nil, jobs.Permanent(err)
 	}
-	if len(req.Files) == 0 {
-		e.w.badShards.Add(1)
-		return nil, jobs.Permanent(errors.New("shard request carries no files"))
-	}
-	resp, fileErrs := analyzeShard(&req, e.w.cfg.Opts, e.w.cfg.Cache)
+	resp, fileErrs := analyzeShard(req, e.w.cfg.Opts, e.w.cfg.Cache)
 	e.w.shards.Add(1)
 	e.w.files.Add(uint64(len(req.Files)))
 	e.w.fileErrors.Add(fileErrs)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -247,14 +248,44 @@ func TestShardExecutor(t *testing.T) {
 	}
 }
 
+// The HTTP endpoint and the job executor read a shard request alike:
+// each rejects every body below, the endpoint with its status and the
+// executor permanently, and both count it as a bad request.
 func TestWorkerRejectsBadBody(t *testing.T) {
-	srv := startWorker(t)
-	resp, err := http.Post(srv.URL+AnalyzePath, "application/json", strings.NewReader("{nope"))
-	if err != nil {
-		t.Fatal(err)
+	valid := `{"shard":1,"files":[{"pkg":"p","path":"/bin/p","data":"f0VMRg=="}]}`
+	for _, tc := range []struct {
+		name, body string
+		code       int
+	}{
+		{"syntax", "{nope", http.StatusBadRequest},
+		{"trailing bytes", valid + "x", http.StatusBadRequest},
+		{"second object", valid + valid, http.StatusBadRequest},
+		{"no files", `{"shard":1,"files":[]}`, http.StatusBadRequest},
+		{"missing files", `{"shard":1}`, http.StatusBadRequest},
+		{"over the size cap", valid + strings.Repeat(" ", 3*len(valid)), http.StatusRequestEntityTooLarge},
+	} {
+		w := NewWorker(WorkerConfig{MaxBodyBytes: int64(3 * len(valid))})
+		srv := httptest.NewServer(w)
+		resp, err := http.Post(srv.URL+AnalyzePath, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		srv.Close()
+		if resp.StatusCode != tc.code {
+			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.code)
+		}
+		_, err = w.ShardExecutor().Execute(context.Background(), json.RawMessage(tc.body))
+		if tc.code == http.StatusBadRequest && (!errors.Is(err, ErrMalformedRequest) || !errors.Is(err, jobs.ErrPermanent)) {
+			t.Errorf("%s: executor returned %v, want a permanent ErrMalformedRequest", tc.name, err)
+		}
+		if bad := w.badShards.Load(); bad != 2 && tc.code == http.StatusBadRequest {
+			t.Errorf("%s: %d bad requests counted, want 2", tc.name, bad)
+		}
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", resp.StatusCode)
+	// A valid request followed by whitespace is analyzed.
+	w := NewWorker(WorkerConfig{})
+	if _, err := w.ShardExecutor().Execute(context.Background(), json.RawMessage(valid+" \n")); err != nil {
+		t.Errorf("valid request with trailing whitespace: %v", err)
 	}
 }

@@ -260,25 +260,17 @@ func (s Set) Clone() Set {
 // disassembled one. A library's ELF image, when registered, serves the
 // emulator (internal/emu); no analysis is kept.
 type Resolver struct {
-	// mu serializes closure computation; AddLibrary and Footprint are
-	// safe for concurrent use (binary analysis itself parallelizes; the
-	// shared memoized closures do not need to).
+	// mu guards everything below; every method is safe for concurrent
+	// use.
 	mu       sync.Mutex
 	bySoname map[string]*libEntry
-	// memo caches per-export closures: key is summary pointer + function
-	// index. Memoized bitsets are immutable once stored, so callers may
-	// read them outside r.mu.
-	memo map[closureKey]*BitSet
-	// active guards against cross-library cycles.
-	active map[closureKey]bool
-	// resolveMemo caches symbol resolution keyed by the importer's needed
-	// list rather than its identity: resolution depends only on the
-	// search order that list induces, which nearly all binaries share
-	// (most need just libc), so one slow search serves the whole corpus.
-	resolveMemo map[resolveKey]resolveVal
-	// sonames caches the sorted registration keys for the deterministic
-	// fallback search; nil after a registration until rebuilt.
-	sonames []string
+	// index maps each exported name to the libraries exporting it, in
+	// registration-name order; nil after a registration until rebuilt.
+	index map[string][]export
+	// memo holds each library export's closure. A closure does not
+	// depend on the order closures are computed in, and a memoized
+	// bitset is immutable, so callers may read it outside mu.
+	memo map[export]*BitSet
 }
 
 // libEntry is one registered shared library: its summary (always), and
@@ -306,28 +298,18 @@ func exportTable(bin *elfx.Binary) map[string]uint64 {
 	return exports
 }
 
-type closureKey struct {
-	sum *Summary
-	fn  int
-}
-
-type resolveKey struct {
-	needed string
-	sym    string
-}
-
-type resolveVal struct {
-	lib *Summary
+// export is one library's binding of an exported name: the library and
+// the index of the function the name binds to.
+type export struct {
+	lib *libEntry
 	fn  int
 }
 
 // NewResolver returns an empty resolver.
 func NewResolver() *Resolver {
 	return &Resolver{
-		bySoname:    make(map[string]*libEntry),
-		memo:        make(map[closureKey]*BitSet),
-		active:      make(map[closureKey]bool),
-		resolveMemo: make(map[resolveKey]resolveVal),
+		bySoname: make(map[string]*libEntry),
+		memo:     make(map[export]*BitSet),
 	}
 }
 
@@ -349,14 +331,13 @@ func (r *Resolver) AddLibrary(a *Analysis) {
 	r.register(libName(sum), &libEntry{sum: sum, bin: a.Bin, exports: exports})
 }
 
-// register stores an entry and drops the resolution caches a changed
-// library set would invalidate. Callers hold r.mu.
+// register stores an entry and drops what a changed library set
+// invalidates: the export index and every memoized closure. Callers
+// hold r.mu.
 func (r *Resolver) register(name string, e *libEntry) {
 	r.bySoname[name] = e
-	r.sonames = nil
-	if len(r.resolveMemo) > 0 {
-		r.resolveMemo = make(map[resolveKey]resolveVal)
-	}
+	r.index = nil
+	clear(r.memo)
 }
 
 // AddSummary registers a shared library from its summary alone — the
@@ -370,7 +351,7 @@ func (r *Resolver) AddSummary(sum *Summary) {
 
 // AddImage supplies the ELF image of a library registered from its
 // summary, so the emulator can execute it, without disturbing the
-// summary the memoized closures key on. Like a summary, the image
+// summary every binding is computed from. Like a summary, the image
 // registered last under a name wins. It reports false, and keeps
 // nothing, when no library is registered under the image's soname (or
 // path, for a soname-less library).
@@ -389,69 +370,43 @@ func (r *Resolver) AddImage(bin *elfx.Binary) bool {
 	return ok
 }
 
-// LibrarySummary returns the summary registered under soname, or nil.
-func (r *Resolver) LibrarySummary(soname string) *Summary {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.bySoname[soname]; ok {
-		return e.sum
-	}
-	return nil
-}
-
-// ResolveImport finds the library image exporting sym to the binary from
-// and the address bound to it, with the search the footprint closure
-// uses, over the libraries whose image is registered. It returns a nil
-// image when none exports sym. The dynamic-analysis cross-check
-// (internal/emu) follows calls across binaries with it, the way the
-// dynamic linker would.
+// ResolveImport finds the library image that binds sym for the binary
+// from, and the address bound to it, with the lookup the footprint
+// closure uses. It returns a nil image when no library exports sym, or
+// when the binding library has no image registered, as for a missing
+// dependency. The dynamic-analysis cross-check (internal/emu) follows
+// calls across binaries with it, the way the dynamic linker would.
 func (r *Resolver) ResolveImport(from *elfx.Binary, sym string) (*elfx.Binary, uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	seen := map[string]bool{}
-	queue := append([]string(nil), from.Needed...)
-	for len(queue) > 0 {
-		soname := queue[0]
-		queue = queue[1:]
-		if seen[soname] {
-			continue
-		}
-		seen[soname] = true
-		e := r.bySoname[soname]
-		if e == nil {
-			continue
-		}
-		if addr, ok := e.exports[sym]; ok {
-			return e.bin, addr
-		}
-		queue = append(queue, e.sum.Needed...)
-	}
-	for _, name := range r.sortedSonames() {
-		e := r.bySoname[name]
-		if addr, ok := e.exports[sym]; ok {
-			return e.bin, addr
+	if x, ok := r.lookup(from.Needed, sym); ok {
+		if addr, ok := x.lib.exports[sym]; ok {
+			return x.lib.bin, addr
 		}
 	}
 	return nil, 0
 }
 
-// resolveImport finds the library exporting sym, searching the needed list
-// breadth-first (ld.so search order), then falling back to every registered
-// library in name order (symbols can be satisfied by transitive
-// dependencies; the deterministic fallback keeps repeated runs identical).
-func (r *Resolver) resolveImport(from *Summary, sym string) (*Summary, int) {
-	key := resolveKey{from.neededKey(), sym}
-	if v, ok := r.resolveMemo[key]; ok {
-		return v.lib, v.fn
+// lookup finds the export that binds sym for an importer needing needed.
+// A name one library exports binds there, whatever the search order. A
+// name several export binds to the first of them found breadth-first
+// along DT_NEEDED edges (ld.so search order), and failing that to the
+// first by registration name (symbols can be satisfied by transitive
+// dependencies; the fallback keeps repeated runs identical). Callers
+// hold r.mu.
+func (r *Resolver) lookup(needed []string, sym string) (export, bool) {
+	if r.index == nil {
+		r.indexExports()
 	}
-	lib, fn := r.resolveImportSlow(from, sym)
-	r.resolveMemo[key] = resolveVal{lib, fn}
-	return lib, fn
-}
-
-func (r *Resolver) resolveImportSlow(from *Summary, sym string) (*Summary, int) {
+	xs := r.index[sym]
+	switch len(xs) {
+	case 0:
+		return export{}, false
+	case 1:
+		return xs[0], true
+	}
 	seen := map[string]bool{}
-	queue := append([]string(nil), from.Needed...)
+	queue := append([]string(nil), needed...)
 	for len(queue) > 0 {
 		soname := queue[0]
 		queue = queue[1:]
@@ -463,67 +418,119 @@ func (r *Resolver) resolveImportSlow(from *Summary, sym string) (*Summary, int) 
 		if e == nil {
 			continue
 		}
-		if i := e.sum.funcIndex(sym); i >= 0 && e.sum.Funcs[i].Exported {
-			return e.sum, i
+		for _, x := range xs {
+			if x.lib == e {
+				return x, true
+			}
 		}
 		queue = append(queue, e.sum.Needed...)
 	}
-	for _, name := range r.sortedSonames() {
-		sum := r.bySoname[name].sum
-		if i := sum.funcIndex(sym); i >= 0 && sum.Funcs[i].Exported {
-			return sum, i
-		}
-	}
-	return nil, -1
+	return xs[0], true
 }
 
-// sortedSonames returns the registered library names in sorted order,
-// cached until the next registration.
-func (r *Resolver) sortedSonames() []string {
-	if r.sonames == nil {
-		names := make([]string, 0, len(r.bySoname))
-		for name := range r.bySoname {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		r.sonames = names
+// indexExports builds the export index from the registered summaries.
+// Within one library a recurring name binds to its last function, and
+// only when that function is exported, as Graph.NodeNamed binds it.
+// Callers hold r.mu.
+func (r *Resolver) indexExports() {
+	names := make([]string, 0, len(r.bySoname))
+	for name := range r.bySoname {
+		names = append(names, name)
 	}
-	return r.sonames
+	sort.Strings(names)
+	r.index = make(map[string][]export)
+	for _, name := range names {
+		e := r.bySoname[name]
+		last := make(map[string]int, len(e.sum.Funcs))
+		for i := range e.sum.Funcs {
+			last[e.sum.Funcs[i].Name] = i
+		}
+		for i := range e.sum.Funcs {
+			if f := &e.sum.Funcs[i]; f.Exported && last[f.Name] == i {
+				r.index[f.Name] = append(r.index[f.Name], export{e, i})
+			}
+		}
+	}
 }
 
-// emptyBits is the shared cycle sentinel: never mutated.
-var emptyBits = NewBitSet()
-
-// exportClosure computes the APIs reachable by calling one exported
+// exportClosure returns the APIs reachable by calling one exported
 // function of a library: the direct APIs of every function reachable
 // within the library, plus the closures of the imports those functions
-// call in deeper libraries. The returned bitset is memoized and must
-// not be mutated by callers.
-func (r *Resolver) exportClosure(sum *Summary, root int) *BitSet {
-	key := closureKey{sum, root}
-	if s, ok := r.memo[key]; ok {
-		return s
+// call. The returned bitset is memoized and must not be mutated by
+// callers. Callers hold r.mu.
+func (r *Resolver) exportClosure(x export) *BitSet {
+	if c, ok := r.memo[x]; ok {
+		return c
 	}
-	if r.active[key] {
-		return emptyBits // cycle: the initiator will complete the union
-	}
-	r.active[key] = true
-	defer delete(r.active, key)
+	w := closureWalk{r: r, index: make(map[export]int)}
+	w.visit(x)
+	return r.memo[x]
+}
 
-	out := NewBitSet()
-	var imports []string
-	for _, i := range sum.reachable([]int{root}) {
-		f := &sum.Funcs[i]
-		for _, api := range f.APIs {
-			out.AddAPI(api)
+// closureWalk is one Tarjan walk over the export graph, whose edges run
+// from an export to the exports its reachable imports bind to. Libraries
+// can import from each other in a cycle; every export of a strongly
+// connected component memoizes the same complete union, so no closure
+// depends on which export was asked for first.
+type closureWalk struct {
+	r *Resolver
+	// index numbers every export visited, in visiting order.
+	index map[export]int
+	// stack holds the visited exports whose component is not finished,
+	// each with the APIs found so far: its own and its finished
+	// successors'.
+	stack []walkEntry
+}
+
+type walkEntry struct {
+	x   export
+	set *BitSet
+}
+
+// visit walks export x and returns its low link: the smallest index
+// among the exports on the stack that x reaches. An export that is
+// visited and not memoized is on the stack.
+func (w *closureWalk) visit(x export) int {
+	idx := len(w.index)
+	w.index[x] = idx
+	low, pos := idx, len(w.stack)
+	set := NewBitSet()
+	w.stack = append(w.stack, walkEntry{x, set})
+	sum := x.lib.sum
+	for _, imp := range sum.walk([]int{x.fn}, set) {
+		if linuxapi.IsLibcExport(imp) {
+			set.AddAPI(linuxapi.LibcSym(imp))
 		}
-		imports = append(imports, f.Imports...)
+		succ, ok := w.r.lookup(sum.Needed, imp)
+		if !ok {
+			continue
+		}
+		c, done := w.r.memo[succ]
+		if !done {
+			sl, seen := w.index[succ]
+			if !seen {
+				sl = w.visit(succ)
+			}
+			if c, done = w.r.memo[succ]; !done {
+				// succ is still on the stack: x shares its component.
+				low = min(low, sl)
+				continue
+			}
+		}
+		set.UnionWith(c)
 	}
-	for _, imp := range dedupe(imports) {
-		r.importAPIs(sum, imp, out)
+	if low == idx {
+		// x roots a component: the exports from x up the stack.
+		comp := w.stack[pos:]
+		for _, m := range comp[1:] {
+			set.UnionWith(m.set)
+		}
+		for _, m := range comp {
+			w.r.memo[m.x] = set
+		}
+		w.stack = w.stack[:pos]
 	}
-	r.memo[key] = out
-	return out
+	return low
 }
 
 // dedupe removes repeated symbols in place, preserving first-occurrence
@@ -542,21 +549,6 @@ func dedupe(syms []string) []string {
 		}
 	}
 	return out
-}
-
-// importAPIs adds everything implied by calling imported symbol sym from
-// the summarized binary: the libc-symbol API itself (when sym is a GNU
-// libc export) and the defining library's closure. Every API added here
-// is in the static intern universe (extraction only emits names from the
-// declared tables), so interning never grows the shared table.
-func (r *Resolver) importAPIs(from *Summary, sym string, out *BitSet) {
-	if linuxapi.IsLibcExport(sym) {
-		out.AddAPI(linuxapi.LibcSym(sym))
-	}
-	lib, fn := r.resolveImport(from, sym)
-	if lib != nil {
-		out.UnionWith(r.exportClosure(lib, fn))
-	}
 }
 
 // Result is a binary's fully aggregated footprint.
@@ -595,13 +587,7 @@ type BitResult struct {
 // Footprint aggregates the full footprint of one analyzed binary: its own
 // reachable APIs plus the recursive closure over imported symbols.
 func (r *Resolver) Footprint(a *Analysis) *Result {
-	return r.FootprintSummary(Summarize(a))
-}
-
-// FootprintSummary aggregates the footprint from a binary's summary — the
-// cache-hit path, identical in result to Footprint on the live analysis.
-func (r *Resolver) FootprintSummary(sum *Summary) *Result {
-	br := r.FootprintBits(sum)
+	br := r.FootprintBits(Summarize(a))
 	res := &Result{
 		APIs:       br.APIs.ToSet(),
 		Direct:     br.Direct.ToSet(),
@@ -615,66 +601,39 @@ func (r *Resolver) FootprintSummary(sum *Summary) *Result {
 	return res
 }
 
-// FootprintBits aggregates a binary's footprint in dense form.
+// FootprintBits aggregates a binary's footprint in dense form, from its
+// summary: the analysis-cache hit path gets exactly what Footprint gets
+// on the live analysis. Every import adds its libc-symbol API, when it
+// names a GNU libc export, and the closure of the export it binds to.
+// Every API added is in the static intern universe (extraction only
+// emits names from the declared tables), so interning never grows the
+// shared table.
 func (r *Resolver) FootprintBits(sum *Summary) *BitResult {
-	return r.FootprintBitsOrdered(sum, nil, nil)
-}
-
-// FootprintBitsOrdered is FootprintBits with hooks bracketing the phase
-// that touches the resolver's shared memo state. The per-binary work
-// splits into three phases: a pure reachability walk, a locked
-// closure-resolution phase (the only part that reads or fills the
-// memo), and a pure union of the collected closures. enter is called
-// just before the locked phase and exit just after it; a concurrent
-// aggregator can use them to serialize memo fills in a fixed order —
-// closure memos are truncated at cycles, so which member of a library
-// cycle memoizes the complete union depends on computation order, and
-// replaying the serial order keeps repeated runs byte-identical —
-// while the pure phases still run in parallel. Either or both hooks
-// may be nil.
-func (r *Resolver) FootprintBitsOrdered(sum *Summary, enter, exit func()) *BitResult {
 	res := &BitResult{
+		APIs:       NewBitSet(),
 		Direct:     NewBitSet(),
 		Strings:    sum.Strings,
 		Unresolved: sum.Unresolved,
 		Sites:      sum.Sites,
 	}
-	var imports []string
-	for _, i := range sum.reachable(sum.roots()) {
-		f := &sum.Funcs[i]
-		for _, api := range f.APIs {
-			res.Direct.AddAPI(api)
-		}
-		imports = append(imports, f.Imports...)
-	}
-	imports = dedupe(imports)
-
-	// Locked phase: resolve imports and compute (memoized, immutable
-	// once stored) closures; defer the unions to the pure phase below.
-	if enter != nil {
-		enter()
-	}
-	r.mu.Lock()
-	closures := make([]*BitSet, 0, len(imports))
-	libcSyms := NewBitSet()
+	imports := sum.walk(sum.roots(), res.Direct)
 	for _, imp := range imports {
 		if linuxapi.IsLibcExport(imp) {
-			libcSyms.AddAPI(linuxapi.LibcSym(imp))
+			res.APIs.AddAPI(linuxapi.LibcSym(imp))
 		}
-		if lib, fn := r.resolveImport(sum, imp); lib != nil {
-			closures = append(closures, r.exportClosure(lib, fn))
+	}
+	// Resolve under the lock; union the (immutable) closures outside it.
+	r.mu.Lock()
+	closures := make([]*BitSet, 0, len(imports))
+	for _, imp := range imports {
+		if x, ok := r.lookup(sum.Needed, imp); ok {
+			closures = append(closures, r.exportClosure(x))
 		}
 	}
 	r.mu.Unlock()
-	if exit != nil {
-		exit()
-	}
-
-	res.APIs = NewBitSet()
 	for _, c := range closures {
 		res.APIs.UnionWith(c)
 	}
-	res.APIs.UnionWith(libcSyms)
 	res.APIs.UnionWith(res.Direct)
 	return res
 }

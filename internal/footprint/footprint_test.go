@@ -1,6 +1,8 @@
 package footprint
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/elfx"
@@ -409,7 +411,8 @@ func TestSetOperations(t *testing.T) {
 
 func TestCrossLibraryCycleTerminates(t *testing.T) {
 	// libA imports from libB and vice versa; closure must terminate and
-	// include both sides' syscalls.
+	// include both sides' syscalls, for an importer of either member,
+	// whichever importer is resolved first.
 	mk := func(soname, other, fn, otherFn string, sysno uint32) *Analysis {
 		b := elfx.NewLib(soname)
 		b.Needed(other)
@@ -430,21 +433,61 @@ func TestCrossLibraryCycleTerminates(t *testing.T) {
 		}
 		return Analyze(bin, Options{})
 	}
-	r := NewResolver()
-	r.AddLibrary(mk("liba.so", "libb.so", "a_fn", "b_fn", 0)) // read
-	r.AddLibrary(mk("libb.so", "liba.so", "b_fn", "a_fn", 1)) // write
-	app := buildApp(t, func(b *elfx.Builder) {
-		b.Needed("liba.so")
-		plt := b.Import("a_fn")
-		b.Func("main", true, func(a *x86.Asm) {
-			a.CallLabel(plt)
-			a.Ret()
-		})
-		b.Entry("main")
-	})
-	res := r.Footprint(app)
-	if !res.APIs.Contains(linuxapi.Sys("read")) || !res.APIs.Contains(linuxapi.Sys("write")) {
-		t.Errorf("cyclic closure = %v, want read+write", res.APIs.Sorted())
+	liba := mk("liba.so", "libb.so", "a_fn", "b_fn", 0) // read
+	libb := mk("libb.so", "liba.so", "b_fn", "a_fn", 1) // write
+	importer := func(soname, fn string) *Summary {
+		return Summarize(buildApp(t, func(b *elfx.Builder) {
+			b.Needed(soname)
+			plt := b.Import(fn)
+			b.Func("main", true, func(a *x86.Asm) {
+				a.CallLabel(plt)
+				a.Ret()
+			})
+			b.Entry("main")
+		}))
+	}
+	apps := []*Summary{importer("liba.so", "a_fn"), importer("libb.so", "b_fn")}
+	resolve := func(order ...int) [][]uint32 {
+		r := NewResolver()
+		r.AddLibrary(liba)
+		r.AddLibrary(libb)
+		out := make([][]uint32, len(apps))
+		for _, i := range order {
+			res := r.FootprintBits(apps[i])
+			if !res.APIs.Contains(linuxapi.Sys("read")) || !res.APIs.Contains(linuxapi.Sys("write")) {
+				t.Errorf("order %v: importer of %s: cyclic closure = %v, want read+write",
+					order, apps[i].Funcs[0].Imports, res.APIs.SortedAPIs())
+			}
+			out[i] = res.APIs.SortedIDs()
+		}
+		return out
+	}
+	if ab, ba := resolve(0, 1), resolve(1, 0); !reflect.DeepEqual(ab, ba) {
+		t.Errorf("footprints depend on resolution order: %v, then %v", ab, ba)
+	}
+}
+
+// Resolving uploads leaves the resolver as it found it: imports that no
+// library exports add no memoized closure and no export index entry,
+// whatever needed list each importer carries.
+func TestUnexportedImportsRetainNothing(t *testing.T) {
+	r := newResolver(t)
+	warm := &Summary{Path: "warm", Needed: []string{"libc.so.6"},
+		Funcs: []FuncSummary{{Name: "main", Imports: []string{"write"}}}}
+	r.FootprintBits(warm)
+	memo, index := len(r.memo), len(r.index)
+	for k := 0; k < 20; k++ {
+		up := &Summary{Path: fmt.Sprintf("upload%d", k),
+			Needed: []string{fmt.Sprintf("libupload%d.so", k), "libc.so.6"},
+			Funcs:  []FuncSummary{{Name: "main"}}}
+		for i := 0; i < 200; i++ {
+			up.Funcs[0].Imports = append(up.Funcs[0].Imports, fmt.Sprintf("upload%d_sym%d", k, i))
+		}
+		r.FootprintBits(up)
+	}
+	if len(r.memo) != memo || len(r.index) != index {
+		t.Errorf("uploads grew the memo from %d to %d and the export index from %d to %d",
+			memo, len(r.memo), index, len(r.index))
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/elfx"
 	"repro/internal/footprint"
+	"repro/internal/linuxapi"
+	"repro/internal/x86"
 )
 
 // resolverFor registers lib the way a study does, its summary first and
@@ -118,5 +120,82 @@ func TestResolveImportMatchesGraph(t *testing.T) {
 	}
 	if libs == 0 {
 		t.Fatal("the fixture has no libraries")
+	}
+}
+
+// bindingLib builds a library needing needed and exporting each of
+// names as a function that issues system call sysno.
+func bindingLib(t *testing.T, soname string, needed []string, sysno uint32, names ...string) *elfx.Binary {
+	t.Helper()
+	b := elfx.NewLib(soname)
+	for _, n := range needed {
+		b.Needed(n)
+	}
+	for _, name := range names {
+		b.Func(name, true, func(a *x86.Asm) {
+			a.MovRegImm32(x86.RAX, sysno)
+			a.Syscall()
+			a.Ret()
+		})
+	}
+	data, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib, err := elfx.Open(soname, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lib
+}
+
+// An import binds to one library, and the footprint closure and the
+// emulator's ResolveImport agree on which: each library below issues its
+// own system call, so the importer's footprint names the library its
+// import bound to.
+func TestLookupBindingRules(t *testing.T) {
+	// librt and libc both export timer_create, as in the generated corpus.
+	librt := bindingLib(t, "librt.so.1", []string{"libc.so.6"}, 0, "timer_create", "rt_only") // read
+	libc := bindingLib(t, "libc.so.6", nil, 1, "timer_create", "c_only")                      // write
+	// A second libc registered under the same name replaces the first.
+	libc2 := bindingLib(t, "libc.so.6", nil, 39, "timer_create") // getpid
+	sysOf := map[*elfx.Binary]string{librt: "read", libc: "write", libc2: "getpid"}
+
+	for _, tc := range []struct {
+		name   string
+		libs   []*elfx.Binary // in registration order
+		needed []string
+		sym    string
+		want   *elfx.Binary // nil: the import binds nowhere
+	}{
+		{"needed order picks librt", []*elfx.Binary{libc, librt}, []string{"librt.so.1", "libc.so.6"}, "timer_create", librt},
+		{"needed order picks libc", []*elfx.Binary{librt, libc}, []string{"libc.so.6"}, "timer_create", libc},
+		{"transitive need", []*elfx.Binary{libc, librt}, []string{"librt.so.1"}, "timer_create", librt},
+		{"no exporter needed: first by name", []*elfx.Binary{librt, libc}, []string{"libm.so.6"}, "timer_create", libc},
+		{"no need at all: first by name", []*elfx.Binary{librt, libc}, nil, "timer_create", libc},
+		{"one exporter binds unneeded", []*elfx.Binary{librt, libc}, []string{"libc.so.6"}, "rt_only", librt},
+		{"one exporter binds unregistered need", []*elfx.Binary{librt, libc}, []string{"libm.so.6"}, "c_only", libc},
+		{"re-registration replaces", []*elfx.Binary{libc, librt, libc2}, []string{"libc.so.6"}, "timer_create", libc2},
+		{"re-registration drops old exports", []*elfx.Binary{libc, librt, libc2}, []string{"libc.so.6"}, "c_only", nil},
+		{"nobody exports", []*elfx.Binary{librt, libc}, []string{"libc.so.6"}, "absent", nil},
+	} {
+		r := footprint.NewResolver()
+		for _, lib := range tc.libs {
+			r.AddSummary(footprint.Summarize(footprint.Analyze(lib, footprint.Options{})))
+			if !r.AddImage(lib) {
+				t.Fatalf("%s: %s: image not registered", tc.name, lib.Path)
+			}
+		}
+		got, _ := r.ResolveImport(&elfx.Binary{Path: "app", Needed: tc.needed}, tc.sym)
+		if got != tc.want {
+			t.Errorf("%s: ResolveImport binds %s to the library issuing %q, want %q (\"\": none)", tc.name, tc.sym, sysOf[got], sysOf[tc.want])
+		}
+		res := r.FootprintBits(&footprint.Summary{Path: "app", Needed: tc.needed,
+			Funcs: []footprint.FuncSummary{{Name: "main", Imports: []string{tc.sym}}}})
+		for lib, sys := range sysOf {
+			if has := res.APIs.Contains(linuxapi.Sys(sys)); has != (lib == tc.want) {
+				t.Errorf("%s: footprint has %s (%s's call): %v, want %v", tc.name, sys, lib.Soname, has, lib == tc.want)
+			}
+		}
 	}
 }

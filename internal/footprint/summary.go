@@ -3,8 +3,6 @@ package footprint
 import (
 	"errors"
 	"fmt"
-	"strings"
-	"sync"
 
 	"repro/internal/callgraph"
 	"repro/internal/elfx"
@@ -64,11 +62,6 @@ type Summary struct {
 	// Opts are the analysis options the summary was extracted under;
 	// reachability walks over the summary honor them.
 	Opts Options `json:"opts"`
-
-	nameOnce sync.Once
-	byName   map[string]int
-	nkOnce   sync.Once
-	nk       string
 }
 
 // ErrInvalidSummary marks a summary that extraction cannot have produced.
@@ -116,13 +109,6 @@ func (s *Summary) Check() error {
 	return nil
 }
 
-// neededKey canonicalizes the needed list for resolution memoization:
-// binaries with equal needed lists induce the same symbol search order.
-func (s *Summary) neededKey() string {
-	s.nkOnce.Do(func() { s.nk = strings.Join(s.Needed, "\x00") })
-	return s.nk
-}
-
 // Summarize flattens an Analysis into its persistent Summary. The
 // conversion is cheap — it copies per-function extraction results and
 // rewrites node pointers as indices — so live analyses pay no meaningful
@@ -166,22 +152,6 @@ func Summarize(a *Analysis) *Summary {
 	return s
 }
 
-// funcIndex returns the index of the exported function bound to name,
-// or -1. The lookup map is built once per summary.
-func (s *Summary) funcIndex(name string) int {
-	s.nameOnce.Do(func() {
-		s.byName = make(map[string]int, len(s.Funcs))
-		for i := range s.Funcs {
-			s.byName[s.Funcs[i].Name] = i
-		}
-	})
-	i, ok := s.byName[name]
-	if !ok {
-		return -1
-	}
-	return i
-}
-
 // roots returns the reachability roots, falling back to every function
 // the way callgraph.EntryNodes does for root-less binaries.
 func (s *Summary) roots() []int {
@@ -193,6 +163,20 @@ func (s *Summary) roots() []int {
 		all[i] = i
 	}
 	return all
+}
+
+// walk adds the APIs of every function reachable from roots to out and
+// returns the imported symbols those functions call, each once.
+func (s *Summary) walk(roots []int, out *BitSet) []string {
+	var imports []string
+	for _, i := range s.reachable(roots) {
+		f := &s.Funcs[i]
+		for _, api := range f.APIs {
+			out.AddAPI(api)
+		}
+		imports = append(imports, f.Imports...)
+	}
+	return dedupe(imports)
 }
 
 // reachable walks the summarized call graph from the given roots,

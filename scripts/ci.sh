@@ -18,11 +18,13 @@
 # (jobs.FuzzSpoolRecord), analysis-cache summary and verdict records
 # (anacache.FuzzRecord, which must also leave the intern table
 # untouched), the APT Packages index (apt.FuzzParseIndex), the popcon
-# survey (popcon.FuzzParse) and fleet workers' shard responses
+# survey (popcon.FuzzParse), fleet workers' shard responses
 # (fleet.FuzzShardResponse, which must reject with a typed error and
-# leave the intern table untouched) beyond the seeds the test run replays,
-# with minimization capped at one second so the ten seconds go to new
-# inputs, a two-worker end-to-end fleet smoke test, a job-tier
+# leave the intern table untouched) and the shard requests a worker
+# reads (fleet.FuzzShardRequest, which must reject with a typed error
+# and accept only what re-encodes to an equal request) beyond the seeds
+# the test run replays, with minimization capped at one second so the
+# ten seconds go to new inputs, a two-worker end-to-end fleet smoke test, a job-tier
 # smoke test (spool persistence across kill -9), an end-to-end load
 # smoke test that gates the serving SLO, the ramp (zero 5xx to the
 # ceiling) and an in-process read-path throughput ceiling that meets
@@ -75,7 +77,7 @@ go test -race ./internal/core ./internal/linuxapi ./internal/footprint ./interna
     ./internal/loadgen ./internal/jobs ./internal/snapshot ./internal/proxy \
     ./internal/evolution ./internal/stubplan ./internal/obs
 
-echo "== go test -fuzz (ELF reader, x86 decoder, snapshot reader, query canonicalization, spool records, analysis-cache records, APT index, popcon survey, fleet shard responses; 10s each)"
+echo "== go test -fuzz (ELF reader, x86 decoder, snapshot reader, query canonicalization, spool records, analysis-cache records, APT index, popcon survey, fleet shard responses and requests; 10s each)"
 go test -run '^$' -fuzz '^FuzzOpen$' -fuzztime 10s -fuzzminimizetime 1s ./internal/elfx
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s -fuzzminimizetime 1s ./internal/x86
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s -fuzzminimizetime 1s ./internal/snapshot
@@ -85,6 +87,7 @@ go test -run '^$' -fuzz '^FuzzRecord$' -fuzztime 10s -fuzzminimizetime 1s ./inte
 go test -run '^$' -fuzz '^FuzzParseIndex$' -fuzztime 10s -fuzzminimizetime 1s ./internal/apt
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s -fuzzminimizetime 1s ./internal/popcon
 go test -run '^$' -fuzz '^FuzzShardResponse$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fleet
+go test -run '^$' -fuzz '^FuzzShardRequest$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fleet
 
 echo "== fleet smoke test (two-worker end-to-end)"
 sh scripts/fleet_smoke.sh
