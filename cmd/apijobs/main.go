@@ -1,7 +1,12 @@
-// Command apijobs is the CLI client for the async job tier served by
-// apiserved (and apiworker): submit typed jobs, long-poll them to a
-// terminal state, fetch results, and list the dead-letter queue. It
-// doubles as the transport for scripts in environments without curl.
+// Command apijobs is the CLI client for the async job tier: submit
+// typed jobs, long-poll them to a terminal state, fetch results, and
+// list the dead-letter queue. apiserved and apiworker serve the same
+// job routes (internal/httpapi), so -server may name either; every
+// non-2xx answer is the {error, retry_after_s, request_id} envelope,
+// and apijobs prints its error. A server caps one long-poll at its
+// request timeout minus 1s (29s by default), so wait and result re-poll
+// with wait=25s until -timeout. It doubles as the transport for scripts
+// in environments without curl.
 //
 // Usage:
 //

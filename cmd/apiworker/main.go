@@ -9,6 +9,11 @@
 // /v1/jobs/shard-analyze queues a shard instead of holding the
 // connection, and with -spool-dir queued work survives a restart.
 // Coordinator RPCs and queued jobs draw from one -pool analysis budget.
+// The /v1/jobs routes are apiserved's own (httpapi.NewJobs): the same
+// status codes, {error, retry_after_s, request_id} envelope on every
+// non-2xx, X-Request-ID checks and echo, and a long-poll cap of 29s.
+// /metrics carries the job tier's apiserved_jobs_* families beside the
+// worker's apiworker_* ones.
 //
 // Usage:
 //
@@ -35,6 +40,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/httpapi"
 	"repro/internal/jobs"
+	"repro/internal/obs"
 )
 
 func main() {
@@ -115,21 +121,32 @@ func main() {
 		log.Printf("job spool at %s", *spoolDir)
 	}
 
-	mux := http.NewServeMux()
-	jobsHandler := jobs.NewHandler(mgr)
-	mux.Handle("/v1/jobs", jobsHandler)
-	mux.Handle("/v1/jobs/", jobsHandler)
-	mux.Handle("/", worker)
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	log.Printf("serving shard analysis on %s (jobs: %s)", *addr,
 		strings.Join(mgr.Types(), ","))
-	if err := httpapi.ListenAndServe(ctx, *addr, mux, *grace, log.Default()); err != nil &&
+	if err := httpapi.ListenAndServe(ctx, *addr, newHandler(worker, mgr, shardLog), *grace, log.Default()); err != nil &&
 		!errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}
 	mgr.Close()
 	log.Printf("bye")
+}
+
+// newHandler serves the job tier through httpapi's job routes under
+// /v1/jobs, one /metrics page carrying the worker's families and the
+// job tier's, and everything else (the shard endpoint, /healthz) from
+// the worker. logger (nil under -quiet) logs each job request.
+func newHandler(worker *fleet.Worker, mgr *jobs.Manager, logger *log.Logger) http.Handler {
+	mux := http.NewServeMux()
+	jobsHandler := httpapi.NewJobs(mgr, httpapi.Options{Logger: logger})
+	mux.Handle("/v1/jobs", jobsHandler)
+	mux.Handle("/v1/jobs/", jobsHandler)
+	mux.Handle("GET /metrics", obs.Handler(func(w *obs.Writer) {
+		worker.WriteMetrics(w)
+		mgr.WriteMetrics(w)
+	}))
+	mux.Handle("/", worker)
+	return mux
 }

@@ -91,7 +91,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	w := &Worker{cfg: cfg, mux: http.NewServeMux(), start: time.Now()}
 	w.mux.HandleFunc("POST "+AnalyzePath, w.handleAnalyze)
 	w.mux.HandleFunc("GET /healthz", w.handleHealthz)
-	w.mux.HandleFunc("GET /metrics", obs.Handler(w.writeMetrics))
+	w.mux.HandleFunc("GET /metrics", obs.Handler(w.WriteMetrics))
 	return w
 }
 
@@ -186,7 +186,10 @@ func (w *Worker) handleHealthz(rw http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (w *Worker) writeMetrics(mw *obs.Writer) {
+// WriteMetrics writes the apiworker_* families and the worker cache's
+// apiworker_anacache_* families: the worker's own /metrics page, and
+// its part of a page that also carries a job tier (cmd/apiworker).
+func (w *Worker) WriteMetrics(mw *obs.Writer) {
 	obs.Counter(mw, "apiworker_shards_total", "Shard-analysis requests served.", w.shards.Load())
 	obs.Counter(mw, "apiworker_files_total", "Files analyzed across all shards.", w.files.Load())
 	obs.Counter(mw, "apiworker_file_errors_total", "Files that failed analysis and were skipped.", w.fileErrors.Load())

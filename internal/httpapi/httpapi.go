@@ -39,7 +39,8 @@ type Options struct {
 	// RequestTimeout bounds each handler, including queue time in the
 	// analysis pool (default 30s).
 	RequestTimeout time.Duration
-	// MaxUploadBytes caps /v1/analyze request bodies (default 32 MiB).
+	// MaxUploadBytes caps /v1/analyze request bodies (default 32 MiB),
+	// and twice it caps job submission bodies.
 	MaxUploadBytes int64
 	// MaxInFlight bounds concurrently served /v1/* requests; excess
 	// requests wait in a bounded queue and are shed with 429 +
@@ -83,8 +84,25 @@ type API struct {
 	admission *service.Admission
 }
 
-// New wires every endpoint onto a fresh mux.
+// New wires every endpoint onto a fresh mux: the query routes, plus
+// the job and snapshot-admin groups when their owners are set.
 func New(svc *service.Service, opts Options) *API {
+	a := newAPI(svc, opts)
+	a.mountQueries()
+	if opts.Jobs != nil {
+		a.mountJobs()
+	}
+	if opts.Snapshots != nil {
+		a.mountSnapshots()
+	}
+	sort.Slice(a.routes, func(i, j int) bool { return a.routes[i].route < a.routes[j].route })
+	return a
+}
+
+// newAPI is the shell every route group shares: opts with their
+// defaults, an empty mux, and the admission limiter handle consults.
+// ServeHTTP and handle are the rest of it.
+func newAPI(svc *service.Service, opts Options) *API {
 	if opts.RequestTimeout <= 0 {
 		opts.RequestTimeout = 30 * time.Second
 	}
@@ -97,7 +115,7 @@ func New(svc *service.Service, opts Options) *API {
 	if opts.MaxSnapshotBytes <= 0 {
 		opts.MaxSnapshotBytes = 256 << 20
 	}
-	a := &API{
+	return &API{
 		svc:   svc,
 		opts:  opts,
 		mux:   http.NewServeMux(),
@@ -108,6 +126,10 @@ func New(svc *service.Service, opts Options) *API {
 			QueueWait:   opts.QueueWait,
 		}),
 	}
+}
+
+// mountQueries wires the study's query routes, /healthz and /metrics.
+func (a *API) mountQueries() {
 	a.handle("GET /healthz", a.handleHealthz, bypassAdmission)
 	a.handle("GET /metrics", obs.Handler(a.writeMetrics), bypassAdmission)
 	a.handle("GET /v1/importance/{syscall}", a.handleImportance)
@@ -122,33 +144,26 @@ func New(svc *service.Service, opts Options) *API {
 	a.handle("GET /v1/trends/completeness", a.handleTrendCompleteness)
 	a.handle("GET /v1/trends/path", a.handleTrendPath)
 	a.handle("POST /v1/analyze", a.handleAnalyze)
-	if opts.Jobs != nil {
-		a.handle("POST /v1/jobs/{type}", a.handleJobSubmit, bypassAdmission)
-		a.handle("GET /v1/jobs", a.handleJobList, bypassAdmission)
-		a.handle("GET /v1/jobs/{id}", a.handleJobStatus, bypassAdmission)
-		a.handle("GET /v1/jobs/{id}/result", a.handleJobResult, bypassAdmission)
-	}
-	if opts.Snapshots != nil {
-		a.handle("POST /v1/snapshot", a.handleSnapshotPush, bypassAdmission)
-		a.handle("POST /v1/snapshot/rollback", a.handleSnapshotRollback, bypassAdmission)
-		a.handle("GET /v1/snapshot", a.handleSnapshotStatus, bypassAdmission)
-	}
-	sort.Slice(a.routes, func(i, j int) bool { return a.routes[i].route < a.routes[j].route })
-	return a
 }
 
 // ServeHTTP resolves the request ID first, so even responses produced
-// outside a registered route (404s, 405s) echo one and wear the JSON
-// error envelope.
+// outside a registered route (404s, 405s, and the 301s that send an
+// unclean path such as /v1/jobs//x to its cleaned form) echo one and
+// wear the JSON error envelope.
 func (a *API) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	r, rid := withRequestID(w, r)
-	if _, pattern := a.mux.Handler(r); pattern == "" {
-		// No route: replay the mux into a recorder to keep its exact
-		// verdict (404, or 405 with Allow) but re-dress the body.
+	// Every route is the http.HandlerFunc that handle registers; for a
+	// path it must clean, the mux returns its own redirect handler.
+	h, pattern := a.mux.Handler(r)
+	if _, route := h.(http.HandlerFunc); pattern == "" || !route {
+		// Replay the mux into a recorder to keep its exact verdict (404,
+		// 405 with Allow, 301 with Location) but re-dress the body.
 		rec := &recordedResponse{header: make(http.Header)}
 		a.mux.ServeHTTP(rec, r)
-		if allow := rec.header.Get("Allow"); allow != "" {
-			w.Header().Set("Allow", allow)
+		for _, k := range [...]string{"Allow", "Location"} {
+			if v := rec.header.Get(k); v != "" {
+				w.Header().Set(k, v)
+			}
 		}
 		writeError(w, r, rec.code, "no route for %s %s", r.Method, r.URL.Path)
 		if a.opts.Logger != nil {

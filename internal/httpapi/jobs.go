@@ -13,12 +13,36 @@ import (
 	"repro/internal/service"
 )
 
-// The async job surface of the API server. These routes bypass
-// admission control deliberately: the job tier carries its own bounded
-// queue (submission beyond it is a 429 of its own), status and list
-// are cheap map reads, and a long-poll parked in Wait would otherwise
-// pin an admission slot for its full duration — 32 pollers could
-// starve the query path that admission exists to protect.
+// The job tier's one HTTP surface: apiserved mounts it inside New, and
+// processes without a query service (cmd/apiworker) mount NewJobs.
+// These routes bypass admission control deliberately: the job tier
+// carries its own bounded queue (submission beyond it is a 429 of its
+// own), status and list are cheap map reads, and a long-poll parked in
+// Wait would otherwise pin an admission slot for its full duration —
+// 32 pollers could starve the query path that admission exists to
+// protect.
+
+// NewJobs serves only the job routes over m, with the request-ID,
+// error-envelope, timeout and logging shell that New's routes share.
+// Of opts it reads RequestTimeout, MaxUploadBytes and Logger, with
+// New's defaults.
+func NewJobs(m *jobs.Manager, opts Options) *API {
+	a := newAPI(nil, Options{
+		Logger:         opts.Logger,
+		RequestTimeout: opts.RequestTimeout,
+		MaxUploadBytes: opts.MaxUploadBytes,
+		Jobs:           m,
+	})
+	a.mountJobs()
+	return a
+}
+
+func (a *API) mountJobs() {
+	a.handle("POST /v1/jobs/{type}", a.handleJobSubmit, bypassAdmission)
+	a.handle("GET /v1/jobs", a.handleJobList, bypassAdmission)
+	a.handle("GET /v1/jobs/{id}", a.handleJobStatus, bypassAdmission)
+	a.handle("GET /v1/jobs/{id}/result", a.handleJobResult, bypassAdmission)
+}
 
 // submitJob enqueues one job on behalf of an HTTP request and writes
 // the job record: 202 for new work, 200 when an existing job absorbed
@@ -28,7 +52,7 @@ func (a *API) submitJob(w http.ResponseWriter, r *http.Request, typ string, para
 		RequestID: RequestIDFrom(r.Context()),
 	})
 	if err != nil {
-		code := jobs.SubmitErrorStatus(err)
+		code := submitErrorStatus(err)
 		if code == http.StatusTooManyRequests {
 			w.Header().Set("Retry-After", "1")
 		}
@@ -36,7 +60,30 @@ func (a *API) submitJob(w http.ResponseWriter, r *http.Request, typ string, para
 		return
 	}
 	w.Header().Set("X-Job-Deduped", strconv.FormatBool(deduped))
-	writeJSON(w, jobs.SubmitStatus(deduped), j)
+	writeJSON(w, submitStatus(deduped), j)
+}
+
+// submitStatus is 202 Accepted for newly queued work and 200 OK when
+// an existing job absorbed the submission.
+func submitStatus(deduped bool) int {
+	if deduped {
+		return http.StatusOK
+	}
+	return http.StatusAccepted
+}
+
+// submitErrorStatus maps a Submit error to an HTTP status.
+func submitErrorStatus(err error) int {
+	switch {
+	case errors.Is(err, jobs.ErrUnknownType):
+		return http.StatusNotFound
+	case errors.Is(err, jobs.ErrQueueFull):
+		return http.StatusTooManyRequests
+	case errors.Is(err, jobs.ErrClosed):
+		return http.StatusServiceUnavailable
+	default:
+		return http.StatusBadRequest
+	}
 }
 
 func (a *API) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
@@ -59,11 +106,24 @@ func (a *API) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 // long-poll always returns a 200 snapshot before the server-side
 // deadline would kill the request.
 func (a *API) jobWait(r *http.Request) (time.Duration, error) {
-	max := a.opts.RequestTimeout - time.Second
-	if max <= 0 {
-		max = a.opts.RequestTimeout / 2
+	ceiling := a.opts.RequestTimeout - time.Second
+	if ceiling <= 0 {
+		ceiling = a.opts.RequestTimeout / 2
 	}
-	return jobs.ParseWait(r.URL.Query().Get("wait"), max)
+	return parseWait(r.URL.Query().Get("wait"), ceiling)
+}
+
+// parseWait reads a ?wait= value as a long-poll duration clamped to
+// [0, ceiling]. Empty means no wait; bad syntax is an error for a 400.
+func parseWait(q string, ceiling time.Duration) (time.Duration, error) {
+	if q == "" {
+		return 0, nil
+	}
+	d, err := time.ParseDuration(q)
+	if err != nil {
+		return 0, fmt.Errorf("bad wait %q: %w", q, err)
+	}
+	return min(max(d, 0), ceiling), nil
 }
 
 func (a *API) handleJobStatus(w http.ResponseWriter, r *http.Request) {
@@ -124,8 +184,8 @@ func (a *API) handleJobList(w http.ResponseWriter, r *http.Request) {
 	limit := 0
 	if q := r.URL.Query().Get("limit"); q != "" {
 		v, err := strconv.Atoi(q)
-		if err != nil {
-			writeError(w, r, http.StatusBadRequest, "bad limit %q", q)
+		if err != nil || v < 0 {
+			writeError(w, r, http.StatusBadRequest, "bad limit %q: want a non-negative integer", q)
 			return
 		}
 		limit = v

@@ -53,53 +53,18 @@ func testELF(t *testing.T) []byte {
 	return nil
 }
 
+// TestJobRoutesEndToEnd runs a real executor (analyze-upload) through
+// the routes; TestJobSurface pins the routes' contract itself.
 func TestJobRoutesEndToEnd(t *testing.T) {
 	_, _, ts := jobsAPI(t, Options{})
 	params, err := json.Marshal(service.AnalyzeUploadParams{Name: "e2e.bin", ELF: testELF(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Submit: 202 + job record carrying the request ID.
-	req, _ := http.NewRequest("POST", ts.URL+"/v1/jobs/analyze-upload", bytes.NewReader(params))
-	req.Header.Set("X-Request-ID", "trace-123")
-	resp, err := ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("submit = %d: %s", resp.StatusCode, body)
-	}
 	var j jobs.Job
-	if err := json.NewDecoder(resp.Body).Decode(&j); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	postJSON(t, ts, "/v1/jobs/analyze-upload", json.RawMessage(params), http.StatusAccepted, &j)
 	if j.ID == "" || j.Type != "analyze-upload" {
 		t.Fatalf("job = %+v", j)
-	}
-	if j.RequestID != "trace-123" {
-		t.Fatalf("request ID not propagated into job record: %+v", j)
-	}
-	if got := resp.Header.Get("X-Request-ID"); got != "trace-123" {
-		t.Fatalf("X-Request-ID echo = %q", got)
-	}
-
-	// Identical submission: 200, deduped, same job.
-	resp, err = ts.Client().Post(ts.URL+"/v1/jobs/analyze-upload", "application/json",
-		bytes.NewReader(params))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dup jobs.Job
-	json.NewDecoder(resp.Body).Decode(&dup)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || dup.ID != j.ID {
-		t.Fatalf("dedupe = %d, job %s (want 200, %s)", resp.StatusCode, dup.ID, j.ID)
-	}
-	if h := resp.Header.Get("X-Job-Deduped"); h != "true" {
-		t.Fatalf("X-Job-Deduped = %q", h)
 	}
 
 	// Long-poll to terminal, then fetch the result.
@@ -115,10 +80,7 @@ func TestJobRoutesEndToEnd(t *testing.T) {
 	}
 
 	// The job shows up in the filtered list.
-	var list struct {
-		Jobs  []jobs.Job `json:"jobs"`
-		Count int        `json:"count"`
-	}
+	var list jobList
 	getJSON(t, ts, "/v1/jobs?state=done&type=analyze-upload", http.StatusOK, &list)
 	found := false
 	for _, lj := range list.Jobs {
@@ -127,14 +89,6 @@ func TestJobRoutesEndToEnd(t *testing.T) {
 	if !found {
 		t.Fatalf("job %s missing from list: %+v", j.ID, list)
 	}
-
-	// Unknown type and unknown job answer enveloped errors.
-	var e errorBody
-	postJSON(t, ts, "/v1/jobs/no-such-type", map[string]any{}, http.StatusNotFound, &e)
-	if e.Error == "" || e.RequestID == "" {
-		t.Fatalf("unknown-type envelope = %+v", e)
-	}
-	getJSON(t, ts, "/v1/jobs/j-ffffffffffffffff", http.StatusNotFound, nil)
 }
 
 func TestDeadLetterOverHTTP(t *testing.T) {
@@ -157,9 +111,7 @@ func TestDeadLetterOverHTTP(t *testing.T) {
 		t.Fatalf("empty upload = %+v, want failed", j)
 	}
 
-	var list struct {
-		Jobs []jobs.Job `json:"jobs"`
-	}
+	var list jobList
 	getJSON(t, ts, "/v1/jobs?state=failed", http.StatusOK, &list)
 	if len(list.Jobs) == 0 {
 		t.Fatal("failed job not listed")
@@ -170,8 +122,6 @@ func TestDeadLetterOverHTTP(t *testing.T) {
 	if e.Error == "" || e.RequestID == "" {
 		t.Fatalf("failure envelope = %+v", e)
 	}
-	// State filter typos are 400, not silence.
-	getJSON(t, ts, "/v1/jobs?state=bogus", http.StatusBadRequest, nil)
 }
 
 func TestAnalyzeRoutesOversizedUploadsToJobs(t *testing.T) {

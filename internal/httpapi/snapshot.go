@@ -9,6 +9,14 @@ import (
 	"repro/internal/snapshot"
 )
 
+// mountSnapshots wires the replica admin routes. They bypass admission:
+// a publisher push must land while query traffic is being shed.
+func (a *API) mountSnapshots() {
+	a.handle("POST /v1/snapshot", a.handleSnapshotPush, bypassAdmission)
+	a.handle("POST /v1/snapshot/rollback", a.handleSnapshotRollback, bypassAdmission)
+	a.handle("GET /v1/snapshot", a.handleSnapshotStatus, bypassAdmission)
+}
+
 // handleSnapshotPush accepts a snapshot file pushed by the publisher,
 // installs it through the manager, and echoes the installed generation
 // and fingerprint so the publisher can verify the replica took exactly

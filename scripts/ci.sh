@@ -8,7 +8,8 @@
 # internal/httpapi, the snapshot file format in internal/snapshot, the
 # replica front proxy in internal/proxy, the coordinator/worker fleet
 # in internal/fleet, the load drivers in internal/loadgen, the
-# async job tier in internal/jobs, the concurrent verdict-matrix
+# async job tier in internal/jobs and apiworker's assembled handler in
+# cmd/apiworker, the concurrent verdict-matrix
 # build in internal/stubplan, and the lock-free histogram and metrics
 # writer in internal/obs), ten seconds of the fuzzing engine on each of
 # the ELF reader (elfx.FuzzOpen), the x86 decoder (x86.FuzzDecode), the
@@ -22,7 +23,11 @@
 # (fleet.FuzzShardResponse, which must reject with a typed error and
 # leave the intern table untouched) and the shard requests a worker
 # reads (fleet.FuzzShardRequest, which must reject with a typed error
-# and accept only what re-encodes to an equal request) beyond the seeds
+# and accept only what re-encodes to an equal request) and the job
+# tier's one HTTP surface (httpapi.FuzzJobRoutes over the job-only
+# handler apiworker mounts: every non-2xx is the error envelope with the
+# echoed request ID, and an accepted job records a valid request ID and
+# the canonical form of its params) beyond the seeds
 # the test run replays, with minimization capped at one second so the
 # ten seconds go to new inputs, a two-worker end-to-end fleet smoke test, a job-tier
 # smoke test (spool persistence across kill -9), an end-to-end load
@@ -71,13 +76,13 @@ echo "== perfbench module: go vet, go test"
 echo "== go test -shuffle (order-independence)"
 go test -count=1 -shuffle=on ./...
 
-echo "== go test -race (pipeline, intern/bitset/metrics, service, HTTP API, analysis cache, fleet, loadgen, jobs, snapshot, proxy, evolution, stubplan, obs)"
+echo "== go test -race (pipeline, intern/bitset/metrics, service, HTTP API, analysis cache, fleet, loadgen, jobs, apiworker, snapshot, proxy, evolution, stubplan, obs)"
 go test -race ./internal/core ./internal/linuxapi ./internal/footprint ./internal/metrics \
     ./internal/service ./internal/httpapi ./internal/anacache ./internal/fleet \
-    ./internal/loadgen ./internal/jobs ./internal/snapshot ./internal/proxy \
+    ./internal/loadgen ./internal/jobs ./cmd/apiworker ./internal/snapshot ./internal/proxy \
     ./internal/evolution ./internal/stubplan ./internal/obs
 
-echo "== go test -fuzz (ELF reader, x86 decoder, snapshot reader, query canonicalization, spool records, analysis-cache records, APT index, popcon survey, fleet shard responses and requests; 10s each)"
+echo "== go test -fuzz (ELF reader, x86 decoder, snapshot reader, query canonicalization, spool records, analysis-cache records, APT index, popcon survey, fleet shard responses and requests, job routes; 10s each)"
 go test -run '^$' -fuzz '^FuzzOpen$' -fuzztime 10s -fuzzminimizetime 1s ./internal/elfx
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s -fuzzminimizetime 1s ./internal/x86
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s -fuzzminimizetime 1s ./internal/snapshot
@@ -88,6 +93,7 @@ go test -run '^$' -fuzz '^FuzzParseIndex$' -fuzztime 10s -fuzzminimizetime 1s ./
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s -fuzzminimizetime 1s ./internal/popcon
 go test -run '^$' -fuzz '^FuzzShardResponse$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fleet
 go test -run '^$' -fuzz '^FuzzShardRequest$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fleet
+go test -run '^$' -fuzz '^FuzzJobRoutes$' -fuzztime 10s -fuzzminimizetime 1s ./internal/httpapi
 
 echo "== fleet smoke test (two-worker end-to-end)"
 sh scripts/fleet_smoke.sh
