@@ -139,14 +139,21 @@ func main() {
 // job tier's, and everything else (the shard endpoint, /healthz) from
 // the worker. logger (nil under -quiet) logs each job request.
 func newHandler(worker *fleet.Worker, mgr *jobs.Manager, logger *log.Logger) http.Handler {
-	mux := http.NewServeMux()
 	jobsHandler := httpapi.NewJobs(mgr, httpapi.Options{Logger: logger})
-	mux.Handle("/v1/jobs", jobsHandler)
-	mux.Handle("/v1/jobs/", jobsHandler)
+	mux := http.NewServeMux()
 	mux.Handle("GET /metrics", obs.Handler(func(w *obs.Writer) {
 		worker.WriteMetrics(w)
 		mgr.WriteMetrics(w)
 	}))
 	mux.Handle("/", worker)
-	return mux
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Job paths reach the job routes uncleaned: a ServeMux in front
+		// would answer an unclean one (/v1/jobs//x) with its own plain
+		// 301, where the job routes send apiserved's enveloped one.
+		if p := r.URL.Path; p == "/v1/jobs" || strings.HasPrefix(p, "/v1/jobs/") {
+			jobsHandler.ServeHTTP(w, r)
+			return
+		}
+		mux.ServeHTTP(w, r)
+	})
 }

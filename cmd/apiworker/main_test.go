@@ -29,9 +29,11 @@ func TestHandler(t *testing.T) {
 	ts := httptest.NewServer(newHandler(worker, mgr, nil))
 	t.Cleanup(ts.Close)
 
+	client := ts.Client()
+	client.CheckRedirect = func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }
 	get := func(path string) (*http.Response, string) {
 		t.Helper()
-		resp, err := ts.Client().Get(ts.URL + path)
+		resp, err := client.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,6 +57,17 @@ func TestHandler(t *testing.T) {
 		env.RequestID == "" || env.RequestID != resp.Header.Get("X-Request-ID") {
 		t.Fatalf("unknown job body = %q (X-Request-ID %q), want the error envelope",
 			body, resp.Header.Get("X-Request-ID"))
+	}
+
+	// An unclean job path gets the job routes' enveloped 301, as on
+	// apiserved, not a plain one from a mux in front of them.
+	resp, body = get("/v1/jobs//x")
+	env.Error, env.RequestID = "", ""
+	if err := json.Unmarshal([]byte(body), &env); err != nil || resp.StatusCode != http.StatusMovedPermanently ||
+		resp.Header.Get("Location") != "/v1/jobs/x" || env.Error == "" ||
+		env.RequestID == "" || env.RequestID != resp.Header.Get("X-Request-ID") {
+		t.Fatalf("unclean job path = %d (Location %q, X-Request-ID %q): %q, want an enveloped 301",
+			resp.StatusCode, resp.Header.Get("Location"), resp.Header.Get("X-Request-ID"), body)
 	}
 
 	if resp, body := get("/healthz"); resp.StatusCode != http.StatusOK || !strings.Contains(body, `"shards"`) {

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"slices"
 	"strconv"
 
 	"repro/internal/loadgen"
@@ -38,6 +39,21 @@ import (
 type sample struct {
 	NsPerOp []float64 `json:"ns_per_op"`
 	BestNs  float64   `json:"best_ns"`
+}
+
+// add records one ns/op observation.
+func (s *sample) add(ns float64) {
+	s.NsPerOp = append(s.NsPerOp, ns)
+	if s.BestNs == 0 || ns < s.BestNs {
+		s.BestNs = ns
+	}
+}
+
+// memSample is a sample with -benchmem's columns, one value per run.
+type memSample struct {
+	sample
+	BytesPerOp  []float64 `json:"bytes_per_op"`
+	AllocsPerOp []float64 `json:"allocs_per_op"`
 }
 
 // artifact is the committed BENCH_pipeline.json schema.
@@ -96,6 +112,11 @@ type artifact struct {
 	// StubPlanPlans is the five BuildPlan calls alone over the warm
 	// matrix; informational, not gated.
 	StubPlanPlans *sample `json:"stubplan_plans,omitempty"`
+	// StubPlanCodeBulk (BenchmarkBuildMatrixCodeBulk) is a cold matrix
+	// build over binaries carrying CodeBulk filler: time and allocation
+	// of emulating code the size of real binaries. Informational, not
+	// gated.
+	StubPlanCodeBulk *memSample `json:"stubplan_codebulk,omitempty"`
 	// Fleet rows (BenchmarkStudyFleetVsLocal) document the coordinator's
 	// loopback overhead; informational, not gated — on one machine the
 	// fleet can only ever cost, never win.
@@ -115,6 +136,14 @@ const (
 	hotBench   = "BenchmarkQueryHotPath"
 	stubBench  = "BenchmarkStubPlanColdVsWarm"
 )
+
+// codeBulkLine matches one BenchmarkBuildMatrixCodeBulk row, which has
+// no sub-benchmark and carries -benchmem's columns after its own
+// metrics, e.g.
+//
+//	BenchmarkBuildMatrixCodeBulk-2  1  234069463 ns/op  47035 emulations/op  20640157 steps/op  148472565 B/op  548487 allocs/op
+var codeBulkLine = regexp.MustCompile(
+	`^BenchmarkBuildMatrixCodeBulk(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op.*\s([0-9.]+) B/op\s+([0-9.]+) allocs/op`)
 
 // benchLine matches one `go test -bench` result row, e.g.
 //
@@ -155,10 +184,27 @@ func main() {
 	}
 
 	samples := map[string]*sample{}
+	var codeBulk *memSample
 	sc := bufio.NewScanner(os.Stdin)
 	for sc.Scan() {
 		line := sc.Text()
 		fmt.Println(line) // passthrough so CI logs keep the raw output
+		if m := codeBulkLine.FindStringSubmatch(line); m != nil {
+			var v [3]float64
+			for i := range v {
+				var err error
+				if v[i], err = strconv.ParseFloat(m[i+1], 64); err != nil {
+					fatalf("parsing %q: %v", line, err)
+				}
+			}
+			if codeBulk == nil {
+				codeBulk = &memSample{}
+			}
+			codeBulk.add(v[0])
+			codeBulk.BytesPerOp = append(codeBulk.BytesPerOp, v[1])
+			codeBulk.AllocsPerOp = append(codeBulk.AllocsPerOp, v[2])
+			continue
+		}
 		m := benchLine.FindStringSubmatch(line)
 		if m == nil || (m[1] != *bench && m[1] != fleetBench && m[1] != aggBench &&
 			m[1] != snapBench && m[1] != evoBench && m[1] != hotBench &&
@@ -195,10 +241,7 @@ func main() {
 			s = &sample{}
 			samples[key] = s
 		}
-		s.NsPerOp = append(s.NsPerOp, ns)
-		if s.BestNs == 0 || ns < s.BestNs {
-			s.BestNs = ns
-		}
+		s.add(ns)
 	}
 	if err := sc.Err(); err != nil {
 		fatalf("reading stdin: %v", err)
@@ -280,6 +323,7 @@ func main() {
 		a.HotpathSpeedup >= *minHot && a.StubPlanSpeedup >= *minStub
 
 	a.StubPlanPlans = samples["stubplan_plans"]
+	a.StubPlanCodeBulk = codeBulk
 	if fl, f := samples["fleet_local"], samples["fleet"]; fl != nil && f != nil {
 		a.FleetLocal, a.Fleet = fl, f
 		a.FleetOverhead = round2(f.BestNs / fl.BestNs)
@@ -314,6 +358,10 @@ func main() {
 	if a.StubPlanPlans != nil {
 		fmt.Printf("benchgate: stub-aware plans for five systems over the warm matrix %.1fms (not gated)\n",
 			a.StubPlanPlans.BestNs/1e6)
+	}
+	if c := a.StubPlanCodeBulk; c != nil {
+		fmt.Printf("benchgate: cold matrix build over 24 KiB CodeBulk binaries %.0fms, %.1f MiB allocated (not gated)\n",
+			c.BestNs/1e6, slices.Min(c.BytesPerOp)/(1<<20))
 	}
 	if a.Fleet != nil {
 		fmt.Printf("benchgate: fleet %.0fms vs local %.0fms — %.2fx loopback coordination overhead (not gated)\n",

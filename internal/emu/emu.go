@@ -18,6 +18,14 @@
 // The emulator runs ELF images (elfx.Binary) as the loader sees them; it
 // needs no static analysis of the code it executes.
 //
+// The unit of emulation is a block: the straight line of register-only
+// instructions from an entry pc, plus the instruction that ends it. A
+// machine decodes each block the first time a run enters it and keeps it
+// per binary, so what it stores follows the code that runs, not the size
+// of the sections. A block steps as one, except where the step budget
+// falls inside it; steps, stops and events are those of stepping one
+// instruction at a time.
+//
 // Fault injection runs one program many times, each time under a policy
 // that departs from the recording-only default at the occurrences of one
 // system call. Record runs it once, keeps the machine state at its
@@ -170,25 +178,26 @@ type Machine struct {
 	// RAX=0. Record and Replay ignore it.
 	Policy SyscallPolicy
 
-	// dcache memoizes decoded instructions per binary as dense
-	// per-section arrays indexed by code offset, and where each of its
-	// PLT stubs leads. Code bytes are immutable for the life of a Binary,
-	// so the cache is exact. A recording and all its replays decode each
-	// instruction once, and the libraries every executable calls into
-	// stay decoded from one executable to the next; Forget drops a binary
-	// nothing will run again. The step loop keeps the current frame's
-	// arrays at hand, so its per-step fast path is a pointer compare, a
-	// bounds check and a slice index.
+	// dcache memoizes, per binary, the blocks decoded from the entry pcs
+	// the machine has run, and where each of its PLT stubs leads. Code
+	// bytes are immutable for the life of a Binary, so the cache is exact.
+	// A recording and all its replays decode each block once, and the
+	// libraries every executable calls into stay decoded from one
+	// executable to the next; Forget drops a binary nothing will run
+	// again. Storage follows the code that runs, not the size of the
+	// sections: code a run never enters is never decoded.
 	dcache map[*elfx.Binary]*decoded
 
 	// executed counts the instructions the step loop has executed.
 	executed uint64
 }
 
-// decoded holds one binary's decode arrays, for .text and .plt, and its
-// resolved PLT stubs.
+// decoded holds one binary's blocks and its resolved PLT stubs.
 type decoded struct {
-	secs [2]section
+	// blocks maps an entry pc to the block that starts there. Blocks
+	// overlap where a run enters the middle of a straight line, such as
+	// a jump into it.
+	blocks map[uint64]*block
 	// stubs maps a PLT stub's address to the frame a call through it
 	// enters (the zero frame: the import resolves nowhere). The machine
 	// asks its resolver once per stub, so libraries must be registered
@@ -196,21 +205,40 @@ type decoded struct {
 	stubs map[uint64]frame
 }
 
-// section caches decoded instructions: insts[i] is the instruction
-// starting at byte i (valid when ok[i]).
-type section struct {
-	addr  uint64
-	data  []byte
-	insts []x86.Inst
-	ok    []bool
+// block is the unit of emulation: the straight line of register-only
+// instructions (OpMovImm, OpZeroReg, OpMovReg, OpLeaRIP, OpOther) that
+// starts at an entry pc, plus the instruction that ends it. A run steps
+// a block as one: it applies the body's register writes in order, counts
+// its n instructions, and then executes end as the one-instruction loop
+// would.
+type block struct {
+	// writes are the body's instructions that write a register, in
+	// order; OpOther instructions write none and are only counted.
+	writes []x86.Inst
+	// n is the number of instructions in the body.
+	n int
+	// end is the instruction at the pc after the body: a system call, a
+	// control transfer, OpRet, OpHalt or OpBad. When that pc lies outside
+	// both sections, outside is set and end holds only its Addr.
+	end     x86.Inst
+	outside bool
 }
 
-func newSection(sec elfx.Section) section {
-	return section{
-		addr:  sec.Addr,
-		data:  sec.Data,
-		insts: make([]x86.Inst, len(sec.Data)),
-		ok:    make([]bool, len(sec.Data)),
+// writeRegs applies a register-only instruction's effect to r.
+func writeRegs(r *regs, inst *x86.Inst) {
+	switch inst.Op {
+	case x86.OpMovImm:
+		r.set(inst.Dst, inst.Imm)
+	case x86.OpZeroReg:
+		r.set(inst.Dst, 0)
+	case x86.OpMovReg:
+		if v, ok := r.get(inst.Src); ok {
+			r.set(inst.Dst, v)
+		} else {
+			r.clobber(inst.Dst)
+		}
+	case x86.OpLeaRIP:
+		r.set(inst.Dst, int64(inst.Target))
 	}
 }
 
@@ -218,7 +246,7 @@ func (m *Machine) decodedFor(bin *elfx.Binary) *decoded {
 	if dc, ok := m.dcache[bin]; ok {
 		return dc
 	}
-	dc := &decoded{secs: [2]section{newSection(bin.Text), newSection(bin.Plt)}}
+	dc := &decoded{blocks: make(map[uint64]*block)}
 	if m.dcache == nil {
 		m.dcache = make(map[*elfx.Binary]*decoded)
 	}
@@ -226,13 +254,13 @@ func (m *Machine) decodedFor(bin *elfx.Binary) *decoded {
 	return dc
 }
 
-// Forget drops bin's decode arrays and resolved PLT stubs. Callers done
-// with a binary call it so a long-lived machine holds only what later
-// runs share; running bin again just decodes it again.
+// Forget drops bin's blocks and resolved PLT stubs. Callers done with a
+// binary call it so a long-lived machine holds only what later runs
+// share; running bin again just decodes it again.
 func (m *Machine) Forget(bin *elfx.Binary) { delete(m.dcache, bin) }
 
-// Decoded lists the binaries whose decode arrays the machine holds, in
-// no particular order.
+// Decoded lists the binaries whose blocks the machine holds, in no
+// particular order.
 func (m *Machine) Decoded() []*elfx.Binary {
 	out := make([]*elfx.Binary, 0, len(m.dcache))
 	for bin := range m.dcache {
@@ -246,21 +274,41 @@ func (m *Machine) Decoded() []*elfx.Binary {
 // only the instructions it actually stepped, not its trace's Steps.
 func (m *Machine) Executed() uint64 { return m.executed }
 
-// fetch returns the instruction at pc, decoding it on first use, or nil
-// when pc is outside both sections. It points into the arrays, so a step
-// copies no instruction.
-func (dc *decoded) fetch(pc uint64) *x86.Inst {
-	for i := range dc.secs {
-		s := &dc.secs[i]
-		if off := pc - s.addr; off < uint64(len(s.insts)) {
-			if !s.ok[off] {
-				s.insts[off] = x86.Decode(s.data[off:], pc)
-				s.ok[off] = true
-			}
-			return &s.insts[off]
+// block returns the block of bin that starts at entry, decoding it on
+// first use.
+func (dc *decoded) block(bin *elfx.Binary, entry uint64) *block {
+	if b := dc.blocks[entry]; b != nil {
+		return b
+	}
+	b := &block{}
+	dc.blocks[entry] = b
+	for pc := entry; ; b.n++ {
+		inst, ok := decodeAt(bin, pc)
+		if !ok {
+			b.end, b.outside = x86.Inst{Addr: pc}, true
+			return b
+		}
+		switch inst.Op {
+		case x86.OpMovImm, x86.OpZeroReg, x86.OpMovReg, x86.OpLeaRIP:
+			b.writes = append(b.writes, inst)
+		case x86.OpOther:
+		default:
+			b.end = inst
+			return b
+		}
+		pc += uint64(inst.Len)
+	}
+}
+
+// decodeAt decodes the instruction at pc from whichever of bin's
+// sections holds it, reporting false when neither does.
+func decodeAt(bin *elfx.Binary, pc uint64) (x86.Inst, bool) {
+	for _, sec := range [...]*elfx.Section{&bin.Text, &bin.Plt} {
+		if off := pc - sec.Addr; off < uint64(len(sec.Data)) {
+			return x86.Decode(sec.Data[off:], pc), true
 		}
 	}
-	return nil
+	return x86.Inst{}, false
 }
 
 // New returns a machine resolving imports through r.
@@ -376,7 +424,8 @@ func (m *Machine) run(bin *elfx.Binary, entry uint64, sym string) *Trace {
 // returns false may.
 func (m *Machine) drive(st *state, tr *Trace, idx int, policy SyscallPolicy, only *int64, at func(st *state, idx int) bool) bool {
 	for ; ; idx++ {
-		if stop := m.next(st); stop != "" {
+		stop, n := m.next(st)
+		if stop != "" {
 			tr.Steps, tr.Stopped = st.steps, stop
 			return false
 		}
@@ -391,38 +440,56 @@ func (m *Machine) drive(st *state, tr *Trace, idx int, policy SyscallPolicy, onl
 				return false
 			}
 		}
-		m.sysret(st, res.Ret)
+		m.sysret(st, n, res.Ret)
 	}
 }
 
-// sysret executes the syscall instruction st stands on, with ret as the
-// value the program sees in RAX.
-func (m *Machine) sysret(st *state, ret int64) {
-	inst := m.decodedFor(st.cur.bin).fetch(st.cur.pc)
+// sysret executes the syscall instruction st stands on, n bytes long,
+// with ret as the value the program sees in RAX.
+func (m *Machine) sysret(st *state, n int, ret int64) {
 	st.r.set(x86.RAX, ret)
 	st.r.clobber(x86.RCX)
 	st.r.clobber(x86.R11)
-	st.cur.pc += uint64(inst.Len)
+	st.cur.pc += uint64(n)
 	st.steps++
 	m.executed++
 }
 
-// next is the machine's one interpreter loop: it steps st until st
-// stands on a system-call instruction, which it leaves unexecuted and
-// returns "", or until the run ends, returning why.
-func (m *Machine) next(st *state) string {
+// next is the machine's one interpreter loop: it steps st a block at a
+// time until st stands on a system-call instruction, which it leaves
+// unexecuted and returns "" with that instruction's length, or until the
+// run ends, returning why. A block that would reach MaxSteps is stepped
+// only up to it, so a run stops at exactly MaxSteps instructions.
+func (m *Machine) next(st *state) (string, int) {
 	r, cur, stack, steps := st.r, st.cur, st.stack, st.steps
 	maxSteps, maxDepth := m.MaxSteps, m.MaxDepth
 	var dcFor *elfx.Binary
 	var dc *decoded
-	stop := "step budget"
+	stop, n := "step budget", 0
 loop:
-	for ; steps < maxSteps; steps++ {
+	for steps < maxSteps {
 		if cur.bin != dcFor {
 			dc, dcFor = m.decodedFor(cur.bin), cur.bin
 		}
-		inst := dc.fetch(cur.pc)
-		if inst == nil {
+		b := dc.block(cur.bin, cur.pc)
+		if left := maxSteps - steps; b.n >= left {
+			// The budget ends inside the body: step its first left
+			// instructions one at a time.
+			for i := 0; i < left; i++ {
+				inst, _ := decodeAt(cur.bin, cur.pc)
+				writeRegs(&r, &inst)
+				cur.pc += uint64(inst.Len)
+			}
+			steps = maxSteps
+			break
+		}
+		for i := range b.writes {
+			writeRegs(&r, &b.writes[i])
+		}
+		steps += b.n
+		inst := &b.end
+		cur.pc = inst.Addr
+		if b.outside {
 			stop = fmt.Sprintf("pc %#x outside code in %s", cur.pc, cur.bin.Path)
 			break
 		}
@@ -430,20 +497,8 @@ loop:
 		case x86.OpBad:
 			stop = fmt.Sprintf("undecodable byte in %s", locate(cur))
 			break loop
-		case x86.OpMovImm:
-			r.set(inst.Dst, inst.Imm)
-		case x86.OpZeroReg:
-			r.set(inst.Dst, 0)
-		case x86.OpMovReg:
-			if v, ok := r.get(inst.Src); ok {
-				r.set(inst.Dst, v)
-			} else {
-				r.clobber(inst.Dst)
-			}
-		case x86.OpLeaRIP:
-			r.set(inst.Dst, int64(inst.Target))
 		case x86.OpSyscall, x86.OpInt80, x86.OpSysenter:
-			stop = ""
+			stop, n = "", inst.Len
 			break loop
 		case x86.OpCallRel:
 			if !inst.HasTarget {
@@ -462,7 +517,6 @@ loop:
 			}
 			stack = append(stack, ret)
 			cur = next
-			continue
 		case x86.OpJmpRel:
 			if !inst.HasTarget {
 				stop = "jump without target"
@@ -474,7 +528,6 @@ loop:
 				break loop
 			}
 			cur = next
-			continue
 		case x86.OpRet:
 			if len(stack) == 0 {
 				stop = "ret from entry"
@@ -482,7 +535,6 @@ loop:
 			}
 			cur = stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			continue
 		case x86.OpHalt:
 			stop = "halt"
 			break loop
@@ -496,14 +548,12 @@ loop:
 			// diagnostics (fault-injection re-runs) key on it.
 			stop = fmt.Sprintf("unmodeled control flow in %s (%v)", locate(cur), inst.Op)
 			break loop
-		case x86.OpOther:
-			// Fine: nops and arithmetic without modeled effects.
 		}
-		cur.pc += uint64(inst.Len)
+		steps++
 	}
 	m.executed += uint64(steps - st.steps)
 	st.r, st.cur, st.stack, st.steps = r, cur, stack, steps
-	return stop
+	return stop, n
 }
 
 // enter resolves a control transfer target from a frame of the binary

@@ -2,6 +2,7 @@ package emu
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -268,6 +269,61 @@ func TestStaticCoversDynamicOnLibraryCycle(t *testing.T) {
 		if !static.APIs.Contains(api) {
 			t.Errorf("dynamic %v not in static footprint %v", api, static.APIs.Sorted())
 		}
+	}
+}
+
+// recordAlloc generates a corpus whose binaries carry bulk bytes of
+// CodeBulk filler and returns the bytes a fresh machine allocates to
+// Record its first executable, and the recording's trace.
+func recordAlloc(t *testing.T, bulk int) (uint64, *Trace) {
+	t.Helper()
+	c, err := corpus.Generate(corpus.Config{Packages: 12, Installations: 100000, Seed: 5, CodeBulk: bulk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := footprint.NewResolver()
+	var exec *elfx.Binary
+	for _, name := range c.Repo.Names() {
+		for _, f := range c.Repo.Get(name).Files {
+			class, _ := elfx.Classify(f.Data)
+			if class != elfx.ClassELFLib && (class != elfx.ClassELFExec || exec != nil) {
+				continue
+			}
+			bin, err := elfx.Open(f.Path, f.Data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if class == elfx.ClassELFLib {
+				r.AddLibrary(footprint.Analyze(bin, footprint.Options{}))
+			} else {
+				exec = bin
+			}
+		}
+	}
+	if exec == nil {
+		t.Fatal("corpus has no executable")
+	}
+	m := New(r)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec, err := m.Record(exec)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return after.TotalAlloc - before.TotalAlloc, rec.Trace
+}
+
+// A machine decodes only the code a run enters, so a recording allocates
+// about the same whatever filler the binaries carry beside that code.
+func TestRecordStorageFollowsCodeThatRuns(t *testing.T) {
+	lean, leanTrace := recordAlloc(t, 0)
+	bulky, bulkyTrace := recordAlloc(t, 64<<10)
+	if leanTrace.Steps != bulkyTrace.Steps || leanTrace.Stopped != bulkyTrace.Stopped || len(leanTrace.Events) != len(bulkyTrace.Events) {
+		t.Fatalf("filler changed the run: %d steps %q vs %d steps %q", leanTrace.Steps, leanTrace.Stopped, bulkyTrace.Steps, bulkyTrace.Stopped)
+	}
+	if float64(bulky) > 1.25*float64(lean) {
+		t.Errorf("a recording allocates %d bytes with 64 KiB of filler per binary, %d with none; want within 1.25x", bulky, lean)
 	}
 }
 

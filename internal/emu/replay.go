@@ -173,11 +173,11 @@ func (m *Machine) Replay(rec *Recording, num int64, policy SyscallPolicy) (*Trac
 			tr.Steps, tr.Stopped = base.Steps, base.Stopped
 			return tr, nil
 		}
-		st, err := m.restore(rec, i)
+		st, n, err := m.restore(rec, i)
 		if err != nil {
 			return nil, err
 		}
-		m.sysret(&st, res.Ret)
+		m.sysret(&st, n, res.Ret)
 		rejoined := m.drive(&st, tr, i+1, policy, &num, func(st *state, j int) bool {
 			if cp := rec.checkpoint(j); cp != nil && cp.equal(st) {
 				for k < len(occ) && occ[k] < j {
@@ -193,20 +193,23 @@ func (m *Machine) Replay(rec *Recording, num int64, policy SyscallPolicy) (*Trac
 	}
 }
 
-// restore returns the state at event i's syscall instruction: a copy of
-// the nearest checkpoint at or before it, stepped forward to event i
-// with the baseline's results.
-func (m *Machine) restore(rec *Recording, i int) (state, error) {
+// restore returns the state at event i's syscall instruction and that
+// instruction's length: a copy of the nearest checkpoint at or before
+// it, stepped forward to event i with the baseline's results.
+func (m *Machine) restore(rec *Recording, i int) (state, int, error) {
 	k := min(i/rec.stride, len(rec.cps)-1)
 	st := rec.cps[k]
 	// The live stack pops and pushes in place; it must not share the
 	// checkpoint's array.
 	st.stack = slices.Clone(st.stack)
-	for n := k * rec.stride; n < i; n++ {
-		m.sysret(&st, 0)
-		if stop := m.next(&st); stop != "" {
-			return state{}, fmt.Errorf("emu: replay of %s left its recording before event %d: %s", rec.bin.Path, n+1, stop)
+	inst, _ := decodeAt(st.cur.bin, st.cur.pc)
+	n := inst.Len
+	for j := k * rec.stride; j < i; j++ {
+		m.sysret(&st, n, 0)
+		var stop string
+		if stop, n = m.next(&st); stop != "" {
+			return state{}, 0, fmt.Errorf("emu: replay of %s left its recording before event %d: %s", rec.bin.Path, j+1, stop)
 		}
 	}
-	return st, nil
+	return st, n, nil
 }

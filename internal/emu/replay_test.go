@@ -485,8 +485,8 @@ func TestReplayRejectsOtherLimits(t *testing.T) {
 }
 
 // A machine resolves each PLT stub once and keeps the answer with the
-// binary's decode arrays; Forget drops both.
-func TestForgetDropsDecodeArrays(t *testing.T) {
+// binary's blocks; Forget drops both.
+func TestForgetDropsBlocks(t *testing.T) {
 	r, app := buildPair(t)
 	m := New(r)
 	if _, err := m.RunImage(app); err != nil {

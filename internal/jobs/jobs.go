@@ -133,6 +133,25 @@ type Job struct {
 	seq uint64
 }
 
+// MarshalJSON writes the record with its unset times left out:
+// omitempty never applies to a struct such as time.Time, so the fields
+// are written through pointers that are nil when the time is zero.
+func (j Job) MarshalJSON() ([]byte, error) {
+	type record Job // no methods: marshals field by field
+	set := func(t time.Time) *time.Time {
+		if t.IsZero() {
+			return nil
+		}
+		return &t
+	}
+	return json.Marshal(struct {
+		record
+		StartedAt  *time.Time `json:"started_at,omitempty"`
+		FinishedAt *time.Time `json:"finished_at,omitempty"`
+		NotBefore  *time.Time `json:"not_before,omitempty"`
+	}{record(j), set(j.StartedAt), set(j.FinishedAt), set(j.NotBefore)})
+}
+
 // clone returns a defensive copy for callers outside the lock.
 func (j *Job) clone() *Job {
 	c := *j

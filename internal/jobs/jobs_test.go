@@ -897,3 +897,48 @@ func TestStatsSnapshot(t *testing.T) {
 		t.Fatalf("%d ok-type duration buckets, want %d:\n%s", n, len(DurationBucketsMs)+1, page)
 	}
 }
+
+// A record carries only the times that are set: a queued job has no
+// started_at, finished_at or not_before, and a finished one has the
+// first two. Both read back unchanged.
+func TestRecordOmitsUnsetTimes(t *testing.T) {
+	now := time.Date(2026, 10, 21, 9, 30, 0, 0, time.UTC)
+	queued := Job{ID: "j-00000000000000b1", Type: "echo", State: StateQueued, CreatedAt: now}
+	done := queued
+	done.State, done.Attempts = StateDone, 1
+	done.StartedAt, done.FinishedAt = now.Add(time.Second), now.Add(2*time.Second)
+	for _, tc := range []struct {
+		job          Job
+		have, absent []string
+	}{
+		{queued, nil, []string{"started_at", "finished_at", "not_before"}},
+		{done, []string{"started_at", "finished_at"}, []string{"not_before"}},
+	} {
+		raw, err := json.Marshal(&tc.job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &fields); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range tc.have {
+			if _, ok := fields[k]; !ok {
+				t.Errorf("%s record %s lacks %s", tc.job.State, raw, k)
+			}
+		}
+		for _, k := range tc.absent {
+			if _, ok := fields[k]; ok {
+				t.Errorf("%s record %s carries unset %s", tc.job.State, raw, k)
+			}
+		}
+		var back Job
+		if err := json.Unmarshal(raw, &back); err != nil {
+			t.Fatal(err)
+		}
+		if back.ID != tc.job.ID || back.State != tc.job.State || !back.CreatedAt.Equal(tc.job.CreatedAt) ||
+			!back.StartedAt.Equal(tc.job.StartedAt) || !back.FinishedAt.Equal(tc.job.FinishedAt) || !back.NotBefore.IsZero() {
+			t.Errorf("record %s read back as %+v", raw, back)
+		}
+	}
+}

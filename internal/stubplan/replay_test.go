@@ -162,7 +162,7 @@ func TestMatrixStepsNearBaseline(t *testing.T) {
 }
 
 // A worker's machine outlives every executable it measures; after the
-// matrix's executables it must hold decode arrays for shared libraries
+// matrix's executables it must hold decoded blocks for shared libraries
 // only.
 func TestWorkerMachineKeepsOnlyLibraries(t *testing.T) {
 	s, _ := fixture(t)
@@ -176,7 +176,7 @@ func TestWorkerMachineKeepsOnlyLibraries(t *testing.T) {
 	}
 	for _, bin := range decoded {
 		if bin.Class != elfx.ClassELFLib {
-			t.Errorf("worker machine still holds decode arrays for %s (class %v)", bin.Path, bin.Class)
+			t.Errorf("worker machine still holds blocks for %s (class %v)", bin.Path, bin.Class)
 		}
 	}
 }

@@ -468,8 +468,9 @@ func BuildMatrix(s *core.Study, opts Options) *Matrix {
 // emulateOne measures one executable on a worker's machine and returns
 // its verdicts, emulator runs, executed instructions, and the number of
 // APIs its baseline observed outside static, its package's footprint.
-// The image is opened here and never run again, so its decode arrays are
-// dropped; the libraries' arrays stay for the worker's next executable.
+// The image is opened here and never run again, so its decoded blocks
+// are dropped; the libraries' blocks stay for the worker's next
+// executable.
 func emulateOne(m *emu.Machine, path string, data []byte, static *footprint.BitSet) (*BinaryVerdicts, int, uint64, int) {
 	bin, err := elfx.Open(path, data)
 	if err != nil {

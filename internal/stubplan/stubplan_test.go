@@ -613,3 +613,34 @@ func BenchmarkStubPlanColdVsWarm(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkBuildMatrixCodeBulk measures a cold matrix build (an empty
+// verdict cache) over 200 packages whose binaries carry 24 KiB of
+// CodeBulk filler each, the code volume of real binaries. The filler
+// never runs, so the emulator's time and allocation here show how its
+// decode storage scales with the code a run enters rather than with
+// section size. Run with -benchmem; benchgate records it as
+// stubplan_codebulk (not gated).
+func BenchmarkBuildMatrixCodeBulk(b *testing.B) {
+	c, err := corpus.Generate(corpus.Config{Packages: 200, Installations: 1 << 20, Seed: 1504, CodeBulk: 24 << 10})
+	if err != nil {
+		b.Fatalf("generate: %v", err)
+	}
+	s, err := core.Run(c, footprint.Options{})
+	if err != nil {
+		b.Fatalf("run: %v", err)
+	}
+	s.EnsureEmulatable()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cache := openCache(b, b.TempDir())
+		b.StartTimer()
+		m := BuildMatrix(s, Options{Cache: cache})
+		if m.Stats.Emulations == 0 || m.Stats.CacheHits != 0 {
+			b.Fatalf("cold build: %+v", m.Stats)
+		}
+		b.ReportMetric(float64(m.Stats.Emulations), "emulations/op")
+		b.ReportMetric(float64(m.Stats.Steps), "steps/op")
+	}
+}

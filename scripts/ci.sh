@@ -27,7 +27,10 @@
 # tier's one HTTP surface (httpapi.FuzzJobRoutes over the job-only
 # handler apiworker mounts: every non-2xx is the error envelope with the
 # echoed request ID, and an accepted job records a valid request ID and
-# the canonical form of its params) beyond the seeds
+# the canonical form of its params) and the emulator's step budget
+# (emu.FuzzEmulatorBudget over fuzzed .text bytes and budgets: a run
+# under budget k takes exactly min(k, S) steps of a run that reaches S,
+# keeps the events before step k, and replays as it runs) beyond the seeds
 # the test run replays, with minimization capped at one second so the
 # ten seconds go to new inputs, a two-worker end-to-end fleet smoke test, a job-tier
 # smoke test (spool persistence across kill -9), an end-to-end load
@@ -82,7 +85,7 @@ go test -race ./internal/core ./internal/linuxapi ./internal/footprint ./interna
     ./internal/loadgen ./internal/jobs ./cmd/apiworker ./internal/snapshot ./internal/proxy \
     ./internal/evolution ./internal/stubplan ./internal/obs
 
-echo "== go test -fuzz (ELF reader, x86 decoder, snapshot reader, query canonicalization, spool records, analysis-cache records, APT index, popcon survey, fleet shard responses and requests, job routes; 10s each)"
+echo "== go test -fuzz (ELF reader, x86 decoder, snapshot reader, query canonicalization, spool records, analysis-cache records, APT index, popcon survey, fleet shard responses and requests, job routes, emulator step budget; 10s each)"
 go test -run '^$' -fuzz '^FuzzOpen$' -fuzztime 10s -fuzzminimizetime 1s ./internal/elfx
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s -fuzzminimizetime 1s ./internal/x86
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s -fuzzminimizetime 1s ./internal/snapshot
@@ -94,6 +97,7 @@ go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s -fuzzminimizetime 1s ./inter
 go test -run '^$' -fuzz '^FuzzShardResponse$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fleet
 go test -run '^$' -fuzz '^FuzzShardRequest$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fleet
 go test -run '^$' -fuzz '^FuzzJobRoutes$' -fuzztime 10s -fuzzminimizetime 1s ./internal/httpapi
+go test -run '^$' -fuzz '^FuzzEmulatorBudget$' -fuzztime 10s -fuzzminimizetime 1s ./internal/emu
 
 echo "== fleet smoke test (two-worker end-to-end)"
 sh scripts/fleet_smoke.sh
